@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test perfbench-test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module (it replaces phantom with ../), so the
+# root build and tests never see it: a root API change that breaks the
+# benchmark only shows here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The repo's own invariant analyzers (internal/analysis, driven by the
 # fifth binary): determinism, maporder, noperturb, ctxflow, faultalloc,
@@ -63,7 +69,7 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: what CI runs.
-check: vet phantom-vet staticcheck govulncheck build test race cover search-smoke cluster-smoke
+check: vet phantom-vet staticcheck govulncheck build test perfbench-test race cover search-smoke cluster-smoke
 
 # Statement coverage with per-package floors (coverage.floors): fails
 # when any package regresses below its recorded seed-state coverage.

@@ -6,21 +6,12 @@
 //
 //	phantom <experiment> [flags]
 //
-// Experiments:
-//
-//	table1       training×victim misprediction matrix (Table 1)
-//	fig6         speculative-decode page-offset sweep (Figure 6)
-//	fig7         cross-privilege BTB function recovery (Figure 7)
-//	covert       fetch and execute covert channels (Table 2)
-//	kaslr        kernel image KASLR derandomization (Table 3)
-//	physmap      physmap KASLR derandomization (Table 4)
-//	physaddr     physical address of an attacker page (Table 5)
-//	mds          MDS-gadget kernel memory leak (Section 7.4)
-//	mitigations  SuppressBPOnNonBr / AutoIBRS / IBPB evaluation (Sections 6.3, 8)
-//	sls          straight-line speculation cell (Table 1, footnote c)
-//	chain        full Section 7 exploit chain on one boot
-//	search       differential fuzzing of the speculation model (minimized findings)
-//	all          everything above with default parameters
+// `phantom help` lists the experiments. Each one is declared once, in
+// the catalog of internal/service: its flags and their defaults, its -h
+// text, its -json output, and its `phantom all` step are all generated
+// from that entry, and every invocation is normalized exactly as
+// cmd/phantom-server normalizes a request. `phantom search` (differential
+// fuzzing of the speculation model) is the one CLI-only experiment.
 //
 // Common flags: -arch, -seed, -runs, -jobs; see -h of each experiment.
 // Multi-run experiments fan their (arch, reboot) jobs over a worker pool
@@ -48,7 +39,9 @@
 // and exit 1 — an interrupted run leaves a readable log, not a
 // truncated one.
 //
-// Exit codes: 0 on success, 1 on runtime errors, 2 on usage errors.
+// Exit codes: 0 on success, 1 on runtime errors (including values the
+// server would reject with 400, such as a negative -runs or an unknown
+// -arch), 2 on usage errors.
 package main
 
 import (
@@ -63,7 +56,6 @@ import (
 	"strings"
 	"syscall"
 
-	"phantom"
 	"phantom/internal/service"
 	"phantom/internal/telemetry"
 )
@@ -130,7 +122,7 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		usage(stderr)
 		return 0
 	}
-	fn, ok := runners[cmd]
+	fn, ok := command(cmd)
 	if !ok {
 		fmt.Fprintf(stderr, "phantom: unknown experiment %q\n\n", cmd)
 		usage(stderr)
@@ -171,7 +163,7 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		telemetry.Enable(tcfg)
 	}
 
-	err := fn(ctx, stdout, cargs)
+	err := fn(ctx, stdout, stderr, cargs)
 
 	code := 0
 	switch {
@@ -205,16 +197,23 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	return code
 }
 
-// runners maps every experiment name to its implementation. Each
-// runner writes experiment output to w only — diagnostics go to the
-// process stderr — so the same functions back tests, the CLI, and
-// (through service.Execute) the server.
-var runners = map[string]func(context.Context, io.Writer, []string) error{
-	"table1": cmdTable1, "fig6": cmdFig6, "fig7": cmdFig7,
-	"covert": cmdCovert, "kaslr": cmdKASLR, "physmap": cmdPhysmap,
-	"physaddr": cmdPhysAddr, "mds": cmdMDS, "mitigations": cmdMitigations,
-	"sls": cmdSLS, "report": cmdReport, "chain": cmdChain, "all": cmdAll,
-	"search": cmdSearch,
+// command resolves a subcommand: every catalog experiment, plus the
+// CLI-only search and all. Each writes experiment output to stdout only,
+// diagnostics and -h text to stderr.
+func command(name string) (func(ctx context.Context, stdout, stderr io.Writer, args []string) error, bool) {
+	switch name {
+	case "search":
+		return cmdSearch, true
+	case "all":
+		return cmdAll, true
+	}
+	e, ok := service.Lookup(name)
+	if !ok {
+		return nil, false
+	}
+	return func(ctx context.Context, stdout, stderr io.Writer, args []string) error {
+		return runExperiment(ctx, stdout, stderr, e, args)
+	}, true
 }
 
 func usage(w io.Writer) {
@@ -223,19 +222,15 @@ func usage(w io.Writer) {
 usage: phantom [-metrics file] [-progress] [-debug-addr addr] <experiment> [flags]
 
 experiments:
-  table1       training×victim misprediction matrix   (Table 1)
-  fig6         speculative decode vs page offset      (Figure 6)
-  fig7         BTB index-function recovery            (Figure 7)
-  covert       fetch/execute covert channels          (Table 2)
-  kaslr        kernel image KASLR break               (Table 3)
-  physmap      physmap KASLR break                    (Table 4)
-  physaddr     physical address derandomization       (Table 5)
-  mds          MDS-gadget kernel memory leak          (Section 7.4)
-  mitigations  mitigation evaluation                  (Sections 6.3, 8)
-  sls          straight-line speculation cell         (Table 1, footnote c)
-  report       full paper-vs-measured Markdown report
-  chain        full Section 7 exploit chain
-  search       differential fuzzing of the speculation model
+`)
+	for _, e := range service.Catalog() {
+		line := e.Usage
+		if e.Paper != "" {
+			line = fmt.Sprintf("%-38s (%s)", e.Usage, e.Paper)
+		}
+		fmt.Fprintf(w, "  %-12s %s\n", e.Name, line)
+	}
+	fmt.Fprint(w, `  search       differential fuzzing of the speculation model
   all          run everything with defaults
 
 serving: the same experiments are available over HTTP from the
@@ -250,382 +245,83 @@ func emitJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// parseArchs resolves a comma-separated -arch value.
-func parseArchs(spec string) ([]phantom.Microarch, error) {
-	switch spec {
-	case "all":
-		return phantom.AllMicroarchs(), nil
-	case "amd":
-		return phantom.AMDMicroarchs(), nil
+// runExperiment parses args with the flag set generated from e's catalog
+// entry, normalizes the request exactly as the server does, and renders
+// it as text or, under -json, as e's JSON documents.
+func runExperiment(ctx context.Context, stdout, stderr io.Writer, e *service.Experiment, args []string) error {
+	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	request := e.Flags(fs)
+	var jobs int
+	if e.Jobs {
+		fs.IntVar(&jobs, "jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
 	}
-	var out []phantom.Microarch
-	for _, s := range strings.Split(spec, ",") {
-		a := phantom.Microarch(strings.TrimSpace(s))
-		found := false
-		for _, known := range phantom.AllMicroarchs() {
-			if a == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown microarchitecture %q", s)
-		}
-		out = append(out, a)
+	var asJSON bool
+	if e.JSON {
+		fs.BoolVar(&asJSON, "json", false, "emit JSON instead of text")
 	}
-	return out, nil
-}
-
-// archNames converts a typed microarch list to the name form
-// service.Request carries.
-func archNames(archs []phantom.Microarch) []string {
-	var out []string
-	for _, a := range archs {
-		out = append(out, string(a))
-	}
-	return out
-}
-
-func cmdTable1(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
-	arch := fs.String("arch", "all", "microarchitecture(s): name, comma list, amd, or all")
-	seed := fs.Int64("seed", 1, "random seed")
-	trials := fs.Int("trials", 6, "per-cell trials")
-	noise := fs.Float64("noise", 0, "noise level (0 = lab conditions)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	archs, err := parseArchs(*arch)
+	req, err := request().Normalize()
 	if err != nil {
 		return err
 	}
-	if *asJSON {
-		for _, a := range archs {
-			tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: *seed, Trials: *trials, Noise: *noise})
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, tb); err != nil {
-				return err
-			}
+	if !asJSON {
+		if e.Hint != "" {
+			fmt.Fprintln(stderr, e.Hint)
 		}
-		return nil
+		return service.Execute(ctx, stdout, req, jobs)
 	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "table1", Archs: archNames(archs), Seed: *seed, Trials: *trials, Noise: *noise,
-	}, 0)
-}
-
-func cmdFig6(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("fig6", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2,zen4", "microarchitecture(s); the paper plots zen2 and zen4")
-	seed := fs.Int64("seed", 1, "random seed")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of an ASCII chart")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
+	docs, err := service.Run(ctx, io.Discard, req, jobs)
 	if err != nil {
 		return err
 	}
-	if *asJSON {
-		series, err := phantom.RunFig6SweepCtx(ctx, archs, *seed, *jobs)
-		if err != nil {
+	for _, d := range docs {
+		if err := emitJSON(stdout, d); err != nil {
 			return err
 		}
-		for _, s := range series {
-			if err := emitJSON(w, s); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "fig6", Archs: archNames(archs), Seed: *seed,
-	}, *jobs)
+	return nil
 }
 
-func cmdFig7(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("fig7", flag.ContinueOnError)
-	arch := fs.String("arch", "zen3", "microarchitecture (the paper reverse engineers zen3)")
-	seed := fs.Int64("seed", 9, "random seed")
-	samples := fs.Int("samples", 22, "independent collisions to gather")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		recovered, err := phantom.RunFig7Sweep(archs, phantom.Fig7Options{Context: ctx, Seed: *seed, Samples: *samples, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		for _, f := range recovered {
-			if err := emitJSON(w, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Progress hint, not experiment output: stderr, so stdout stays
-	// byte-identical to the served result.
-	fmt.Fprintf(os.Stderr, "recovering BTB functions on %s (sampling may take ~10s)...\n",
-		strings.Join(archNames(archs), ", "))
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "fig7", Archs: archNames(archs), Seed: *seed, Samples: *samples,
-	}, *jobs)
+// allScale holds the two steps `phantom all` runs below their defaults.
+var allScale = map[string][]string{
+	"covert": {"-bits", "1024", "-runs", "5"},
+	"mds":    {"-runs", "5", "-bytes", "1024"},
 }
 
-func cmdCovert(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("covert", flag.ContinueOnError)
-	arch := fs.String("arch", "amd", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	bits := fs.Int("bits", 4096, "message bits per run")
-	runs := fs.Int("runs", 10, "runs (median reported)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of tables")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		opts := phantom.Table2Options{Context: ctx, Seed: *seed, Bits: *bits, Runs: *runs, Jobs: *jobs}
-		rows, err := phantom.RunTable2Fetch(archs, opts)
-		if err != nil {
-			return err
-		}
-		execRows, err := phantom.RunTable2Execute(archs, opts)
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, map[string]any{"fetch": rows, "execute": execRows})
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "covert", Archs: archNames(archs), Seed: *seed, Bits: *bits, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdKASLR(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("kaslr", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2,zen3,zen4", "microarchitecture(s); Table 3 uses zen2, zen3, zen4")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 20, "reboots (the paper uses 100)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable3(archs, phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "kaslr", Archs: archNames(archs), Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdPhysmap(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("physmap", flag.ContinueOnError)
-	arch := fs.String("arch", "zen1,zen2", "microarchitecture(s); P2 works on zen1, zen2")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "reboots")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable4(archs, phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "physmap", Archs: archNames(archs), Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdPhysAddr(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("physaddr", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 20, "reboots (the paper uses 100)")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of a table")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if *asJSON {
-		rows, err := phantom.RunTable5(phantom.DerandOptions{Context: ctx, Seed: *seed, Runs: *runs, Jobs: *jobs})
-		if err != nil {
-			return err
-		}
-		return emitJSON(w, rows)
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "physaddr", Seed: *seed, Runs: *runs,
-	}, *jobs)
-}
-
-func cmdMDS(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("mds", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2", "microarchitecture (the paper's PoC runs on zen2)")
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "reboots")
-	bytes := fs.Int("bytes", 4096, "bytes to leak per run")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		for _, a := range archs {
-			rep, err := phantom.RunMDSExperiment(a, phantom.MDSOptions{Context: ctx, Seed: *seed, Runs: *runs, Bytes: *bytes, Jobs: *jobs})
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, rep); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "mds", Archs: archNames(archs), Seed: *seed, Runs: *runs, Bytes: *bytes,
-	}, *jobs)
-}
-
-func cmdMitigations(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("mitigations", flag.ContinueOnError)
-	arch := fs.String("arch", "amd", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	asJSON := fs.Bool("json", false, "emit JSON instead of text")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		for _, a := range archs {
-			m, err := phantom.RunMitigations(a, *seed)
-			if err != nil {
-				return err
-			}
-			if err := emitJSON(w, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "mitigations", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-func cmdSLS(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("sls", flag.ContinueOnError)
-	arch := fs.String("arch", "all", "microarchitecture(s)")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "sls", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-func cmdReport(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "random seed")
-	runs := fs.Int("runs", 10, "runs per derandomization experiment")
-	bits := fs.Int("bits", 1024, "bits per covert-channel run")
-	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "report", Seed: *seed, Runs: *runs, Bits: *bits,
-	}, *jobs)
-}
-
-func cmdChain(ctx context.Context, w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("chain", flag.ContinueOnError)
-	arch := fs.String("arch", "zen2", "microarchitecture")
-	seed := fs.Int64("seed", 1, "random seed")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	archs, err := parseArchs(*arch)
-	if err != nil {
-		return err
-	}
-	return service.Execute(ctx, w, service.Request{
-		Experiment: "chain", Archs: archNames(archs), Seed: *seed,
-	}, 0)
-}
-
-// allRunners maps every step name cmdAll issues to its implementation.
-var allRunners = map[string]func(context.Context, io.Writer, []string) error{
-	"table1": cmdTable1, "fig6": cmdFig6, "fig7": cmdFig7,
-	"covert": cmdCovert, "kaslr": cmdKASLR, "physmap": cmdPhysmap,
-	"physaddr": cmdPhysAddr, "mds": cmdMDS, "mitigations": cmdMitigations,
-	"sls": cmdSLS, "chain": cmdChain,
-}
-
-// allSteps builds the `phantom all` schedule. Every step receives the
-// shared -seed (`phantom all -seed 42` must run the *whole* sweep at 42,
-// not just table1), and the sweep-backed steps receive -jobs.
+// allSteps builds the `phantom all` schedule from the catalog. Every step
+// receives the shared -seed (`phantom all -seed 42` must run the *whole*
+// sweep at 42, not just table1), the steps with a -runs flag receive
+// -runs unless allScale pins their scale, and the sweep-backed steps
+// receive -jobs. The report is left out: it is a whole-paper run of its
+// own.
 func allSteps(seed int64, runs, jobs int) [][]string {
-	s := fmt.Sprint(seed)
-	r := fmt.Sprint(runs)
-	j := fmt.Sprint(jobs)
-	return [][]string{
-		{"table1", "-seed", s},
-		{"fig6", "-seed", s, "-jobs", j},
-		{"fig7", "-seed", s, "-jobs", j},
-		{"covert", "-seed", s, "-bits", "1024", "-runs", "5", "-jobs", j},
-		{"kaslr", "-seed", s, "-runs", r, "-jobs", j},
-		{"physmap", "-seed", s, "-runs", r, "-jobs", j},
-		{"physaddr", "-seed", s, "-runs", r, "-jobs", j},
-		{"mds", "-seed", s, "-runs", "5", "-bytes", "1024", "-jobs", j},
-		{"mitigations", "-seed", s},
-		{"sls", "-seed", s},
-		{"chain", "-seed", s},
+	var steps [][]string
+	for _, e := range service.Catalog() {
+		if e.Name == "report" {
+			continue
+		}
+		s := []string{e.Name, "-seed", fmt.Sprint(seed)}
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		e.Flags(fs)
+		if scale, ok := allScale[e.Name]; ok {
+			s = append(s, scale...)
+		} else if fs.Lookup("runs") != nil {
+			s = append(s, "-runs", fmt.Sprint(runs))
+		}
+		if e.Jobs {
+			s = append(s, "-jobs", fmt.Sprint(jobs))
+		}
+		steps = append(steps, s)
 	}
+	return steps
 }
 
-func cmdAll(ctx context.Context, w io.Writer, args []string) error {
+func cmdAll(ctx context.Context, stdout, stderr io.Writer, args []string) error {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "random seed, forwarded to every step")
 	runs := fs.Int("runs", 10, "reboots for the multi-run experiments")
 	jobs := fs.Int("jobs", 0, "parallel workers per step (0 = GOMAXPROCS, 1 = sequential)")
@@ -636,8 +332,9 @@ func cmdAll(ctx context.Context, w io.Writer, args []string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\n===== phantom %s =====\n", strings.Join(s, " "))
-		if err := allRunners[s[0]](ctx, w, s[1:]); err != nil {
+		fmt.Fprintf(stdout, "\n===== phantom %s =====\n", strings.Join(s, " "))
+		e, _ := service.Lookup(s[0])
+		if err := runExperiment(ctx, stdout, stderr, e, s[1:]); err != nil {
 			return fmt.Errorf("%s: %w", s[0], err)
 		}
 	}

@@ -2,14 +2,19 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"phantom"
+	"phantom/internal/service"
 )
 
 // TestExitCodes pins the CLI convention shared by all three binaries:
@@ -28,6 +33,15 @@ func TestExitCodes(t *testing.T) {
 		{"help flag", []string{"-h"}, 0},
 		{"runtime error", []string{"mitigations", "-arch", "i486"}, 1},
 		{"bad metrics path", []string{"-metrics", filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl"), "table1"}, 1},
+		// Negative counts get the server's 400 message, never a panic.
+		{"negative kaslr runs", []string{"kaslr", "-runs", "-1"}, 1},
+		{"negative physaddr runs", []string{"physaddr", "-runs", "-1"}, 1},
+		{"negative report runs", []string{"report", "-runs", "-1"}, 1},
+		{"negative covert bits", []string{"covert", "-bits", "-8"}, 1},
+		{"negative covert runs", []string{"covert", "-runs", "-2"}, 1},
+		{"negative mds bytes", []string{"mds", "-bytes", "-5"}, 1},
+		{"negative mds runs", []string{"mds", "-runs", "-1"}, 1},
+		{"negative fig7 samples", []string{"fig7", "-samples", "-1"}, 1},
 	}
 	for _, c := range cases {
 		if got := realMain(c.args, io.Discard); got != c.want {
@@ -98,16 +112,32 @@ func TestMetricsRunLog(t *testing.T) {
 	}
 }
 
+// run invokes one subcommand the way realMainCtx does and returns its
+// stdout.
+func run(args ...string) (string, error) {
+	fn, ok := command(args[0])
+	if !ok {
+		return "", fmt.Errorf("no subcommand %q", args[0])
+	}
+	var out bytes.Buffer
+	err := fn(context.Background(), &out, io.Discard, args[1:])
+	return out.String(), err
+}
+
 func TestAllStepsForwardSeedEverywhere(t *testing.T) {
 	// Regression: `phantom all -seed 42` used to forward -seed only to
 	// table1, silently running the other ten steps at the default seed.
 	steps := allSteps(42, 7, 3)
-	if len(steps) != len(allRunners) {
-		t.Fatalf("%d steps vs %d runners", len(steps), len(allRunners))
+	want := []string{"table1", "fig6", "fig7", "covert", "kaslr", "physmap", "physaddr", "mds", "mitigations", "sls", "chain"}
+	if len(steps) != len(want) {
+		t.Fatalf("%d steps, want %d: %v", len(steps), len(want), steps)
 	}
-	for _, s := range steps {
-		if _, ok := allRunners[s[0]]; !ok {
-			t.Errorf("step %q has no runner", s[0])
+	for i, s := range steps {
+		if s[0] != want[i] {
+			t.Errorf("step %d is %q, want %q", i, s[0], want[i])
+		}
+		if _, ok := command(s[0]); !ok {
+			t.Errorf("step %q has no subcommand", s[0])
 		}
 		seeded := false
 		for i, a := range s[:len(s)-1] {
@@ -122,23 +152,68 @@ func TestAllStepsForwardSeedEverywhere(t *testing.T) {
 }
 
 func TestAllStepsForwardJobsToSweeps(t *testing.T) {
+	sweeps := map[string]bool{}
+	for _, e := range service.Catalog() {
+		sweeps[e.Name] = e.Jobs
+	}
+	for _, name := range []string{"fig6", "fig7", "covert", "kaslr", "physmap", "physaddr", "mds"} {
+		if !sweeps[name] {
+			t.Errorf("%s is not declared sweep-backed", name)
+		}
+	}
 	for _, s := range allSteps(1, 5, 4) {
-		switch s[0] {
-		case "fig6", "fig7", "covert", "kaslr", "physmap", "physaddr", "mds":
-			forwarded := false
-			for i, a := range s[:len(s)-1] {
-				if a == "-jobs" && s[i+1] == "4" {
-					forwarded = true
-				}
+		forwarded := false
+		for i, a := range s[:len(s)-1] {
+			if a == "-jobs" && s[i+1] == "4" {
+				forwarded = true
 			}
-			if !forwarded {
-				t.Errorf("sweep step %v does not forward -jobs 4", s)
-			}
+		}
+		if forwarded != sweeps[s[0]] {
+			t.Errorf("step %v: forwards -jobs 4 = %v, want %v", s, forwarded, sweeps[s[0]])
 		}
 	}
 }
 
+// TestAllStepsAreExactlyTheHeaders pins the `phantom all` headers, which
+// are derived from the catalog: any drift in a step's flags shows here.
+func TestAllStepsAreExactlyTheHeaders(t *testing.T) {
+	want := []string{
+		"table1 -seed 1",
+		"fig6 -seed 1 -jobs 0",
+		"fig7 -seed 1 -jobs 0",
+		"covert -seed 1 -bits 1024 -runs 5 -jobs 0",
+		"kaslr -seed 1 -runs 10 -jobs 0",
+		"physmap -seed 1 -runs 10 -jobs 0",
+		"physaddr -seed 1 -runs 10 -jobs 0",
+		"mds -seed 1 -runs 5 -bytes 1024 -jobs 0",
+		"mitigations -seed 1",
+		"sls -seed 1",
+		"chain -seed 1",
+	}
+	steps := allSteps(1, 10, 0)
+	if len(steps) != len(want) {
+		t.Fatalf("%d steps, want %d", len(steps), len(want))
+	}
+	for i, s := range steps {
+		if got := strings.Join(s, " "); got != want[i] {
+			t.Errorf("step %d = %q, want %q", i, got, want[i])
+		}
+	}
+}
+
+// TestParseArchs pins how an -arch value becomes the arch list a run
+// renders: the generated flag set followed by the server's Normalize.
 func TestParseArchs(t *testing.T) {
+	e, _ := service.Lookup("table1")
+	parseArchs := func(spec string) ([]string, error) {
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		request := e.Flags(fs)
+		if err := fs.Parse([]string{"-arch", spec}); err != nil {
+			return nil, err
+		}
+		n, err := request().Normalize()
+		return n.Archs, err
+	}
 	all, err := parseArchs("all")
 	if err != nil || len(all) != 8 {
 		t.Fatalf("all: %v, %v", all, err)
@@ -148,7 +223,7 @@ func TestParseArchs(t *testing.T) {
 		t.Fatalf("amd: %v, %v", amd, err)
 	}
 	list, err := parseArchs("zen2, zen4")
-	if err != nil || len(list) != 2 || list[0] != phantom.Zen2 || list[1] != phantom.Zen4 {
+	if err != nil || len(list) != 2 || list[0] != string(phantom.Zen2) || list[1] != string(phantom.Zen4) {
 		t.Fatalf("list: %v, %v", list, err)
 	}
 	if _, err := parseArchs("zen5"); err == nil {
@@ -156,6 +231,11 @@ func TestParseArchs(t *testing.T) {
 	}
 	if _, err := parseArchs("zen2,badarch"); err == nil {
 		t.Fatal("partially bad list accepted")
+	}
+	// The server's rules: canonical paper order, duplicates dropped.
+	list, err = parseArchs("zen4,zen2,zen4")
+	if err != nil || len(list) != 2 || list[0] != string(phantom.Zen2) || list[1] != string(phantom.Zen4) {
+		t.Fatalf("reordered list: %v, %v", list, err)
 	}
 }
 
@@ -165,26 +245,32 @@ func TestExperimentsSmallRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke runs")
 	}
-	ctx := context.Background()
 	cases := [][]string{
-		{"-arch", "zen2", "-trials", "2"},
+		{"table1", "-arch", "zen2", "-trials", "2"},
+		{"covert", "-arch", "zen2", "-bits", "64", "-runs", "1"},
+		{"kaslr", "-arch", "zen2", "-runs", "2", "-jobs", "2"},
+		{"mds", "-arch", "zen2", "-runs", "1", "-bytes", "64"},
+		{"chain", "-arch", "zen2"},
 	}
 	for _, args := range cases {
-		if err := cmdTable1(ctx, io.Discard, args); err != nil {
-			t.Errorf("table1 %v: %v", args, err)
+		if _, err := run(args...); err != nil {
+			t.Errorf("%v: %v", args, err)
 		}
 	}
-	if err := cmdCovert(ctx, io.Discard, []string{"-arch", "zen2", "-bits", "64", "-runs", "1"}); err != nil {
-		t.Errorf("covert: %v", err)
+}
+
+// TestZeroMeansDefault: a 0 count is the experiment's default, as on the
+// server, and the rendered title says so.
+func TestZeroMeansDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 20 reboots")
 	}
-	if err := cmdKASLR(ctx, io.Discard, []string{"-arch", "zen2", "-runs", "2", "-jobs", "2"}); err != nil {
-		t.Errorf("kaslr: %v", err)
+	out, err := run("kaslr", "-arch", "zen2", "-runs", "0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdMDS(ctx, io.Discard, []string{"-arch", "zen2", "-runs", "1", "-bytes", "64"}); err != nil {
-		t.Errorf("mds: %v", err)
-	}
-	if err := cmdChain(ctx, io.Discard, []string{"-arch", "zen2"}); err != nil {
-		t.Errorf("chain: %v", err)
+	if !strings.Contains(out, "(20 runs)") {
+		t.Errorf("kaslr -runs 0 does not render the 20-run default:\n%s", out)
 	}
 }
 

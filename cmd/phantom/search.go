@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"phantom/internal/search"
 )
@@ -17,8 +16,9 @@ import (
 // Stdout is byte-identical at any -jobs value; -fixtures lands the
 // minimized findings as replayable JSON fixtures (diagnostics about
 // the written files go to stderr, so stdout stays pinned).
-func cmdSearch(ctx context.Context, w io.Writer, args []string) error {
+func cmdSearch(ctx context.Context, w, stderr io.Writer, args []string) error {
 	fs := flag.NewFlagSet("search", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	arch := fs.String("arch", "zen2", "microarchitecture to search")
 	seed := fs.Int64("seed", 1, "random seed")
 	budget := fs.Int("budget", 5000, "programs to generate and differentially execute")
@@ -47,7 +47,7 @@ func cmdSearch(ctx context.Context, w io.Writer, args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "phantom search: wrote %s\n", path)
+			fmt.Fprintf(stderr, "phantom search: wrote %s\n", path)
 		}
 	}
 	if *asJSON {

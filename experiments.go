@@ -25,6 +25,24 @@ func optionsContext(ctx context.Context) context.Context {
 	return ctx
 }
 
+// count is one named scale option of an experiment (Runs, Bits, ...).
+type count struct {
+	name string
+	n    int
+}
+
+// checkCounts is the shared guard every multi-run experiment applies to
+// its scale options: zero means the documented default, and a negative
+// value is a clean error rather than a panic deep inside a sweep.
+func checkCounts(cs ...count) error {
+	for _, c := range cs {
+		if c.n < 0 {
+			return fmt.Errorf("phantom: negative %s (%d)", c.name, c.n)
+		}
+	}
+	return nil
+}
+
 // sweepOpts builds the worker-pool options for a named sweep, attaching
 // the process telemetry observer when one is active. Telemetry is
 // purely observational (see internal/telemetry): the sweep's results —
@@ -263,6 +281,9 @@ func RunFig7Sweep(archs []Microarch, opts Fig7Options) ([]*Fig7, error) {
 // brute force first, then batched random-collision sampling plus GF(2)
 // recovery of the index functions (the paper's Z3 step, solved exactly).
 func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
+	if err := checkCounts(count{"Samples", opts.Samples}); err != nil {
+		return nil, err
+	}
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
@@ -369,6 +390,9 @@ func RunTable2Execute(archs []Microarch, opts Table2Options) ([]Table2Row, error
 
 func runTable2(archs []Microarch, opts Table2Options,
 	run func(p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
+	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bits", opts.Bits}); err != nil {
+		return nil, err
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 10
 	}
@@ -502,6 +526,9 @@ func foldDerand(arch Microarch, outcomes []derandRun) DerandRow {
 // RunTable3 reproduces Table 3: kernel-image KASLR derandomization with
 // P1, rebooting (re-randomizing) before each run.
 func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
+	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+		return nil, err
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 20
 	}
@@ -530,6 +557,9 @@ func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 // RunTable4 reproduces Table 4: physmap KASLR derandomization with P2 on
 // AMD Zen 1/2. Each run chains from a fresh image-KASLR break.
 func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
+	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+		return nil, err
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 10
 	}
@@ -563,6 +593,9 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 // attacker page, on the paper's memory configurations (8 GB Zen 1, 64 GB
 // Zen 2).
 func RunTable5(opts DerandOptions) ([]DerandRow, error) {
+	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+		return nil, err
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 20
 	}
@@ -656,6 +689,9 @@ type MDSOptions struct {
 // only 8 of 10 runs) counts as a no-signal run rather than aborting the
 // sweep, so any seed yields a report.
 func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
+	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bytes", opts.Bytes}); err != nil {
+		return nil, err
+	}
 	if opts.Runs == 0 {
 		opts.Runs = 10
 	}

@@ -8,12 +8,12 @@ import (
 	"phantom"
 )
 
-// Execute runs one normalized request and writes the experiment's text
-// rendering to w. This is the single rendering engine behind both front
-// ends: cmd/phantom calls it for its (non-JSON) stdout and cmd/
-// phantom-server for response bodies, which is what makes served
-// results byte-identical to CLI output by construction (and pinned by
-// TestServedOutputMatchesCLI).
+// Execute evaluates one request and writes the experiment's text
+// rendering to w: look up, Normalize, run, render. This is the single
+// rendering engine behind both front ends: cmd/phantom calls it for its
+// stdout and cmd/phantom-server for response bodies, which is what makes
+// served results byte-identical to CLI output by construction (and
+// pinned by TestServedOutputMatchesCLI).
 //
 // ctx bounds the evaluation — it is threaded into every experiment
 // options struct, so cancellation or an expired deadline aborts the
@@ -21,119 +21,134 @@ import (
 // experiments (0 = GOMAXPROCS); it never changes the output, only how
 // fast it is produced.
 func Execute(ctx context.Context, w io.Writer, req Request, jobs int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	archs := microarchs(req.Archs)
-	switch req.Experiment {
-	case "table1":
-		for _, a := range archs {
-			tb, err := phantom.RunTable1(a, phantom.Table1Options{
-				Context: ctx, Seed: req.Seed, Trials: req.Trials, Noise: req.Noise,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, tb)
-		}
-	case "fig6":
-		series, err := phantom.RunFig6SweepCtx(ctx, archs, req.Seed, jobs)
-		if err != nil {
-			return err
-		}
-		for _, s := range series {
-			fmt.Fprintln(w, s)
-		}
-	case "fig7":
-		recovered, err := phantom.RunFig7Sweep(archs, phantom.Fig7Options{
-			Context: ctx, Seed: req.Seed, Samples: req.Samples, Jobs: jobs,
-		})
-		if err != nil {
-			return err
-		}
-		for _, f := range recovered {
-			fmt.Fprintln(w, f)
-		}
-	case "covert":
-		opts := phantom.Table2Options{Context: ctx, Seed: req.Seed, Bits: req.Bits, Runs: req.Runs, Jobs: jobs}
-		rows, err := phantom.RunTable2Fetch(archs, opts)
-		if err != nil {
-			return err
-		}
-		execRows, err := phantom.RunTable2Execute(archs, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatTable2("Table 2 (top) — fetch covert channel (P1)", rows))
-		fmt.Fprintln(w)
-		fmt.Fprint(w, phantom.FormatTable2("Table 2 (bottom) — execute covert channel (P2)", execRows))
-	case "kaslr":
-		rows, err := phantom.RunTable3(archs, phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 3 — kernel image KASLR via P1 (%d runs)", req.Runs), rows))
-	case "physmap":
-		rows, err := phantom.RunTable4(archs, phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 4 — physmap KASLR via P2 (%d runs)", req.Runs), rows))
-	case "physaddr":
-		rows, err := phantom.RunTable5(phantom.DerandOptions{Context: ctx, Seed: req.Seed, Runs: req.Runs, Jobs: jobs})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, phantom.FormatDerand(
-			fmt.Sprintf("Table 5 — physical address of a user page (%d runs)", req.Runs), rows))
-	case "mds":
-		for _, a := range archs {
-			rep, err := phantom.RunMDSExperiment(a, phantom.MDSOptions{
-				Context: ctx, Seed: req.Seed, Runs: req.Runs, Bytes: req.Bytes, Jobs: jobs,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, rep)
-		}
-	case "mitigations":
-		for _, a := range archs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			m, err := phantom.RunMitigations(a, req.Seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, m)
-		}
-	case "sls":
-		return execSLS(ctx, w, req, archs)
-	case "chain":
-		return execChain(ctx, w, req, archs)
-	case "report":
-		return phantom.GenerateReport(w, phantom.ReportOptions{
-			Context: ctx, Seed: req.Seed, Runs: req.Runs, Bits: req.Bits, Jobs: jobs,
-		})
-	default:
-		return fmt.Errorf("unknown experiment %q", req.Experiment)
-	}
-	return nil
+	_, err := Run(ctx, w, req, jobs)
+	return err
 }
 
-// execSLS renders the straight-line-speculation cell (Table 1,
-// footnote c) exactly like `phantom sls`.
-func execSLS(ctx context.Context, w io.Writer, req Request, archs []phantom.Microarch) error {
+// Run is Execute that also returns the experiment's JSON documents, the
+// values the CLI's -json prints: one per arch for a per-arch experiment,
+// and nil for experiments without a -json rendering.
+func Run(ctx context.Context, w io.Writer, req Request, jobs int) ([]any, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n, err := req.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	e := byName[n.Experiment]
+	if e.whole != nil {
+		return e.whole(ctx, w, microarchs(n.Archs), n, jobs)
+	}
+	docs := make([]any, 0, len(n.Archs))
+	for _, a := range n.Archs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		doc, err := e.perArch(ctx, w, phantom.Microarch(a), n, jobs)
+		if err != nil {
+			return nil, err
+		}
+		docs = append(docs, doc)
+	}
+	return docs, nil
+}
+
+// printed writes v's text form as one block and returns v as its JSON
+// document.
+func printed(w io.Writer, v any, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, v)
+	return v, nil
+}
+
+// printedEach is printed for a sweep: one block and one JSON document
+// per result.
+func printedEach[T any](w io.Writer, vs []T, err error) ([]any, error) {
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]any, len(vs))
+	for i, v := range vs {
+		fmt.Fprintln(w, v)
+		docs[i] = v
+	}
+	return docs, nil
+}
+
+func runTable1(ctx context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
+	tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: r.Seed, Trials: r.Trials, Noise: r.Noise})
+	return printed(w, tb, err)
+}
+
+func runFig6(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error) {
+	series, err := phantom.RunFig6SweepCtx(ctx, archs, r.Seed, jobs)
+	return printedEach(w, series, err)
+}
+
+func runFig7(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error) {
+	recovered, err := phantom.RunFig7Sweep(archs, phantom.Fig7Options{Context: ctx, Seed: r.Seed, Samples: r.Samples, Jobs: jobs})
+	return printedEach(w, recovered, err)
+}
+
+func runCovert(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error) {
+	opts := phantom.Table2Options{Context: ctx, Seed: r.Seed, Bits: r.Bits, Runs: r.Runs, Jobs: jobs}
+	rows, err := phantom.RunTable2Fetch(archs, opts)
+	if err != nil {
+		return nil, err
+	}
+	execRows, err := phantom.RunTable2Execute(archs, opts)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprint(w, phantom.FormatTable2("Table 2 (top) — fetch covert channel (P1)", rows))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, phantom.FormatTable2("Table 2 (bottom) — execute covert channel (P2)", execRows))
+	return []any{map[string]any{"fetch": rows, "execute": execRows}}, nil
+}
+
+// derand adapts one of Tables 3-5 to a whole-request run; the rendered
+// title carries the run count.
+func derand(title string, table func([]phantom.Microarch, phantom.DerandOptions) ([]phantom.DerandRow, error)) wholeRun {
+	return func(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error) {
+		rows, err := table(archs, phantom.DerandOptions{Context: ctx, Seed: r.Seed, Runs: r.Runs, Jobs: jobs})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprint(w, phantom.FormatDerand(fmt.Sprintf("%s (%d runs)", title, r.Runs), rows))
+		return []any{rows}, nil
+	}
+}
+
+// table5 is RunTable5 in the arch-list shape derand takes; Table 5 runs
+// on its own fixed memory configurations.
+func table5(_ []phantom.Microarch, opts phantom.DerandOptions) ([]phantom.DerandRow, error) {
+	return phantom.RunTable5(opts)
+}
+
+func runMDS(ctx context.Context, w io.Writer, a phantom.Microarch, r Request, jobs int) (any, error) {
+	rep, err := phantom.RunMDSExperiment(a, phantom.MDSOptions{Context: ctx, Seed: r.Seed, Runs: r.Runs, Bytes: r.Bytes, Jobs: jobs})
+	return printed(w, rep, err)
+}
+
+func runMitigations(_ context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
+	m, err := phantom.RunMitigations(a, r.Seed)
+	return printed(w, m, err)
+}
+
+// runSLS renders the straight-line-speculation cell (Table 1, footnote
+// c) under one shared preamble.
+func runSLS(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, _ int) ([]any, error) {
 	fmt.Fprintln(w, "Straight-line speculation past an unpredicted return (Spectre-SLS,")
 	fmt.Fprintln(w, "Table 1 footnote c): the sequential bytes after a ret execute")
 	fmt.Fprintln(w, "transiently on AMD parts; Intel frontends stall instead.")
 	fmt.Fprintln(w)
 	for _, a := range archs {
-		tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: req.Seed, Trials: 4})
+		tb, err := phantom.RunTable1(a, phantom.Table1Options{Context: ctx, Seed: r.Seed, Trials: 4})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var reach phantom.StageReach
 		for _, row := range tb.Cells {
@@ -145,50 +160,48 @@ func execSLS(ctx context.Context, w io.Writer, req Request, archs []phantom.Micr
 		}
 		fmt.Fprintf(w, "  %-26s %v\n", a.ModelName(), reach)
 	}
-	return nil
+	return nil, nil
 }
 
-// execChain renders the full Section 7 exploit chain exactly like
-// `phantom chain`.
-func execChain(ctx context.Context, w io.Writer, req Request, archs []phantom.Microarch) error {
-	for _, a := range archs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: req.Seed})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", a.ModelName(), req.Seed)
-		img, err := sys.BreakImageKASLR()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", img.Guess, img.Correct, img.Seconds)
-		pm, err := sys.BreakPhysmapKASLR(img.Guess)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", pm.Guess, pm.Correct, pm.Seconds)
-		pa, err := sys.FindPhysAddr(img.Guess, pm.Guess)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", pa.Guess, pa.Correct, pa.Seconds)
-		secretVA, secret := sys.SecretAddr()
-		leak, err := sys.LeakKernelMemory(secretVA, 64)
-		if err != nil {
-			// An exploit coming up empty on one boot is a chain result,
-			// not a harness error — steps 1-3 likewise report
-			// correct=false rather than aborting.
-			fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", secretVA, err)
-			continue
-		}
-		fmt.Fprintf(w, "4. leak @ %#x: accuracy %.2f%%, %.0f B/s sim\n", secretVA, leak.AccuracyPct, leak.BytesPerSecond)
-		fmt.Fprintf(w, "   leaked: % x\n", clip(leak.Leaked, 16))
-		fmt.Fprintf(w, "   truth:  % x\n", clip(secret, 16))
+func runReport(ctx context.Context, w io.Writer, _ []phantom.Microarch, r Request, jobs int) ([]any, error) {
+	return nil, phantom.GenerateReport(w, phantom.ReportOptions{Context: ctx, Seed: r.Seed, Runs: r.Runs, Bits: r.Bits, Jobs: jobs})
+}
+
+// runChain renders the full Section 7 exploit chain on one boot.
+func runChain(_ context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
+	sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: r.Seed})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", a.ModelName(), r.Seed)
+	img, err := sys.BreakImageKASLR()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", img.Guess, img.Correct, img.Seconds)
+	pm, err := sys.BreakPhysmapKASLR(img.Guess)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", pm.Guess, pm.Correct, pm.Seconds)
+	pa, err := sys.FindPhysAddr(img.Guess, pm.Guess)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", pa.Guess, pa.Correct, pa.Seconds)
+	secretVA, secret := sys.SecretAddr()
+	leak, err := sys.LeakKernelMemory(secretVA, 64)
+	if err != nil {
+		// An exploit coming up empty on one boot is a chain result, not a
+		// harness error — steps 1-3 likewise report correct=false rather
+		// than aborting.
+		fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", secretVA, err)
+		return nil, nil
+	}
+	fmt.Fprintf(w, "4. leak @ %#x: accuracy %.2f%%, %.0f B/s sim\n", secretVA, leak.AccuracyPct, leak.BytesPerSecond)
+	fmt.Fprintf(w, "   leaked: % x\n", clip(leak.Leaked, 16))
+	fmt.Fprintf(w, "   truth:  % x\n", clip(secret, 16))
+	return nil, nil
 }
 
 // clip returns at most the first n bytes of b, so a short leak result

@@ -31,6 +31,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -39,82 +40,34 @@ import (
 	"phantom"
 )
 
-// Request names one experiment evaluation. The zero value of every
-// optional field means "the experiment's documented default" — the same
-// defaults the CLI flags carry — so semantically equal requests
-// normalize, and therefore hash, identically.
+// Request names one experiment evaluation. Which fields an experiment
+// takes, and what each one's zero value defaults to, is declared once in
+// its catalog entry (see experiments); Normalize fills the defaults and
+// zeroes every field the experiment does not take, so semantically equal
+// requests normalize, and therefore hash, identically.
 type Request struct {
-	// Experiment is the experiment name, exactly as the CLI spells it:
-	// table1, fig6, fig7, covert, kaslr, physmap, physaddr, mds,
-	// mitigations, sls, chain, report.
+	// Experiment is a catalog name, exactly as the CLI spells it.
 	Experiment string `json:"experiment"`
 	// Archs lists microarchitectures by name, or the aliases "all" /
 	// "amd". Empty means the experiment's default set. Order and
 	// duplicates are not semantic: normalization dedupes and sorts into
-	// the paper's canonical order, which is also the order served
-	// output renders in.
+	// the paper's canonical order, which is also the order output
+	// renders in.
 	Archs []string `json:"archs,omitempty"`
-	// Seed is the simulation seed; 0 means the experiment's default
-	// (1, except fig7's 9 — the CLI defaults).
+	// Seed is the simulation seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Trials is Table 1's per-cell trial count (table1 only); 0 = 6.
+	// Trials is Table 1's per-cell trial count.
 	Trials int `json:"trials,omitempty"`
-	// Noise is Table 1's noise level (table1 only); 0 = lab conditions.
+	// Noise is Table 1's noise level; 0 means lab conditions.
 	Noise float64 `json:"noise,omitempty"`
-	// Bits is the covert-channel message size (covert, report); 0 =
-	// 4096 for covert, 1024 for report.
+	// Bits is the covert-channel message size per run.
 	Bits int `json:"bits,omitempty"`
-	// Runs is the reboot/run count for the multi-run experiments
-	// (covert, kaslr, physmap, physaddr, mds, report); 0 = the
-	// experiment default.
+	// Runs is the reboot/run count of the multi-run experiments.
 	Runs int `json:"runs,omitempty"`
-	// Bytes is the MDS leak size (mds only); 0 = 4096.
+	// Bytes is the MDS leak size per run.
 	Bytes int `json:"bytes,omitempty"`
-	// Samples is Figure 7's independent-collision count (fig7 only);
-	// 0 = 22.
+	// Samples is Figure 7's independent-collision count.
 	Samples int `json:"samples,omitempty"`
-}
-
-// experimentDef drives normalization: which fields an experiment
-// consumes, their defaults, and how heavy one evaluation is.
-type experimentDef struct {
-	// defaultArchs is the CLI's -arch default, already canonical. Nil
-	// means the experiment takes no arch list (physaddr, report).
-	defaultArchs []string
-	defaultSeed  int64
-	// usesX gates + defaults: a field an experiment does not consume is
-	// forced to zero by Normalize so it cannot split the cache.
-	trials, noise  bool
-	defaultRuns    int // 0 = experiment takes no runs field
-	defaultBits    int
-	defaultBytes   int
-	defaultSamples int
-	// timeoutWeight scales the server's per-experiment deadline (see
-	// Config.BaseTimeout): heavier experiments get proportionally more.
-	timeoutWeight int
-	// separable marks experiments whose Execute path renders each arch
-	// independently with identical options, so a multi-arch request is
-	// byte-identical to its per-arch sub-requests concatenated in
-	// canonical order. The cluster tier fans these out across peers;
-	// anything else routes as one unit.
-	separable bool
-}
-
-// experiments is the catalog of servable experiments. Defaults mirror
-// the CLI flag defaults exactly; the parity tests depend on that.
-var experiments = map[string]experimentDef{
-	"table1":      {defaultArchs: archAll, defaultSeed: 1, trials: true, noise: true, timeoutWeight: 2, separable: true},
-	"fig6":        {defaultArchs: []string{"zen2", "zen4"}, defaultSeed: 1, timeoutWeight: 1},
-	"fig7":        {defaultArchs: []string{"zen3"}, defaultSeed: 9, defaultSamples: 22, timeoutWeight: 4},
-	"covert":      {defaultArchs: archAMD, defaultSeed: 1, defaultRuns: 10, defaultBits: 4096, timeoutWeight: 3},
-	"kaslr":       {defaultArchs: []string{"zen2", "zen3", "zen4"}, defaultSeed: 1, defaultRuns: 20, timeoutWeight: 3},
-	"physmap":     {defaultArchs: []string{"zen1", "zen2"}, defaultSeed: 1, defaultRuns: 10, timeoutWeight: 3},
-	"physaddr":    {defaultSeed: 1, defaultRuns: 20, timeoutWeight: 4},
-	"mds":         {defaultArchs: []string{"zen2"}, defaultSeed: 1, defaultRuns: 10, defaultBytes: 4096, timeoutWeight: 4, separable: true},
-	"mitigations": {defaultArchs: archAMD, defaultSeed: 1, timeoutWeight: 2, separable: true},
-	"sls":         {defaultArchs: archAll, defaultSeed: 1, timeoutWeight: 2},
-	"chain":       {defaultArchs: []string{"zen2"}, defaultSeed: 1, timeoutWeight: 3, separable: true},
-	"report":      {defaultSeed: 1, defaultRuns: 10, defaultBits: 1024, timeoutWeight: 10},
 }
 
 var (
@@ -139,91 +92,49 @@ func archNames(archs []phantom.Microarch) []string {
 	return out
 }
 
-// Experiments lists the servable experiment names in sorted order (the
-// /v1/arches handler and usage texts).
-func Experiments() []string {
-	out := make([]string, 0, len(experiments))
-	for name := range experiments {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Normalize validates req and returns its canonical form: aliases
-// expanded, duplicates dropped, archs in paper order, every
-// experiment-relevant zero field replaced by its documented default and
-// every irrelevant field forced to zero. Two requests that would render
-// the same output normalize to the same value, so Key — and the content
+// expanded, duplicates dropped, archs in paper order, every field the
+// experiment takes with its zero replaced by the catalog default, and
+// every other field forced to zero. Two requests that would render the
+// same output normalize to the same value, so Key — and the content
 // address of the result — is well defined.
 func (r Request) Normalize() (Request, error) {
-	def, ok := experiments[r.Experiment]
+	e, ok := byName[r.Experiment]
 	if !ok {
 		return Request{}, fmt.Errorf("unknown experiment %q", r.Experiment)
 	}
-	n := Request{Experiment: r.Experiment}
-
-	if def.defaultArchs == nil {
-		if len(r.Archs) != 0 {
-			return Request{}, fmt.Errorf("experiment %q takes no arch list", r.Experiment)
-		}
-	} else if len(r.Archs) == 0 {
-		n.Archs = append([]string(nil), def.defaultArchs...)
-	} else {
+	n := Request{Experiment: r.Experiment, Seed: r.Seed}
+	switch {
+	case e.archs == "" && len(r.Archs) != 0:
+		return Request{}, fmt.Errorf("experiment %q takes no arch list", r.Experiment)
+	case e.archs == "":
+	case len(r.Archs) == 0:
+		n.Archs = append([]string(nil), e.defArchs...)
+	default:
 		archs, err := expandArchs(r.Archs)
 		if err != nil {
 			return Request{}, err
 		}
 		n.Archs = archs
 	}
-
-	n.Seed = r.Seed
 	if n.Seed == 0 {
-		n.Seed = def.defaultSeed
+		n.Seed = e.seed
 	}
-	if def.trials {
-		n.Trials = r.Trials
-		if n.Trials == 0 {
-			n.Trials = 6
+	for _, p := range e.params {
+		v := *r.count(p.name)
+		if v < 0 {
+			return Request{}, fmt.Errorf("negative %s", p.name)
 		}
+		if v == 0 {
+			v = p.def
+		}
+		*n.count(p.name) = v
 	}
-	if def.noise {
+	if e.noise {
+		if r.Noise < 0 {
+			return Request{}, errors.New("negative noise")
+		}
 		n.Noise = r.Noise
-	}
-	if def.defaultRuns > 0 {
-		n.Runs = r.Runs
-		if n.Runs == 0 {
-			n.Runs = def.defaultRuns
-		}
-	}
-	if def.defaultBits > 0 {
-		n.Bits = r.Bits
-		if n.Bits == 0 {
-			n.Bits = def.defaultBits
-		}
-	}
-	if def.defaultBytes > 0 {
-		n.Bytes = r.Bytes
-		if n.Bytes == 0 {
-			n.Bytes = def.defaultBytes
-		}
-	}
-	if def.defaultSamples > 0 {
-		n.Samples = r.Samples
-		if n.Samples == 0 {
-			n.Samples = def.defaultSamples
-		}
-	}
-	for _, f := range []struct {
-		name string
-		bad  bool
-	}{
-		{"trials", n.Trials < 0}, {"noise", n.Noise < 0}, {"bits", n.Bits < 0},
-		{"runs", n.Runs < 0}, {"bytes", n.Bytes < 0}, {"samples", n.Samples < 0},
-	} {
-		if f.bad {
-			return Request{}, fmt.Errorf("negative %s", f.name)
-		}
 	}
 	return n, nil
 }
@@ -303,9 +214,8 @@ func (r Request) Key() string {
 // server's base timeout: heavier experiments (fig7's solver, the full
 // report) get proportionally longer before the scheduler cancels them.
 func (r Request) Timeout(base time.Duration) time.Duration {
-	w := experiments[r.Experiment].timeoutWeight
-	if w <= 0 {
-		w = 1
+	if e, ok := byName[r.Experiment]; ok {
+		return base * time.Duration(e.weight)
 	}
-	return base * time.Duration(w)
+	return base
 }

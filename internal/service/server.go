@@ -213,7 +213,8 @@ func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Re
 		return res, nil
 	}
 	if s.clustered() && !forwarded {
-		if experiments[norm.Experiment].separable && len(norm.Archs) > 1 {
+		// Separable: the catalog entry renders each arch on its own.
+		if byName[norm.Experiment].perArch != nil && len(norm.Archs) > 1 {
 			res, shared, err := s.flights.Do(ctx, key, s.assemble(norm, key))
 			if shared {
 				s.stats.Coalesced.Add(1)

@@ -551,3 +551,36 @@ func median(xs []float64) float64 {
 	}
 	return s[len(s)/2]
 }
+
+// TestNegativeCountsRejected pins the shared scale-option guard: a
+// negative run, bit, byte, or sample count is a clean error from every
+// entry point, never a panic inside a sweep.
+func TestNegativeCountsRejected(t *testing.T) {
+	archs := []Microarch{Zen2}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"RunTable2Fetch runs", func() error { _, err := RunTable2Fetch(archs, Table2Options{Runs: -1}); return err }, "negative Runs"},
+		{"RunTable2Fetch bits", func() error { _, err := RunTable2Fetch(archs, Table2Options{Bits: -8}); return err }, "negative Bits"},
+		{"RunTable2Execute runs", func() error { _, err := RunTable2Execute(archs, Table2Options{Runs: -2}); return err }, "negative Runs"},
+		{"RunTable3", func() error { _, err := RunTable3(archs, DerandOptions{Runs: -1}); return err }, "negative Runs"},
+		{"RunTable4", func() error { _, err := RunTable4(archs, DerandOptions{Runs: -1}); return err }, "negative Runs"},
+		{"RunTable5", func() error { _, err := RunTable5(DerandOptions{Runs: -1}); return err }, "negative Runs"},
+		{"RunMDSExperiment runs", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Runs: -1}); return err }, "negative Runs"},
+		{"RunMDSExperiment bytes", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Bytes: -5}); return err }, "negative Bytes"},
+		{"RunFig7", func() error { _, err := RunFig7(Zen3, Fig7Options{Samples: -1}); return err }, "negative Samples"},
+		{"RunFig7Sweep", func() error { _, err := RunFig7Sweep([]Microarch{Zen3}, Fig7Options{Samples: -1}); return err }, "negative Samples"},
+		{"GenerateReport runs", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Runs: -1}) }, "negative Runs"},
+		{"GenerateReport bits", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Bits: -1}) }, "negative Bits"},
+		{"GenerateReportSection", func() error {
+			return GenerateReportSection(&bytes.Buffer{}, ReportSectionTitles()[0], ReportOptions{Runs: -3})
+		}, "negative Runs"},
+	}
+	for _, c := range cases {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}

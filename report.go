@@ -31,8 +31,12 @@ type ReportOptions struct {
 	MitigationArchs []Microarch
 }
 
-// withDefaults fills the zero-value fields with the documented defaults.
-func (o ReportOptions) withDefaults() ReportOptions {
+// withDefaults rejects negative scale options and fills the zero-value
+// fields with the documented defaults.
+func (o ReportOptions) withDefaults() (ReportOptions, error) {
+	if err := checkCounts(count{"Runs", o.Runs}, count{"Bits", o.Bits}); err != nil {
+		return o, err
+	}
 	if o.Runs == 0 {
 		o.Runs = 10
 	}
@@ -45,7 +49,7 @@ func (o ReportOptions) withDefaults() ReportOptions {
 	if o.MitigationArchs == nil {
 		o.MitigationArchs = AMDMicroarchs()
 	}
-	return o
+	return o, nil
 }
 
 // paperRef holds the published value a measured row is compared against.
@@ -91,7 +95,10 @@ func ReportSectionTitles() []string {
 // document preamble. Sections are self-contained, so a pinned-seed golden
 // of one section stays stable while the rest of the report evolves.
 func GenerateReportSection(w io.Writer, title string, opts ReportOptions) error {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
 	for _, s := range reportSections() {
 		if s.Title != title {
 			continue
@@ -107,7 +114,10 @@ func GenerateReportSection(w io.Writer, title string, opts ReportOptions) error 
 // the EXPERIMENTS.md content, regenerated live. Expect a few minutes at
 // default scale.
 func GenerateReport(w io.Writer, opts ReportOptions) error {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "# Phantom reproduction report\n\n")
 	fmt.Fprintf(w, "Seed %d, %d runs per derandomization experiment, %d bits per covert run.\n",
@@ -285,11 +295,4 @@ func writeDerandSection(w io.Writer, title string, rows []DerandRow, refs []pape
 		fmt.Fprintf(w, "| %s | %.0f%% | %.4f s | %s |\n", r.Arch, r.AccuracyPct, r.MedianSeconds, paper)
 	}
 	fmt.Fprintf(w, "\n")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
