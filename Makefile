@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test perfbench-test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The sweep-backed packages at one and four cores: a verdict that
+# depends on how many sweep jobs run at once (a cancel that only lands
+# between jobs, say) fails here rather than on the next machine with a
+# different core count.
+test-cpu:
+	$(GO) test -cpu 1,4 . ./internal/service ./internal/sweep ./cmd/phantom
 
 vet:
 	$(GO) vet ./...
@@ -69,7 +76,7 @@ race:
 	$(GO) test -race ./...
 
 # The full gate: what CI runs.
-check: vet phantom-vet staticcheck govulncheck build test perfbench-test race cover search-smoke cluster-smoke
+check: vet phantom-vet staticcheck govulncheck build test test-cpu perfbench-test race cover search-smoke cluster-smoke
 
 # Statement coverage with per-package floors (coverage.floors): fails
 # when any package regresses below its recorded seed-state coverage.

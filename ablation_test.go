@@ -18,6 +18,7 @@ package phantom
 //	                                  that MDS gadgets are useless to
 //	                                  conventional Spectre
 import (
+	"context"
 	"testing"
 
 	"phantom/internal/core"
@@ -127,7 +128,7 @@ func BenchmarkAblation_NoiseSweep(b *testing.B) {
 	for _, noise := range []float64{-1, 1, 2, 4, 8} {
 		b.Run(benchName("noise10x", int(noise*10)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCovertFetch(uarch.Zen2(), core.CovertConfig{
+				res, err := core.RunCovertFetch(context.Background(), uarch.Zen2(), core.CovertConfig{
 					Seed: int64(i), Bits: 512, Noise: noise,
 				})
 				if err != nil {

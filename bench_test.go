@@ -19,6 +19,7 @@ package phantom
 //
 //	go test -bench=. -benchmem
 import (
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -47,12 +48,12 @@ func BenchmarkTable1_Intel13(b *testing.B) { benchTable1(b, Intel13) }
 func benchFig6(b *testing.B, arch Microarch) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := RunFig6(arch, int64(i))
+		ss, err := RunFig6Sweep(context.Background(), []Microarch{arch}, int64(i), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		signal := 0
-		for _, p := range s.Points {
+		for _, p := range ss[0].Points {
 			signal += p.Misses
 		}
 		if signal == 0 {
@@ -221,7 +222,7 @@ func BenchmarkSec74_MDSLeak(b *testing.B) {
 func BenchmarkSec63_SuppressOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMitigations(Zen2, int64(i))
+		m, err := RunMitigations(context.Background(), Zen2, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func BenchmarkSec63_SuppressOverhead(b *testing.B) {
 func BenchmarkSec63_AutoIBRS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMitigations(Zen4, int64(i))
+		m, err := RunMitigations(context.Background(), Zen4, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}

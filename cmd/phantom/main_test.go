@@ -259,6 +259,48 @@ func TestExperimentsSmallRuns(t *testing.T) {
 	}
 }
 
+// TestChainDerandomizesOnce pins the chain's one-chain-per-boot
+// contract: step 4 leaks through the bases steps 1-3 recovered, so the
+// zen2 boots on which a second, independent derandomization used to
+// miss now leak, and parts where P2 finds no physmap base render the
+// steps it leaves without input as not run instead of failing.
+func TestChainDerandomizesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs seven exploit chains")
+	}
+	for _, seed := range []string{"2", "3", "4"} {
+		out, err := run("chain", "-arch", "zen2", "-seed", seed)
+		if err != nil {
+			t.Fatalf("chain -seed %s: %v", seed, err)
+		}
+		leaked, truth := lineAfter(out, "   leaked:"), lineAfter(out, "   truth:")
+		if !strings.Contains(out, "4. leak @") || leaked == "" || leaked != truth {
+			t.Errorf("chain -seed %s did not leak the secret:\n%s", seed, out)
+		}
+	}
+	var out bytes.Buffer
+	if code := realMainCtx(context.Background(), []string{"chain", "-arch", "amd"}, &out, io.Discard); code != 0 {
+		t.Fatalf("chain -arch amd exited %d:\n%s", code, out.String())
+	}
+	if n := strings.Count(out.String(), "=== Full exploit chain"); n != 4 {
+		t.Errorf("chain -arch amd rendered %d chains, want 4:\n%s", n, out.String())
+	}
+	if n := strings.Count(out.String(), ": not run"); n != 2 {
+		t.Errorf("chain -arch amd: %d unrunnable leaks, want 2 (zen3, zen4):\n%s", n, out.String())
+	}
+}
+
+// lineAfter returns the rest of out's first line that starts with
+// prefix, trimmed, or "".
+func lineAfter(out, prefix string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	return ""
+}
+
 // TestZeroMeansDefault: a 0 count is the experiment's default, as on the
 // server, and the rendered title says so.
 func TestZeroMeansDefault(t *testing.T) {

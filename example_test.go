@@ -1,6 +1,7 @@
 package phantom_test
 
 import (
+	"context"
 	"fmt"
 
 	"phantom"
@@ -68,7 +69,7 @@ func ExampleRunTable1() {
 // The mitigation picture of Section 6.3 on Zen 4: AutoIBRS refuses to
 // steer by cross-privilege predictions yet still prefetches their targets.
 func ExampleRunMitigations() {
-	m, err := phantom.RunMitigations(phantom.Zen4, 1)
+	m, err := phantom.RunMitigations(context.Background(), phantom.Zen4, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	for _, arch := range phantom.AMDMicroarchs() {
-		rep, err := phantom.RunMitigations(arch, 5)
+		rep, err := phantom.RunMitigations(context.Background(), arch, 5)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package phantom
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -11,19 +12,6 @@ import (
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
 )
-
-// optionsContext resolves the optional Context field every experiment
-// options struct carries: nil means context.Background(), exactly like
-// the pre-context API. The serving layer (internal/service) sets it so
-// request deadlines and client disconnects cancel the sweep jobs a
-// request is paying for; the CLI sets it so an interrupt cancels
-// mid-sweep instead of killing the process with the run log unflushed.
-func optionsContext(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
 
 // count is one named scale option of an experiment (Runs, Bits, ...).
 type count struct {
@@ -43,17 +31,42 @@ func checkCounts(cs ...count) error {
 	return nil
 }
 
-// sweepOpts builds the worker-pool options for a named sweep, attaching
-// the process telemetry observer when one is active. Telemetry is
-// purely observational (see internal/telemetry): the sweep's results —
-// and therefore every table and figure — are byte-identical with the
-// observer attached, absent, or sampling.
-func sweepOpts(name string, n, jobs int) sweep.Options {
+// sweepJobs runs job for every index in [0, n) on the named sweep's pool
+// of jobs workers (0 = GOMAXPROCS) and returns the results in index
+// order (see sweep.Run). Each job gets the sweep's context and binds it
+// to every machine it builds (SystemConfig.Context or a core entry
+// point's ctx), so a cancel, a deadline or a sibling job's failure stops
+// it mid-attack, not only before it starts. ctx is the run's Context
+// option: the server sets it from the request, the CLI from interrupts.
+// The sweep reports to the process telemetry observer when one is
+// active, which never changes a result.
+func sweepJobs[T any](ctx context.Context, name string, n, jobs int, job func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	if ctx == nil {
+		ctx = context.Background() //phantomvet:ignore ctxflow a nil Context option means unbounded; there is no caller context to fork
+	}
 	o := sweep.Options{Jobs: jobs}
 	if s := telemetry.Sweep(name, n); s != nil {
 		o.Observer = s
 	}
-	return o
+	return sweep.Run(ctx, n, o, job)
+}
+
+// sweepGrid is sweepJobs over a configs × runs grid, each job a (config,
+// run) pair. It returns the results grouped by config, runs in order.
+// job must derive all randomness from its coordinates, so the grouping
+// is independent of the pool size.
+func sweepGrid[T any](ctx context.Context, name string, configs, runs, jobs int, job func(ctx context.Context, c, r int) (T, error)) ([][]T, error) {
+	flat, err := sweepJobs(ctx, name, configs*runs, jobs, func(ctx context.Context, i int) (T, error) {
+		return job(ctx, i/runs, i%runs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, configs)
+	for c := range out {
+		out[c] = flat[c*runs : (c+1)*runs]
+	}
+	return out, nil
 }
 
 // StageReach mirrors the paper's per-cell Table 1 annotation: which
@@ -92,15 +105,13 @@ type Table1 struct {
 
 // Table1Options tunes the experiment.
 type Table1Options struct {
-	// Context, when non-nil, bounds the run: cancellation or a deadline
-	// aborts between cells. Nil means context.Background().
+	// Context, when non-nil, bounds the run: every cell's machine binds
+	// to it, so cancellation or a deadline stops the matrix at the next
+	// machine run. Nil means unbounded.
 	Context context.Context
 	Seed    int64
 	Trials  int     // per-cell trials; 0 = 6
 	Noise   float64 // 0 = noiseless (lab conditions, as in Section 5)
-	// DisablePredecode runs the cells on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
 }
 
 // RunTable1 reproduces Table 1 for one microarchitecture: all asymmetric
@@ -112,11 +123,7 @@ func RunTable1(arch Microarch, opts Table1Options) (*Table1, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunMatrix(p, core.MatrixConfig{
-		Ctx:  optionsContext(opts.Context),
-		Seed: opts.Seed, Trials: opts.Trials, Noise: opts.Noise,
-		DisablePredecode: opts.DisablePredecode,
-	})
+	res, err := core.RunMatrix(opts.Context, p, core.MatrixConfig{Seed: opts.Seed, Trials: opts.Trials, Noise: opts.Noise})
 	if err != nil {
 		return nil, err
 	}
@@ -180,40 +187,28 @@ type Fig6Series struct {
 	SeriesOffset uint64
 }
 
-// RunFig6Sweep reproduces Figure 6 on several microarchitectures at
-// once, fanning the per-arch sweeps over a worker pool of the given
-// size (0 = GOMAXPROCS). The series come back in archs order, identical
-// to running RunFig6 serially.
-func RunFig6Sweep(archs []Microarch, seed int64, jobs int) ([]*Fig6Series, error) {
-	return RunFig6SweepCtx(nil, archs, seed, jobs)
-}
-
-// RunFig6SweepCtx is RunFig6Sweep bounded by a context: cancellation or
-// an expired deadline aborts the remaining per-arch jobs. A nil ctx
-// means context.Background().
-func RunFig6SweepCtx(ctx context.Context, archs []Microarch, seed int64, jobs int) ([]*Fig6Series, error) {
-	return sweep.Run(optionsContext(ctx), len(archs), sweepOpts("fig6", len(archs), jobs),
-		func(_ context.Context, i int) (*Fig6Series, error) {
-			return RunFig6(archs[i], seed)
-		})
-}
-
-// RunFig6 reproduces Figure 6 (detecting speculative decode) for one
-// microarchitecture; the paper plots Zen 2 and Zen 4.
-func RunFig6(arch Microarch, seed int64) (*Fig6Series, error) {
-	p, err := arch.profile()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := core.RunFig6(p, core.Fig6Config{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	s := &Fig6Series{Arch: arch, SeriesOffset: 0xac0}
-	for _, pt := range pts {
-		s.Points = append(s.Points, Fig6Point{Offset: pt.Offset, Hits: pt.Hits, Misses: pt.Misses})
-	}
-	return s, nil
+// RunFig6Sweep reproduces Figure 6 (detecting speculative decode) on
+// each microarchitecture — the paper plots Zen 2 and Zen 4 — fanning the
+// per-arch jobs over a worker pool of the given size (0 = GOMAXPROCS).
+// The series come back in archs order, identical for every pool size.
+// ctx bounds the sweep like an options struct's Context: nil means
+// unbounded.
+func RunFig6Sweep(ctx context.Context, archs []Microarch, seed int64, jobs int) ([]*Fig6Series, error) {
+	return sweepJobs(ctx, "fig6", len(archs), jobs, func(ctx context.Context, i int) (*Fig6Series, error) {
+		p, err := archs[i].profile()
+		if err != nil {
+			return nil, err
+		}
+		pts, err := core.RunFig6(ctx, p, core.Fig6Config{Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		s := &Fig6Series{Arch: archs[i], SeriesOffset: 0xac0}
+		for _, pt := range pts {
+			s.Points = append(s.Points, Fig6Point{Offset: pt.Offset, Hits: pt.Hits, Misses: pt.Misses})
+		}
+		return s, nil
+	})
 }
 
 // String renders an ASCII version of Figure 6 (misses per page offset).
@@ -236,9 +231,9 @@ func (s *Fig6Series) String() string {
 // Fig7 is the cross-privilege BTB function recovery of Section 6.2.
 type Fig7 struct {
 	Arch Microarch
-	// BruteForceFound reports whether flipping <= 6 bits produced any
-	// collision (true on Zen 1/2, false on Zen 3/4 — why the paper moved
-	// to a solver).
+	// BruteForceFound reports whether flipping <= bruteForceFlips bits
+	// produced any collision (true on Zen 1/2, false on Zen 3/4 — why the
+	// paper moved to a solver).
 	BruteForceFound  bool
 	BruteForceMask   uint64
 	BruteForceTested int
@@ -253,28 +248,30 @@ type Fig7 struct {
 	ExampleMask uint64
 }
 
+// bruteForceFlips bounds the brute-force stage: it tries every pattern
+// of at most this many flipped bits, b47 included.
+const bruteForceFlips = 4
+
 // Fig7Options tunes the recovery.
 type Fig7Options struct {
-	// Context, when non-nil, bounds the recovery; nil means
-	// context.Background().
-	Context         context.Context
-	Seed            int64
-	Samples         int // independent collisions to gather; 0 = 22 (full rank)
-	MaxBatches      int
-	BruteForceFlips int // 0 = 4
-	BruteBudget     int // candidate limit for the brute-force stage; 0 = 20000
-	Jobs            int // worker pool for RunFig7Sweep; 0 = GOMAXPROCS
+	// Context, when non-nil, bounds the recovery: both stages' machines
+	// bind to it. Nil means unbounded.
+	Context     context.Context
+	Seed        int64
+	Samples     int // independent collisions to gather; 0 = 22 (full rank)
+	MaxBatches  int
+	BruteBudget int // candidate limit for the brute-force stage; 0 = 20000
+	Jobs        int // worker pool for RunFig7Sweep; 0 = GOMAXPROCS
 }
 
 // RunFig7Sweep runs the Figure 7 recovery on several microarchitectures
 // in parallel (opts.Jobs workers), returning results in archs order.
 func RunFig7Sweep(archs []Microarch, opts Fig7Options) ([]*Fig7, error) {
-	return sweep.Run(optionsContext(opts.Context), len(archs), sweepOpts("fig7", len(archs), opts.Jobs),
-		func(ctx context.Context, i int) (*Fig7, error) {
-			o := opts
-			o.Context = ctx // the sweep-scoped context, so a failure elsewhere cancels this job's stages too
-			return RunFig7(archs[i], o)
-		})
+	return sweepJobs(opts.Context, "fig7", len(archs), opts.Jobs, func(ctx context.Context, i int) (*Fig7, error) {
+		o := opts
+		o.Context = ctx
+		return RunFig7(archs[i], o)
+	})
 }
 
 // RunFig7 reproduces the Section 6.2 methodology on one microarchitecture:
@@ -288,25 +285,17 @@ func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.BruteForceFlips == 0 {
-		opts.BruteForceFlips = 4
-	}
 	if opts.BruteBudget == 0 {
 		opts.BruteBudget = 20000
 	}
 	if opts.Samples == 0 {
 		opts.Samples = 22
 	}
-	bf, err := core.BruteForceCollisions(p, opts.Seed, opts.BruteForceFlips, opts.BruteBudget)
+	bf, err := core.BruteForceCollisions(opts.Context, p, opts.Seed, bruteForceFlips, opts.BruteBudget)
 	if err != nil {
 		return nil, err
 	}
-	// The two stages are independently long; honor a cancelled request
-	// between them rather than paying for the sampling stage too.
-	if err := optionsContext(opts.Context).Err(); err != nil {
-		return nil, err
-	}
-	rec, err := core.RecoverBTBFunctions(p, opts.Seed, opts.Samples, opts.MaxBatches)
+	rec, err := core.RecoverBTBFunctions(opts.Context, p, opts.Seed, opts.Samples, opts.MaxBatches)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +323,7 @@ func (f *Fig7) String() string {
 	fmt.Fprintf(&b, "Figure 7 — BTB function recovery on %s\n", f.Arch.ModelName())
 	if f.BruteForceFound {
 		fmt.Fprintf(&b, "  brute force (<=%d-bit flips): pattern %#x after %d candidates\n",
-			4, f.BruteForceMask, f.BruteForceTested)
+			bruteForceFlips, f.BruteForceMask, f.BruteForceTested)
 	} else {
 		fmt.Fprintf(&b, "  brute force: no collision in %d candidates (as the paper found on Zen 3)\n",
 			f.BruteForceTested)
@@ -363,17 +352,14 @@ type Table2Row struct {
 
 // Table2Options tunes the covert-channel experiment.
 type Table2Options struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining (arch, run) jobs. Nil means
-	// context.Background().
+	// Context, when non-nil, bounds the sweep: every (arch, run) job's
+	// machine binds to it, so cancellation or a deadline stops running
+	// jobs too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
 	Bits    int // per run; 0 = 4096 (the paper's message size)
 	Runs    int // 0 = 10 (the paper reports the median of 10)
 	Jobs    int // parallel (arch, run) workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode runs the channels on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
 }
 
 // RunTable2Fetch reproduces Table 2 (top): the P1 fetch covert channel on
@@ -389,7 +375,7 @@ func RunTable2Execute(archs []Microarch, opts Table2Options) ([]Table2Row, error
 }
 
 func runTable2(archs []Microarch, opts Table2Options,
-	run func(p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
+	run func(ctx context.Context, p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
 	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bits", opts.Bits}); err != nil {
 		return nil, err
 	}
@@ -401,17 +387,13 @@ func runTable2(archs []Microarch, opts Table2Options,
 	// depend only on the job index and the parallel table is identical to
 	// the sequential one.
 	type sample struct{ acc, rate float64 }
-	samples, err := sweep.Run(optionsContext(opts.Context), len(archs)*opts.Runs, sweepOpts("table2", len(archs)*opts.Runs, opts.Jobs),
-		func(_ context.Context, i int) (sample, error) {
-			arch, r := archs[i/opts.Runs], i%opts.Runs
-			p, err := arch.profile()
+	samples, err := sweepGrid(opts.Context, "table2", len(archs), opts.Runs, opts.Jobs,
+		func(ctx context.Context, ai, r int) (sample, error) {
+			p, err := archs[ai].profile()
 			if err != nil {
 				return sample{}, err
 			}
-			res, err := run(p, core.CovertConfig{
-				Seed: opts.Seed + int64(r)*101, Bits: opts.Bits,
-				DisablePredecode: opts.DisablePredecode,
-			})
+			res, err := run(ctx, p, core.CovertConfig{Seed: opts.Seed + int64(r)*101, Bits: opts.Bits})
 			if err != nil {
 				return sample{}, err
 			}
@@ -423,8 +405,7 @@ func runTable2(archs []Microarch, opts Table2Options,
 	var rows []Table2Row
 	for ai, arch := range archs {
 		var accs, rates []float64
-		for r := 0; r < opts.Runs; r++ {
-			s := samples[ai*opts.Runs+r]
+		for _, s := range samples[ai] {
 			accs = append(accs, s.acc)
 			rates = append(rates, s.rate)
 		}
@@ -470,41 +451,19 @@ type DerandRow struct {
 
 // DerandOptions tunes the multi-run derandomization experiments.
 type DerandOptions struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining (config, reboot) jobs. Nil means
-	// context.Background().
+	// Context, when non-nil, bounds the sweep: every reboot's system
+	// binds to it, so cancellation or a deadline stops running reboots
+	// mid-attack too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
 	Runs    int // reboots; 0 = 20 (paper: 100 for Table 3/5, 10 for Table 4)
 	Jobs    int // parallel (arch, reboot) workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode boots every system on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
 }
 
 // derandRun is one reboot's outcome inside a Table 3-5 sweep.
 type derandRun struct {
 	correct bool
 	seconds float64
-}
-
-// sweepDerand fans a (config, reboot) grid over the worker pool — n
-// configs × runs reboots — and returns the outcomes grouped by config,
-// reboots in run order. do must derive all randomness from its job
-// coordinates so the grouping is independent of the pool size.
-func sweepDerand(ctx context.Context, name string, n, runs, jobs int, do func(cfgIdx, r int) (derandRun, error)) ([][]derandRun, error) {
-	flat, err := sweep.Run(optionsContext(ctx), n*runs, sweepOpts(name, n*runs, jobs),
-		func(_ context.Context, i int) (derandRun, error) {
-			return do(i/runs, i%runs)
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]derandRun, n)
-	for ci := range out {
-		out[ci] = flat[ci*runs : (ci+1)*runs]
-	}
-	return out, nil
 }
 
 // foldDerand reduces one config's reboot outcomes to a table row.
@@ -532,9 +491,9 @@ func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 	if opts.Runs == 0 {
 		opts.Runs = 20
 	}
-	grouped, err := sweepDerand(opts.Context, "table3", len(archs), opts.Runs, opts.Jobs,
-		func(ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*31, DisablePredecode: opts.DisablePredecode})
+	grouped, err := sweepGrid(opts.Context, "table3", len(archs), opts.Runs, opts.Jobs,
+		func(ctx context.Context, ai, r int) (derandRun, error) {
+			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*31, Context: ctx})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -563,9 +522,9 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 	if opts.Runs == 0 {
 		opts.Runs = 10
 	}
-	grouped, err := sweepDerand(opts.Context, "table4", len(archs), opts.Runs, opts.Jobs,
-		func(ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*37, DisablePredecode: opts.DisablePredecode})
+	grouped, err := sweepGrid(opts.Context, "table4", len(archs), opts.Runs, opts.Jobs,
+		func(ctx context.Context, ai, r int) (derandRun, error) {
+			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*37, Context: ctx})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -606,10 +565,10 @@ func RunTable5(opts DerandOptions) ([]DerandRow, error) {
 		{Zen1, 8 << 30},
 		{Zen2, 64 << 30},
 	}
-	grouped, err := sweepDerand(opts.Context, "table5", len(configs), opts.Runs, opts.Jobs,
-		func(ci, r int) (derandRun, error) {
+	grouped, err := sweepGrid(opts.Context, "table5", len(configs), opts.Runs, opts.Jobs,
+		func(ctx context.Context, ci, r int) (derandRun, error) {
 			c := configs[ci]
-			sys, err := NewSystem(c.arch, SystemConfig{Seed: opts.Seed + int64(r)*41, PhysBytes: c.mem, DisablePredecode: opts.DisablePredecode})
+			sys, err := NewSystem(c.arch, SystemConfig{Seed: opts.Seed + int64(r)*41, PhysBytes: c.mem, Context: ctx})
 			if err != nil {
 				return derandRun{}, err
 			}
@@ -670,24 +629,22 @@ type MDSReport struct {
 
 // MDSOptions tunes the Section 7.4 experiment.
 type MDSOptions struct {
-	// Context, when non-nil, bounds the sweep: cancellation or a
-	// deadline aborts the remaining reboot jobs. Nil means
-	// context.Background().
+	// Context, when non-nil, bounds the sweep: every reboot's system
+	// binds to it, so cancellation or a deadline stops running reboots
+	// mid-leak too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
 	Runs    int // 0 = 10 (the paper's count)
 	Bytes   int // 0 = 4096 (the paper leaks 4096 bytes)
 	Jobs    int // parallel reboot workers; 0 = GOMAXPROCS, 1 = sequential
-	// DisablePredecode boots every system on the byte-at-a-time reference
-	// fetch path (see SystemConfig.DisablePredecode).
-	DisablePredecode bool
 }
 
 // RunMDSExperiment reproduces Section 7.4: leaking the planted kernel
 // secret through the Listing 4 MDS gadget, across repeated reboots. A
 // reboot whose exploit chain fails outright (the paper saw signal in
 // only 8 of 10 runs) counts as a no-signal run rather than aborting the
-// sweep, so any seed yields a report.
+// sweep, so any seed yields a report. A cancelled reboot is not a run:
+// its error fails the experiment.
 func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
 	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bytes", opts.Bytes}); err != nil {
 		return nil, err
@@ -702,21 +659,23 @@ func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
 	type leakRun struct {
 		acc, rate float64
 	}
-	outcomes, err := sweep.Run(optionsContext(opts.Context), opts.Runs, sweepOpts("mds", opts.Runs, opts.Jobs),
-		func(_ context.Context, r int) (leakRun, error) {
-			sys, err := NewSystem(arch, SystemConfig{Seed: opts.Seed + int64(r)*43, DisablePredecode: opts.DisablePredecode})
-			if err != nil {
-				return leakRun{}, err
+	outcomes, err := sweepJobs(opts.Context, "mds", opts.Runs, opts.Jobs, func(ctx context.Context, r int) (leakRun, error) {
+		sys, err := NewSystem(arch, SystemConfig{Seed: opts.Seed + int64(r)*43, Context: ctx})
+		if err != nil {
+			return leakRun{}, err
+		}
+		secretVA, _ := sys.SecretAddr()
+		res, err := sys.LeakKernelMemory(secretVA, opts.Bytes)
+		if err != nil {
+			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+				return leakRun{}, err // cancelled mid-leak: no outcome at all
 			}
-			secretVA, _ := sys.SecretAddr()
-			res, err := sys.LeakKernelMemory(secretVA, opts.Bytes)
-			if err != nil {
-				// The chain failed on this boot (no physmap signal, reload
-				// buffer not recovered, ...): a zero-signal run.
-				return leakRun{}, nil
-			}
-			return leakRun{acc: res.AccuracyPct, rate: res.BytesPerSecond}, nil
-		})
+			// The chain failed on this boot (no physmap signal, reload
+			// buffer not recovered, ...): a zero-signal run.
+			return leakRun{}, nil
+		}
+		return leakRun{acc: res.AccuracyPct, rate: res.BytesPerSecond}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -762,13 +721,14 @@ type MitigationSummary struct {
 }
 
 // RunMitigations reproduces the Section 6.3 experiments (O4, O5, the
-// SuppressBPOnNonBr overhead) and the Section 8 IBPB analysis.
-func RunMitigations(arch Microarch, seed int64) (*MitigationSummary, error) {
+// SuppressBPOnNonBr overhead) and the Section 8 IBPB analysis. Every
+// machine it builds binds to ctx; nil means unbounded.
+func RunMitigations(ctx context.Context, arch Microarch, seed int64) (*MitigationSummary, error) {
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := core.EvaluateMitigations(p, seed)
+	rep, err := core.EvaluateMitigations(ctx, p, seed)
 	if err != nil {
 		return nil, err
 	}

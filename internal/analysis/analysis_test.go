@@ -171,7 +171,9 @@ func TestScopes(t *testing.T) {
 		{CtxFlow, "phantom/internal/service", "coalesce.go", true},
 		{CtxFlow, "phantom/internal/sweep", "sweep.go", true},
 		{CtxFlow, "phantom/cmd/phantom-server", "main.go", false},
-		{CtxFlow, "phantom", "experiments.go", false},
+		{CtxFlow, "phantom", "experiments.go", true},
+		{CtxFlow, "phantom/internal/core", "env.go", true},
+		{CtxFlow, "phantom/internal/kernel", "kernel.go", false},
 
 		{FaultAlloc, "phantom/internal/mem", "mem.go", true},
 		{FaultAlloc, "phantom/internal/pipeline", "predecode.go", true},

@@ -5,32 +5,42 @@ import (
 	"go/types"
 )
 
-// CtxFlow forbids minting a fresh root context where a caller-provided
-// one is in scope.
+// CtxFlow forbids dropping the caller's context on the way down.
 //
-// The serving subsystem threads one context per request end-to-end:
-// client disconnects and deadlines must cancel the sweep workers and
-// the experiment drivers they feed, or a dead request keeps burning a
-// scheduler slot. context.Background()/TODO() inside that call chain
-// silently forks the cancellation tree — everything below the fork
-// ignores the caller. The analyzer flags exactly that: a Background/
-// TODO call lexically inside a function (or closure) that already has
-// a context.Context parameter in scope. Deliberate detaches (the
-// request coalescer's flight context, whose lifetime is the set of
-// waiters rather than any single caller) carry a phantomvet:ignore
-// with the justification.
+// One context per request or run is threaded end to end: client
+// disconnects, deadlines and interrupts must reach the sweep workers,
+// the experiment drivers they feed, and the simulated machines those
+// boot, or a dead request keeps burning a scheduler slot. Two shapes
+// silently cut that thread, and the analyzer flags both:
+//
+//   - context.Background()/TODO() lexically inside a function (or
+//     closure) that already has a context.Context parameter in scope
+//     forks the cancellation tree: everything below the fork ignores
+//     the caller;
+//   - a context.Context parameter named _ discards the context the
+//     caller handed in, typically a sweep job's: the work the function
+//     starts runs unbounded.
+//
+// Deliberate detaches (the request coalescer's flight context, whose
+// lifetime is the set of waiters rather than any single caller) carry a
+// phantomvet:ignore with the justification.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "forbid context.Background()/context.TODO() where a caller-provided context is in scope — " +
-		"cancellation must flow end-to-end, not fork",
+	Doc: "forbid context.Background()/context.TODO() where a caller-provided context is in scope, and " +
+		"context parameters named _ — cancellation must flow end-to-end, not fork or stop",
 	Applies: ctxFlowScope,
 	Run:     runCtxFlow,
 }
 
-// ctxFlowScope: the packages on the request path below the CLIs. The
-// binaries in cmd/ own their root contexts legitimately.
+// ctxFlowScope: the packages on the request path below the CLIs, down to
+// the experiment drivers that bind contexts to machines. The binaries in
+// cmd/ own their root contexts legitimately.
 func ctxFlowScope(pkgPath, filename string) bool {
-	return pkgPath == "phantom/internal/service" || pkgPath == "phantom/internal/sweep"
+	switch pkgPath {
+	case "phantom", "phantom/internal/core", "phantom/internal/service", "phantom/internal/sweep":
+		return true
+	}
+	return false
 }
 
 func runCtxFlow(pass *Pass) {
@@ -48,11 +58,13 @@ func checkCtxNode(pass *Pass, n ast.Node, inScope bool) {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			if n.Body != nil {
-				checkCtxNode(pass, n.Body, inScope || hasCtxParam(pass, n.Type))
+				has := hasCtxParam(pass, n.Type)
+				checkCtxNode(pass, n.Body, inScope || has)
 			}
 			return false
 		case *ast.FuncLit:
-			checkCtxNode(pass, n.Body, inScope || hasCtxParam(pass, n.Type))
+			has := hasCtxParam(pass, n.Type)
+			checkCtxNode(pass, n.Body, inScope || has)
 			return false
 		case *ast.SelectorExpr:
 			if !inScope {
@@ -68,11 +80,12 @@ func checkCtxNode(pass *Pass, n ast.Node, inScope bool) {
 }
 
 // hasCtxParam reports whether ft declares a parameter of type
-// context.Context.
+// context.Context, and reports each such parameter named _.
 func hasCtxParam(pass *Pass, ft *ast.FuncType) bool {
 	if ft.Params == nil {
 		return false
 	}
+	found := false
 	for _, field := range ft.Params.List {
 		tv, ok := pass.Info.Types[field.Type]
 		if !ok || tv.Type == nil {
@@ -83,9 +96,15 @@ func hasCtxParam(pass *Pass, ft *ast.FuncType) bool {
 			continue
 		}
 		obj := named.Obj()
-		if obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context" {
-			return true
+		if obj.Name() != "Context" || obj.Pkg() == nil || obj.Pkg().Path() != "context" {
+			continue
+		}
+		found = true
+		for _, name := range field.Names {
+			if name.Name == "_" {
+				pass.Reportf(name.Pos(), "context.Context parameter named _ discards the caller's context; bind it to the work this function starts (or phantomvet:ignore with the reason)")
+			}
 		}
 	}
-	return false
+	return found
 }

@@ -23,3 +23,23 @@ func detached(ctx context.Context, run func(context.Context) error) error {
 	execCtx := context.Background() //phantomvet:ignore ctxflow flight outlives individual waiters
 	return run(execCtx)
 }
+
+// job is a signature, not a function: its unnamed context parameter
+// discards nothing.
+type job func(context.Context, int) error
+
+// sweep hands every job the context it was given.
+func sweep(ctx context.Context, n int, j job) error {
+	for i := 0; i < n; i++ {
+		if err := j(ctx, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func bound(ctx context.Context) error {
+	return sweep(ctx, 2, func(ctx context.Context, i int) error {
+		return ctx.Err()
+	})
+}

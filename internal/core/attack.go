@@ -59,11 +59,10 @@ func (a *Attack) InjectPrediction(kernelVictim, target uint64) error {
 		return err
 	}
 	m.Regs[isa.RDI] = target
-	res := m.RunAt(u, 8)
 	// The branch itself retires (training the BTB); the fetch of the
 	// kernel target faults, which the attacker's signal handler absorbs.
-	if res.Reason != pipeline.StopFault {
-		return fmt.Errorf("core: training run did not fault as expected: %v", res)
+	if err := m.RunAt(u, 8).Expect(pipeline.StopFault); err != nil {
+		return fmt.Errorf("core: training run did not fault as expected: %w", err)
 	}
 	return nil
 }

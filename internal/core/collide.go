@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -41,8 +42,8 @@ type collideLab struct {
 const collideBatch = 256
 
 // newCollideLab boots a system and prepares the probe pool.
-func newCollideLab(p *uarch.Profile, seed int64) (*collideLab, error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0})
+func newCollideLab(ctx context.Context, p *uarch.Profile, seed int64) (*collideLab, error) {
+	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +123,8 @@ func (lab *collideLab) runVictim() error {
 	if err := m.UserAS.Write64(m.Regs[isa.RSP], lab.retVA); err != nil {
 		return err
 	}
-	res := m.RunAt(lab.kAddr, 100)
-	if res.Reason != pipeline.StopHalt {
-		return fmt.Errorf("core: victim run at K: %v", res)
+	if err := m.RunAt(lab.kAddr, 100).Expect(pipeline.StopHalt); err != nil {
+		return fmt.Errorf("core: victim run at K: %w", err)
 	}
 	return nil
 }
@@ -132,7 +132,9 @@ func (lab *collideLab) runVictim() error {
 // trainCandidate maps (if needed) the page of candidate source u onto the
 // shared training frame and executes the jmp* there toward the probe
 // target. Candidates all carry K's low 12 bits, so the shared frame's
-// branch lines up at every u.
+// branch lines up at every u. Any stop is fine, a cancelled one
+// included: every training pass is followed by a runVictim, which
+// reports the cancellation.
 func (lab *collideLab) trainCandidate(u, target uint64, mapped map[uint64]bool) error {
 	m := lab.k.M
 	page := u &^ (mem.PageSize - 1)
@@ -144,8 +146,7 @@ func (lab *collideLab) trainCandidate(u, target uint64, mapped map[uint64]bool) 
 		mapped[page] = true
 	}
 	m.Regs[isa.RDI] = target
-	res := m.RunAt(u, 8)
-	_ = res // lands on the probe gadget's nops; any stop is fine
+	m.RunAt(u, 8) // lands on the probe gadget's nops
 	return nil
 }
 
@@ -181,9 +182,9 @@ type BruteForceResult struct {
 // functions span 12 bits and the search comes up empty, which is exactly
 // the paper's experience ("this approach does not yield any results ...
 // when flipping up to 6 bits").
-func BruteForceCollisions(p *uarch.Profile, seed int64, maxFlips int, budget int) (*BruteForceResult, error) {
+func BruteForceCollisions(ctx context.Context, p *uarch.Profile, seed int64, maxFlips int, budget int) (*BruteForceResult, error) {
 	telemetry.CountExperiment("btb_bruteforce")
-	lab, err := newCollideLab(p, seed)
+	lab, err := newCollideLab(ctx, p, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -261,9 +262,9 @@ type RecoveryResult struct {
 // SMT step of the paper reduces to GF(2) nullspace computation plus
 // low-weight enumeration under the same "at most n coefficients"
 // constraint (n = 4 in the paper).
-func RecoverBTBFunctions(p *uarch.Profile, seed int64, wantSamples, maxBatches int) (*RecoveryResult, error) {
+func RecoverBTBFunctions(ctx context.Context, p *uarch.Profile, seed int64, wantSamples, maxBatches int) (*RecoveryResult, error) {
 	telemetry.CountExperiment("btb_recovery")
-	lab, err := newCollideLab(p, seed)
+	lab, err := newCollideLab(ctx, p, seed)
 	if err != nil {
 		return nil, err
 	}

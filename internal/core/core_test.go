@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"phantom/internal/kernel"
@@ -149,7 +151,7 @@ func TestScoreBounded(t *testing.T) {
 }
 
 func TestMatrixZen2MatchesPaper(t *testing.T) {
-	res, err := RunMatrix(uarch.Zen2(), MatrixConfig{Seed: 7, Trials: 3})
+	res, err := RunMatrix(context.Background(), uarch.Zen2(), MatrixConfig{Seed: 7, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestMatrixZen2MatchesPaper(t *testing.T) {
 func TestDeriveObservations(t *testing.T) {
 	var results []*MatrixResult
 	for _, p := range []*uarch.Profile{uarch.Zen1(), uarch.Zen3(), uarch.Intel13()} {
-		r, err := RunMatrix(p, MatrixConfig{Seed: 8, Trials: 2})
+		r, err := RunMatrix(context.Background(), p, MatrixConfig{Seed: 8, Trials: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestDeriveObservations(t *testing.T) {
 }
 
 func TestFig6SeriesOffsetConfigurable(t *testing.T) {
-	pts, err := RunFig6(uarch.Zen2(), Fig6Config{Seed: 9, SeriesOffset: 0x540, Step: 0x40})
+	pts, err := RunFig6(context.Background(), uarch.Zen2(), Fig6Config{Seed: 9, SeriesOffset: 0x540, Step: 0x40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestFig6SeriesOffsetConfigurable(t *testing.T) {
 }
 
 func TestCovertFetchZeroNoiseIsPerfect(t *testing.T) {
-	res, err := RunCovertFetch(uarch.Zen3(), CovertConfig{Seed: 10, Bits: 128, Noise: -1})
+	res, err := RunCovertFetch(context.Background(), uarch.Zen3(), CovertConfig{Seed: 10, Bits: 128, Noise: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestLeakArbitraryKernelAddress(t *testing.T) {
 }
 
 func TestBruteForceRespectsBudget(t *testing.T) {
-	res, err := BruteForceCollisions(uarch.Zen3(), 14, 6, 500)
+	res, err := BruteForceCollisions(context.Background(), uarch.Zen3(), 14, 6, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestBruteForceRespectsBudget(t *testing.T) {
 }
 
 func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
-	res, err := RecoverBTBFunctions(uarch.Zen3(), 15, 4, 60)
+	res, err := RecoverBTBFunctions(context.Background(), uarch.Zen3(), 15, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
 }
 
 func TestSuppressOverheadBand(t *testing.T) {
-	pct, err := SuppressOverhead(uarch.Zen2(), 16)
+	pct, err := SuppressOverhead(context.Background(), uarch.Zen2(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,23 +312,39 @@ func TestSuppressOverheadBand(t *testing.T) {
 	}
 }
 
+// TestRunFullChainZen1 runs the complete Section 7 chain on one boot —
+// image KASLR (P1), then physmap KASLR (P2), then the physical address
+// of an attacker page — feeding each stage's *recovered* value (not
+// ground truth) into the next, exactly as a real exploit must.
 func TestRunFullChainZen1(t *testing.T) {
-	res, err := RunFullChain(uarch.Zen1(), FullChainConfig{Seed: 31, Noise: 1})
+	k, err := kernel.Boot(uarch.Zen1(), kernel.Config{Seed: 31, NoiseLevel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Image.Correct {
-		t.Fatalf("image stage: %v", res.Image)
+	img, err := BreakImageKASLR(k, ImageKASLRConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Physmap.Correct {
-		t.Fatalf("physmap stage: %v", res.Physmap)
+	pm, err := BreakPhysmapKASLR(k, PhysmapKASLRConfig{ImageBase: img.Guess})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.PhysAddr.Correct {
-		t.Fatalf("physaddr stage: %v", res.PhysAddr)
+	pa, _, err := FindPhysAddr(k, PhysAddrConfig{ImageBase: img.Guess, PhysmapBase: pm.Guess})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !img.Correct {
+		t.Fatalf("image stage: %v", img)
+	}
+	if !pm.Correct {
+		t.Fatalf("physmap stage: %v", pm)
+	}
+	if !pa.Correct {
+		t.Fatalf("physaddr stage: %v", pa)
 	}
 	// Each stage consumed the previous stage's output; their simulated
 	// times are all nonzero and the chain is strictly ordered.
-	if res.Image.Seconds <= 0 || res.Physmap.Seconds <= 0 || res.PhysAddr.Seconds <= 0 {
+	if img.Seconds <= 0 || pm.Seconds <= 0 || pa.Seconds <= 0 {
 		t.Fatal("missing stage timings")
 	}
 }
@@ -343,7 +361,7 @@ func TestKASLRResultString(t *testing.T) {
 }
 
 func TestMatrixResultString(t *testing.T) {
-	res, err := RunMatrix(uarch.Zen1(), MatrixConfig{Seed: 32, Trials: 2})
+	res, err := RunMatrix(context.Background(), uarch.Zen1(), MatrixConfig{Seed: 32, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +390,7 @@ func TestCovertFetchSurvivesSiblingStress(t *testing.T) {
 	// Section 6.4 runs `stress -c 10` on the sibling thread during the
 	// fetch channel. The calibrated threshold must keep the channel
 	// usable under that extra I-cache interference.
-	res, err := RunCovertFetch(uarch.Zen2(), CovertConfig{
+	res, err := RunCovertFetch(context.Background(), uarch.Zen2(), CovertConfig{
 		Seed: 33, Bits: 256, SiblingStress: 10,
 	})
 	if err != nil {
@@ -387,7 +405,7 @@ func TestSpectreV2BaselineWorksEverywhere(t *testing.T) {
 	// The conventional attack succeeds even where Phantom's execute
 	// window is zero — backend-resolved windows are long on every part.
 	for _, p := range []*uarch.Profile{uarch.Zen2(), uarch.Zen4(), uarch.Intel13()} {
-		res, err := RunSpectreV2(p, 34, 16)
+		res, err := RunSpectreV2(context.Background(), p, 34, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -397,6 +415,39 @@ func TestSpectreV2BaselineWorksEverywhere(t *testing.T) {
 		if res.WindowLoads < 2 {
 			t.Errorf("%s: wrong path executed %d loads, want >= 2 (two-load gadget)",
 				p, res.WindowLoads)
+		}
+	}
+}
+
+// TestCancelledContextFailsEveryEntryPoint pins how a run's context
+// reaches inside the attacks: every entry point binds it to the machines
+// it builds, so under a done context each one fails with the context's
+// own error at its first machine run instead of producing a result.
+func TestCancelledContextFailsEveryEntryPoint(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	zen2 := uarch.Zen2()
+	k, err := kernel.Boot(zen2, kernel.Config{Seed: 1, Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"BreakImageKASLR", func() error { _, err := BreakImageKASLR(k, ImageKASLRConfig{}); return err }},
+		{"RunMatrix", func() error { _, err := RunMatrix(ctx, zen2, MatrixConfig{Trials: 1}); return err }},
+		{"RunFig6", func() error { _, err := RunFig6(ctx, zen2, Fig6Config{}); return err }},
+		{"RunCovertFetch", func() error { _, err := RunCovertFetch(ctx, zen2, CovertConfig{Bits: 8}); return err }},
+		{"RunCovertExecute", func() error { _, err := RunCovertExecute(ctx, zen2, CovertConfig{Bits: 8}); return err }},
+		{"RunSpectreV2", func() error { _, err := RunSpectreV2(ctx, zen2, 1, 1); return err }},
+		{"EvaluateMitigations", func() error { _, err := EvaluateMitigations(ctx, zen2, 1); return err }},
+		{"BruteForceCollisions", func() error { _, err := BruteForceCollisions(ctx, zen2, 1, 4, 10); return err }},
+		{"RecoverBTBFunctions", func() error { _, err := RecoverBTBFunctions(ctx, zen2, 1, 4, 10); return err }},
+	}
+	for _, c := range cases {
+		if err := c.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", c.name, err)
 		}
 	}
 }

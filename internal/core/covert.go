@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/kernel"
@@ -32,18 +33,12 @@ type CovertConfig struct {
 	Seed  int64
 	Bits  int     // message length (Table 2 uses 4096)
 	Noise float64 // defaults to 1 (calibrated)
-	// CalibrationRounds sets how many known-bit rounds pick the probe
-	// threshold.
-	CalibrationRounds int
 	// SiblingStress models `stress -c N` on the SMT sibling thread, which
 	// the paper runs during the fetch channel ("we furthermore stress the
 	// sibling thread", Section 6.4). In this single-core model it only
 	// adds I-cache interference; the paper's accuracy *gain* came from
 	// slowing the victim thread, which has no analogue here.
 	SiblingStress int
-	// DisablePredecode runs the channel on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 func (c CovertConfig) withDefaults() CovertConfig {
@@ -53,11 +48,12 @@ func (c CovertConfig) withDefaults() CovertConfig {
 	if c.Noise == 0 {
 		c.Noise = 1
 	}
-	if c.CalibrationRounds == 0 {
-		c.CalibrationRounds = 12
-	}
 	return c
 }
+
+// calibrationRounds is how many known-bit rounds of each value pick the
+// probe threshold before the message.
+const calibrationRounds = 12
 
 // covertChannel carries the shared mechanics of the fetch and execute
 // variants of Section 6.4.
@@ -93,7 +89,7 @@ func (c *covertChannel) transmit(cfg CovertConfig) (*CovertResult, error) {
 
 	// Calibration: send known bits, split the distributions.
 	var ones, zeros []float64
-	for i := 0; i < cfg.CalibrationRounds; i++ {
+	for i := 0; i < calibrationRounds; i++ {
 		t1, err := sendBit(1)
 		if err != nil {
 			return nil, err
@@ -139,10 +135,10 @@ const covertISet = 33
 // mapped executable kernel address, T0 an unmapped one; for each bit the
 // attacker primes an instruction-cache set, injects a prediction to T_b at
 // a direct branch of the covert kernel module, invokes it, and probes.
-func RunCovertFetch(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
+func RunCovertFetch(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_fetch")
 	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, DisablePredecode: cfg.DisablePredecode})
+	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, Context: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -178,10 +174,10 @@ func RunCovertFetch(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 // bit selects whether the register it dereferences points at mapped
 // (physmap) or unmapped kernel memory. Works only where Phantom
 // speculation reaches execute — AMD Zen 1 and Zen 2.
-func RunCovertExecute(p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
+func RunCovertExecute(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_execute")
 	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, DisablePredecode: cfg.DisablePredecode})
+	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, Context: ctx})
 	if err != nil {
 		return nil, err
 	}

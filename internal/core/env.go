@@ -15,9 +15,17 @@
 // results of system calls. Simulator ground truth (kernel.Kernel's layout
 // fields, pipeline.DebugCounters) is used strictly to *verify* what the
 // attacks claim, never to produce it.
+//
+// Every entry point that builds a machine takes the run's context first
+// and binds it to that machine (pipeline.Machine.Bind), or boots the
+// kernel with it; attacks on an already-booted kernel inherit the
+// kernel's. Once the context is done, the attack fails with its error at
+// the next machine run, so cancellation reaches inside every attack
+// loop. A nil context leaves the machines unbound.
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/isa"
@@ -34,8 +42,9 @@ type userEnv struct {
 	nextPA uint64
 }
 
-func newUserEnv(p *uarch.Profile, seed int64) *userEnv {
+func newUserEnv(ctx context.Context, p *uarch.Profile, seed int64) *userEnv {
 	m := pipeline.New(p, 1<<30, seed)
+	m.Bind(ctx)
 	return &userEnv{m: m, nextPA: 0x1000000}
 }
 
@@ -95,9 +104,8 @@ func fetchLatencyThreshold(p *uarch.Profile) int {
 
 // run executes at entry and fails on anything but a clean halt.
 func (e *userEnv) run(entry uint64, limit int) error {
-	res := e.m.RunAt(entry, limit)
-	if res.Reason != pipeline.StopHalt {
-		return fmt.Errorf("core: run at %#x: %v", entry, res)
+	if err := e.m.RunAt(entry, limit).Expect(pipeline.StopHalt); err != nil {
+		return fmt.Errorf("core: run at %#x: %w", entry, err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/btb"
@@ -28,9 +29,6 @@ type Fig6Config struct {
 	// Step is the offset increment (paper plots 0x40-granular points up
 	// to 0xfc0; the figure labels every 0x100).
 	Step uint64
-	// DisablePredecode runs the sweep on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -53,12 +51,12 @@ const seriesLen = 8
 // µop cache. A non-branch victim is confused with a jmp* prediction to C;
 // C's page offset sweeps across the page, and only when it matches the
 // jmp-series' µop-cache set do re-runs of the series show misses.
-func RunFig6(p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
+func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
 	telemetry.CountExperiment("fig6")
 	cfg = cfg.withDefaults()
 	var points []Fig6Point
 	for off := uint64(0); off < 0x1000; off += cfg.Step {
-		pt, err := fig6Point(p, cfg, off)
+		pt, err := fig6Point(ctx, p, cfg, off)
 		if err != nil {
 			return nil, fmt.Errorf("offset %#x: %w", off, err)
 		}
@@ -67,10 +65,9 @@ func RunFig6(p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
 	return points, nil
 }
 
-func fig6Point(p *uarch.Profile, cfg Fig6Config, off uint64) (Fig6Point, error) {
-	env := newUserEnv(p, cfg.Seed)
+func fig6Point(ctx context.Context, p *uarch.Profile, cfg Fig6Config, off uint64) (Fig6Point, error) {
+	env := newUserEnv(ctx, p, cfg.Seed)
 	m := env.m
-	m.DisablePredecode = cfg.DisablePredecode
 	maskVal, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
 	if !ok {
 		return Fig6Point{}, fmt.Errorf("core: no alias mask for %s", p)

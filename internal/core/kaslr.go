@@ -6,7 +6,6 @@ import (
 	"phantom/internal/kernel"
 	"phantom/internal/mem"
 	"phantom/internal/telemetry"
-	"phantom/internal/uarch"
 )
 
 // KASLRResult reports one derandomization run (Tables 3, 4 and 5 all use
@@ -349,48 +348,4 @@ func FindPhysAddr(k *kernel.Kernel, cfg PhysAddrConfig) (*KASLRResult, uint64, e
 	}
 	res.Seconds = CyclesToSeconds(res.Cycles)
 	return res, found, nil
-}
-
-// FullChainConfig configures RunFullChain.
-type FullChainConfig struct {
-	Seed  int64
-	Noise float64
-}
-
-// FullChainResult aggregates the Section 7 exploit chain on one boot.
-type FullChainResult struct {
-	Image    *KASLRResult
-	Physmap  *KASLRResult
-	PhysAddr *KASLRResult
-}
-
-// RunFullChain boots a system and runs the complete Section 7 chain —
-// image KASLR (P1), then physmap KASLR (P2), then the physical address of
-// an attacker page — feeding each stage's *recovered* value (not ground
-// truth) into the next, exactly as a real exploit must.
-func RunFullChain(p *uarch.Profile, cfg FullChainConfig) (*FullChainResult, error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise})
-	if err != nil {
-		return nil, err
-	}
-	out := &FullChainResult{}
-	if out.Image, err = BreakImageKASLR(k, ImageKASLRConfig{}); err != nil {
-		return nil, err
-	}
-	if out.Physmap, err = BreakPhysmapKASLR(k, PhysmapKASLRConfig{ImageBase: out.Image.Guess}); err != nil {
-		return nil, err
-	}
-	out.PhysAddr, _, err = FindPhysAddr(k, PhysAddrConfig{
-		ImageBase:   out.Image.Guess,
-		PhysmapBase: out.Physmap.Guess,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// bootFor is a convenience used by experiment drivers.
-func bootFor(p *uarch.Profile, seed int64, noise float64, physBytes uint64) (*kernel.Kernel, error) {
-	return kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: noise, PhysBytes: physBytes})
 }

@@ -40,15 +40,9 @@ type MatrixResult struct {
 
 // MatrixConfig tunes the Table 1 experiment.
 type MatrixConfig struct {
-	// Ctx, when non-nil, is checked between cells so a cancelled or
-	// expired request aborts the matrix without finishing all 25 cells.
-	Ctx    context.Context
 	Seed   int64
 	Trials int     // per-cell trials (positive and negative each)
 	Noise  float64 // machine noise level; 0 = deterministic
-	// DisablePredecode runs the cells on the byte-at-a-time reference
-	// fetch path (parity testing; results must not change).
-	DisablePredecode bool
 }
 
 // symmetricCell reports cells excluded from Phantom evaluation.
@@ -69,22 +63,17 @@ func symmetricCell(train, victim BranchKind) (bool, string) {
 
 // RunMatrix reproduces Table 1 for one profile: every training/victim
 // combination, measured through the IF/ID/EX observation channels.
-func RunMatrix(p *uarch.Profile, cfg MatrixConfig) (*MatrixResult, error) {
+func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*MatrixResult, error) {
 	telemetry.CountExperiment("matrix")
 	res := &MatrixResult{Profile: p}
 	for tr := BranchKind(0); tr < NumKinds; tr++ {
 		for vi := BranchKind(0); vi < NumKinds; vi++ {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
 			cell := MatrixCell{Training: tr, Victim: vi}
 			if sym, note := symmetricCell(tr, vi); sym {
 				cell.Status = CellSymmetric
 				cell.Note = note
 			} else {
-				reach, err := runCombo(p, cfg.Seed+int64(tr)*31+int64(vi), tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{}, cfg.DisablePredecode)
+				reach, err := runCombo(ctx, p, cfg.Seed+int64(tr)*31+int64(vi), tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{})
 				if err != nil {
 					return nil, fmt.Errorf("cell (%v, %v): %w", tr, vi, err)
 				}

@@ -10,8 +10,9 @@ import (
 
 // MDSLeakConfig tunes the Section 7.4 exploit.
 type MDSLeakConfig struct {
-	// ImageBase and PhysmapBase are the stage-1/2 results (RunFullChain
-	// recovers them; tests may pass ground truth to isolate this stage).
+	// ImageBase and PhysmapBase are the stage-1/2 results (the Section 7
+	// chain recovers them; tests may pass ground truth to isolate this
+	// stage).
 	ImageBase   uint64
 	PhysmapBase uint64
 	// ReloadPhys is the physical address of the attacker's huge page

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"phantom/internal/kernel"
+	"phantom/internal/pipeline"
 	"phantom/internal/stats"
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
@@ -52,7 +54,7 @@ type MitigationReport struct {
 }
 
 // EvaluateMitigations runs the mitigation experiments on one profile.
-func EvaluateMitigations(p *uarch.Profile, seed int64) (*MitigationReport, error) {
+func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*MitigationReport, error) {
 	telemetry.CountExperiment("mitigations")
 	rep := &MitigationReport{
 		Profile:           p.String(),
@@ -62,21 +64,21 @@ func EvaluateMitigations(p *uarch.Profile, seed int64) (*MitigationReport, error
 
 	// --- SuppressBPOnNonBr: observation channels --------------------------
 	var err error
-	rep.BaselineReach, err = RunComboMSR(p, seed, KindJmpInd, KindNonBranch, 4, 0, uarch.MSRState{})
+	rep.BaselineReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0, uarch.MSRState{})
 	if err != nil {
 		return nil, err
 	}
 	if p.SupportsSuppressBPOnNonBr {
 		msr := uarch.MSRState{SuppressBPOnNonBr: true}
-		rep.SuppressReach, err = RunComboMSR(p, seed, KindJmpInd, KindNonBranch, 4, 0, msr)
+		rep.SuppressReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0, msr)
 		if err != nil {
 			return nil, err
 		}
-		rep.BranchVictimReachWithMSR, err = RunComboMSR(p, seed, KindJmpInd, KindJmp, 4, 0, msr)
+		rep.BranchVictimReachWithMSR, err = runCombo(ctx, p, seed, KindJmpInd, KindJmp, 4, 0, msr)
 		if err != nil {
 			return nil, err
 		}
-		rep.OverheadPct, err = SuppressOverhead(p, seed)
+		rep.OverheadPct, err = SuppressOverhead(ctx, p, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +86,7 @@ func EvaluateMitigations(p *uarch.Profile, seed int64) (*MitigationReport, error
 
 	// --- AutoIBRS: cross-privilege IF persists ----------------------------
 	if p.SupportsAutoIBRS {
-		ifSig, idSig, err := crossPrivReach(p, seed, true)
+		ifSig, idSig, err := crossPrivReach(ctx, p, seed, true)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +95,7 @@ func EvaluateMitigations(p *uarch.Profile, seed int64) (*MitigationReport, error
 	}
 
 	// --- IBPB on kernel entry blocks everything ---------------------------
-	blocked, overhead, err := ibpbEvaluation(p, seed)
+	blocked, overhead, err := ibpbEvaluation(ctx, p, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -101,55 +103,21 @@ func EvaluateMitigations(p *uarch.Profile, seed int64) (*MitigationReport, error
 	rep.IBPBOverheadPct = overhead
 
 	// --- The hypothetical wait-for-decode frontend (Section 8.1) ----------
-	rep.WaitForDecodeReach, err = RunComboMSR(p, seed, KindJmpInd, KindNonBranch, 4, 0,
+	rep.WaitForDecodeReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0,
 		uarch.MSRState{WaitForDecode: true})
 	if err != nil {
 		return nil, err
 	}
-	rep.WaitForDecodeOverheadPct, err = waitForDecodeOverhead(p, seed)
+	// Its cost: every prediction validated against the decoded branch
+	// source before steering.
+	rep.WaitForDecodeOverheadPct, err = workloadOverhead(ctx, p, seed, func(m *pipeline.Machine) error {
+		m.MSR.WaitForDecode = true
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// waitForDecodeOverhead measures the workload-suite cost of the
-// hypothetical Section 8.1 frontend that validates every prediction
-// against the decoded branch source before steering.
-func waitForDecodeOverhead(p *uarch.Profile, seed int64) (float64, error) {
-	measure := func(on bool) (map[string]float64, error) {
-		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0})
-		if err != nil {
-			return nil, err
-		}
-		k.M.MSR.WaitForDecode = on
-		ws, err := k.InstallWorkloads()
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]float64)
-		for _, w := range ws {
-			var runs []float64
-			for r := 0; r < 5; r++ {
-				c, err := k.RunWorkload(w)
-				if err != nil {
-					return nil, err
-				}
-				runs = append(runs, float64(c))
-			}
-			out[w.Name] = stats.Median(runs)
-		}
-		return out, nil
-	}
-	off, err := measure(false)
-	if err != nil {
-		return 0, err
-	}
-	on, err := measure(true)
-	if err != nil {
-		return 0, err
-	}
-	return overheadPct(off, on), nil
 }
 
 // overheadPct reduces per-workload timings to the geometric-mean
@@ -172,18 +140,31 @@ func overheadPct(off, on map[string]float64) float64 {
 	return (stats.GeoMean(ratios) - 1) * 100
 }
 
-// SuppressOverhead measures the SuppressBPOnNonBr performance cost: each
-// workload runs 5 times per MSR state (median), and the geometric mean of
-// the slowdowns is reported as a percentage — the UnixBench methodology of
-// Section 6.3.
-func SuppressOverhead(p *uarch.Profile, seed int64) (float64, error) {
-	measure := func(msrOn bool) (map[string]float64, error) {
-		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0})
+// SuppressOverhead measures the SuppressBPOnNonBr performance cost on
+// the workload suite (see workloadOverhead).
+func SuppressOverhead(ctx context.Context, p *uarch.Profile, seed int64) (float64, error) {
+	return workloadOverhead(ctx, p, seed, func(m *pipeline.Machine) error {
+		if !m.WriteMSRSuppressBPOnNonBr(true) {
+			return fmt.Errorf("core: MSR write failed on %s", p)
+		}
+		return nil
+	})
+}
+
+// workloadOverhead measures a mitigation's cost: each workload runs 5
+// times (median) on a fresh boot without it and on one where enable
+// turned it on, and the geometric mean of the slowdowns is reported as
+// a percentage — the UnixBench methodology of Section 6.3.
+func workloadOverhead(ctx context.Context, p *uarch.Profile, seed int64, enable func(*pipeline.Machine) error) (float64, error) {
+	measure := func(on bool) (map[string]float64, error) {
+		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
 		if err != nil {
 			return nil, err
 		}
-		if msrOn && !k.M.WriteMSRSuppressBPOnNonBr(true) {
-			return nil, fmt.Errorf("core: MSR write failed on %s", p)
+		if on {
+			if err := enable(k.M); err != nil {
+				return nil, err
+			}
 		}
 		ws, err := k.InstallWorkloads()
 		if err != nil {
@@ -217,8 +198,8 @@ func SuppressOverhead(p *uarch.Profile, seed int64) (float64, error) {
 // crossPrivReach injects a user prediction at the kernel getpid nop site
 // and measures IF (I-cache Prime+Probe) and ID (op-cache miss counting
 // around the victim syscall) of a kernel-text target.
-func crossPrivReach(p *uarch.Profile, seed int64, autoIBRS bool) (ifSig, idSig bool, err error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0})
+func crossPrivReach(ctx context.Context, p *uarch.Profile, seed int64, autoIBRS bool) (ifSig, idSig bool, err error) {
+	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
 	if err != nil {
 		return false, false, err
 	}
@@ -267,9 +248,9 @@ func crossPrivReach(p *uarch.Profile, seed int64, autoIBRS bool) (ifSig, idSig b
 
 // ibpbEvaluation turns on IBPB-on-kernel-entry and confirms that the P1
 // probe no longer sees a signal, plus its syscall-path overhead.
-func ibpbEvaluation(p *uarch.Profile, seed int64) (blocked bool, overheadPct float64, err error) {
+func ibpbEvaluation(ctx context.Context, p *uarch.Profile, seed int64) (blocked bool, overheadPct float64, err error) {
 	run := func(ibpb bool) (sig bool, syscallCycles float64, err error) {
-		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0})
+		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
 		if err != nil {
 			return false, 0, err
 		}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/btb"
 	"phantom/internal/isa"
+	"phantom/internal/pipeline"
 	"phantom/internal/uarch"
 )
 
@@ -88,8 +90,8 @@ const (
 )
 
 // buildComboLab lays out one cell of the matrix.
-func buildComboLab(p *uarch.Profile, seed int64, train, victim BranchKind) (*comboLab, error) {
-	env := newUserEnv(p, seed)
+func buildComboLab(ctx context.Context, p *uarch.Profile, seed int64, train, victim BranchKind) (*comboLab, error) {
+	env := newUserEnv(ctx, p, seed)
 	maskVal, ok := btb.SamePrivAliasMask(env.m.BTB.Scheme())
 	if !ok {
 		return nil, fmt.Errorf("core: no same-privilege alias mask for %s", p)
@@ -340,8 +342,9 @@ func (lab *comboLab) runVictim() error {
 	return lab.env.run(lab.victimEntry, 400)
 }
 
-// observe probes the three channels after a victim run.
-func (lab *comboLab) observe() Reach {
+// observe probes the three channels after a victim run. It fails only
+// when the machine's context is done.
+func (lab *comboLab) observe() (Reach, error) {
 	m := lab.env.m
 	threshold := fetchLatencyThreshold(lab.prof)
 	var r Reach
@@ -374,11 +377,14 @@ func (lab *comboLab) observe() Reach {
 
 	// ID: execute the signal site and watch the µop-cache hit counter
 	// (the performance-counter channel of Figure 5B; Section 5.1 names
-	// the per-µarch hardware events).
+	// the per-µarch hardware events). How the run stops does not matter,
+	// unless it was cancelled: then it observed nothing.
 	if hasSite {
 		before := m.Perf.UopCacheHits
 		m.Regs[isa.R8] = lab.probe1
-		_ = lab.env.run(site, 50)
+		if res := m.RunAt(site, 50); res.Reason == pipeline.StopCancelled {
+			return Reach{}, res.Expect(pipeline.StopHalt)
+		}
 		if m.Perf.UopCacheHits > before {
 			r.ID = true
 		}
@@ -386,7 +392,7 @@ func (lab *comboLab) observe() Reach {
 			r.IF = true
 		}
 	}
-	return r
+	return r, nil
 }
 
 // resetTrial restores a clean microarchitectural slate between trials.
@@ -409,36 +415,25 @@ func (lab *comboLab) runTrial(positive bool) (Reach, error) {
 	if err := lab.runVictim(); err != nil {
 		return Reach{}, err
 	}
-	return lab.observe(), nil
+	return lab.observe()
 }
 
-// RunCombo measures how far the mispredicted control flow of one
-// training/victim pair advances on profile p, using repeated trials with
-// complementary negative testing ("only when we measure significantly
-// more µop-cache misses compared to the negative test do we conclude that
-// the mispredicted target advanced to ID" — Section 5.1; applied to all
-// three channels here).
-func RunCombo(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64) (Reach, error) {
-	return runCombo(p, seed, train, victim, trials, noise, uarch.MSRState{}, false)
-}
-
-// RunComboMSR is RunCombo under an explicit mitigation-MSR configuration,
-// used by the Section 6.3 experiments.
-func RunComboMSR(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
-	return runCombo(p, seed, train, victim, trials, noise, msr, false)
-}
-
-func runCombo(p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState, disablePredecode bool) (Reach, error) {
+// runCombo measures how far the mispredicted control flow of one
+// training/victim pair advances on profile p under the mitigation MSRs
+// msr, using repeated trials with complementary negative testing ("only
+// when we measure significantly more µop-cache misses compared to the
+// negative test do we conclude that the mispredicted target advanced to
+// ID" — Section 5.1; applied to all three channels here).
+func runCombo(ctx context.Context, p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
 	if trials <= 0 {
 		trials = 6
 	}
-	lab, err := buildComboLab(p, seed, train, victim)
+	lab, err := buildComboLab(ctx, p, seed, train, victim)
 	if err != nil {
 		return Reach{}, err
 	}
 	lab.env.m.MSR = msr
 	lab.env.m.Noise.Level = noise
-	lab.env.m.DisablePredecode = disablePredecode
 
 	// Training with non-branch means "no prediction exists"; there is no
 	// aliasing to control for, so the negative test is skipped and the

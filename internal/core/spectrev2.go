@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/isa"
@@ -42,9 +43,9 @@ func (r *SpectreV2Result) String() string {
 // part — including Zen 3/4 and Intel, whose Phantom windows cannot
 // execute — because same-class indirect mispredictions resolve at the
 // backend.
-func RunSpectreV2(p *uarch.Profile, seed int64, nbytes int) (*SpectreV2Result, error) {
+func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int) (*SpectreV2Result, error) {
 	telemetry.CountExperiment("spectre_v2")
-	env := newUserEnv(p, seed)
+	env := newUserEnv(ctx, p, seed)
 	m := env.m
 	if nbytes <= 0 {
 		nbytes = 16

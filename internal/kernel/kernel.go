@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -26,11 +27,11 @@ type Config struct {
 	// NoiseLevel scales microarchitectural noise; 1 is calibrated
 	// default, 0 makes runs deterministic (tests).
 	NoiseLevel float64
-	// DisablePredecode routes the machine's fetch+decode through the
-	// byte-at-a-time reference path instead of the predecode cache. The
-	// cache charges no cycles, so results must be identical either way;
-	// the knob exists for parity tests and debugging.
-	DisablePredecode bool
+	// Context is the run the machine belongs to, bound at boot (see
+	// pipeline.Machine.Bind): once it is done, every attack on this
+	// kernel fails with its error at the next machine run. Nil boots an
+	// unbound machine.
+	Context context.Context
 }
 
 func (c Config) withDefaults() Config {
@@ -81,7 +82,7 @@ func Boot(p *uarch.Profile, cfg Config) (*Kernel, error) {
 	m := pipeline.New(p, cfg.PhysBytes, cfg.Seed)
 	m.Noise.Level = cfg.NoiseLevel
 	m.KPTI = cfg.KPTI
-	m.DisablePredecode = cfg.DisablePredecode
+	m.Bind(cfg.Context)
 	// The threat model (Section 3) assumes all state-of-the-art defenses:
 	// parts supporting AutoIBRS / eIBRS boot with them enabled.
 	m.MSR.AutoIBRS = p.SupportsAutoIBRS
@@ -245,9 +246,8 @@ func (k *Kernel) Syscall(nr uint64, args ...uint64) (uint64, error) {
 	for i, a := range args {
 		m.Regs[argRegs[i]] = a
 	}
-	res := m.RunAt(k.Sym["__user_syscall_stub"], 4000)
-	if res.Reason != pipeline.StopHalt {
-		return 0, fmt.Errorf("kernel: syscall %d did not complete: %v", nr, res)
+	if err := m.RunAt(k.Sym["__user_syscall_stub"], 4000).Expect(pipeline.StopHalt); err != nil {
+		return 0, fmt.Errorf("kernel: syscall %d did not complete: %w", nr, err)
 	}
 	return m.Regs[isa.RAX], nil
 }

@@ -188,9 +188,8 @@ func (k *Kernel) InstallWorkloads() ([]Workload, error) {
 func (k *Kernel) RunWorkload(w Workload) (uint64, error) {
 	m := k.M
 	start := m.Cycle
-	res := m.RunAt(w.Entry, w.Limit)
-	if res.Reason != pipeline.StopHalt {
-		return 0, fmt.Errorf("kernel: workload %s: %v", w.Name, res)
+	if err := m.RunAt(w.Entry, w.Limit).Expect(pipeline.StopHalt); err != nil {
+		return 0, fmt.Errorf("kernel: workload %s: %w", w.Name, err)
 	}
 	return m.Cycle - start, nil
 }

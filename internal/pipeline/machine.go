@@ -24,6 +24,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -90,7 +91,8 @@ type Machine struct {
 	// original byte-at-a-time path instead of the predecode cache. The
 	// cache is an interpreter optimization that charges no cycles, so
 	// both modes must render byte-identical experiment output; parity
-	// tests flip this knob to prove it (see predecode.go).
+	// tests prove it by binding a WithReferenceFetch context, which sets
+	// this field (see predecode.go).
 	DisablePredecode bool
 
 	// DisableSpeculation suppresses every wrong-path effect: speculation
@@ -104,6 +106,11 @@ type Machine struct {
 	DisableSpeculation bool
 
 	rng *rand.Rand
+
+	// ctx is the run context bound by Bind and done its cached Done
+	// channel; both nil on an unbound machine, which Run never cancels.
+	ctx  context.Context
+	done <-chan struct{}
 
 	// pre caches decoded instructions per physical code line; fmemo
 	// memoizes the last instruction-page translation (predecode.go).
@@ -172,6 +179,32 @@ func New(p *uarch.Profile, physBytes uint64, seed int64) *Machine {
 	m.pre = newPredecodeCache()
 	m.attachTelemetry()
 	return m
+}
+
+// referenceFetch is the context key of WithReferenceFetch's mark.
+type referenceFetch struct{}
+
+// WithReferenceFetch marks ctx so every machine bound to it fetches
+// through the byte-at-a-time reference path instead of the predecode
+// cache. It exists for the parity tests: an experiment must render the
+// same bytes with and without the mark.
+func WithReferenceFetch(ctx context.Context) context.Context {
+	return context.WithValue(ctx, referenceFetch{}, true)
+}
+
+// Bind ties the machine to a run's context, read once here: Run stops
+// with StopCancelled once ctx is done, and a WithReferenceFetch mark
+// selects the reference fetch path. The kernel binds at boot and the
+// user-space labs when they build their machine. A nil ctx leaves the
+// machine unbound.
+func (m *Machine) Bind(ctx context.Context) {
+	if ctx == nil {
+		return
+	}
+	m.ctx, m.done = ctx, ctx.Done()
+	if ctx.Value(referenceFetch{}) != nil {
+		m.DisablePredecode = true
+	}
 }
 
 // AS returns the active address space for the current privilege mode.

@@ -27,8 +27,9 @@ package pipeline
 //     never reach a stale line.
 //
 // The Machine.DisablePredecode escape hatch routes fetch+decode through
-// the original byte-at-a-time path; sweep_determinism_test.go pins that
-// both modes render byte-identical experiment output.
+// the original byte-at-a-time path. Experiments reach it only through a
+// WithReferenceFetch context; the root package's *PredecodeParity tests
+// pin that both modes render byte-identical experiment output.
 
 import (
 	"phantom/internal/isa"

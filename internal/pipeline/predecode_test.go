@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"phantom/internal/isa"
@@ -58,6 +60,43 @@ func TestDisablePredecodeBypassesCache(t *testing.T) {
 	if dbg.PredecodeHits != 0 || dbg.PredecodeMisses != 0 {
 		t.Fatalf("DisablePredecode still touched the cache: hits=%d misses=%d",
 			dbg.PredecodeHits, dbg.PredecodeMisses)
+	}
+}
+
+// TestBindContext pins what a machine reads from its run's context: a
+// WithReferenceFetch mark selects the reference fetch path, and once the
+// context is done Run retires nothing and reports the context's error
+// through Expect. An unbound machine is unaffected by both.
+func TestBindContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(WithReferenceFetch(context.Background()))
+	m := newTestMachine(t, uarch.Zen2())
+	m.Bind(ctx)
+	if !m.DisablePredecode {
+		t.Fatal("WithReferenceFetch mark did not select the reference path")
+	}
+	installCode(t, m, loopProgram(0x400000, 50))
+	if err := m.RunAt(0x400000, 10000).Expect(StopHalt); err != nil {
+		t.Fatalf("live bound run: %v", err)
+	}
+
+	cancel()
+	before := m.Perf.Instructions
+	res := m.RunAt(0x400000, 10000)
+	if res.Reason != StopCancelled || res.Steps != 0 || m.Perf.Instructions != before {
+		t.Fatalf("cancelled run = %v after %d instructions, want an immediate stop",
+			res, m.Perf.Instructions-before)
+	}
+	if err := res.Expect(StopHalt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Expect on a cancelled run = %v, want context.Canceled", err)
+	}
+
+	unbound := newTestMachine(t, uarch.Zen2())
+	installCode(t, unbound, loopProgram(0x400000, 50))
+	if err := unbound.RunAt(0x400000, 10000).Expect(StopHalt); err != nil || unbound.DisablePredecode {
+		t.Fatalf("unbound machine: err=%v reference=%v", err, unbound.DisablePredecode)
+	}
+	if err := unbound.RunAt(0x400000, 2).Expect(StopHalt); err == nil || err.Error() != "limit after 2 steps" {
+		t.Fatalf("Expect on a limit stop = %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"phantom/internal/btb"
@@ -14,10 +15,11 @@ type StopReason uint8
 
 // Stop reasons.
 const (
-	StopHalt  StopReason = iota // hlt retired
-	StopFault                   // page fault (RIP points at the faulting instruction)
-	StopTrap                    // int3 or undecodable instruction
-	StopLimit                   // instruction budget exhausted
+	StopHalt      StopReason = iota // hlt retired
+	StopFault                       // page fault (RIP points at the faulting instruction)
+	StopTrap                        // int3 or undecodable instruction
+	StopLimit                       // instruction budget exhausted
+	StopCancelled                   // the bound run context was done on entry (see Bind)
 )
 
 func (r StopReason) String() string {
@@ -30,6 +32,8 @@ func (r StopReason) String() string {
 		return "trap"
 	case StopLimit:
 		return "limit"
+	case StopCancelled:
+		return "cancelled"
 	}
 	return "stop?"
 }
@@ -39,6 +43,22 @@ type RunResult struct {
 	Reason StopReason
 	Fault  *mem.Fault // set when Reason == StopFault
 	Steps  int        // architectural instructions retired
+
+	cause error // the bound context's error when Reason == StopCancelled
+}
+
+// Expect returns nil when the run stopped for the wanted reason, else an
+// error describing the stop. A cancelled run's error is the bound
+// context's own, so errors.Is(err, context.DeadlineExceeded) holds for
+// every harness that wraps it.
+func (r RunResult) Expect(want StopReason) error {
+	switch r.Reason {
+	case want:
+		return nil
+	case StopCancelled:
+		return r.cause
+	}
+	return errors.New(r.String())
 }
 
 func (r RunResult) String() string {
@@ -53,7 +73,17 @@ func (r RunResult) String() string {
 // faulting instruction so a harness "signal handler" can redirect and
 // resume — the mechanism user-mode training code uses when it branches
 // into the kernel and catches the page fault (Section 6.2).
+//
+// A machine bound to a done context stops on entry with StopCancelled
+// and retires nothing. Every attack loop runs the machine at least once
+// per iteration, so this one check bounds how long a cancelled
+// experiment keeps running without a per-instruction cost.
 func (m *Machine) Run(limit int) RunResult {
+	select {
+	case <-m.done:
+		return RunResult{Reason: StopCancelled, cause: m.ctx.Err()}
+	default:
+	}
 	for steps := 0; steps < limit; steps++ {
 		if stop := m.step(); stop != nil {
 			stop.Steps = steps + 1

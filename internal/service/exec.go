@@ -15,9 +15,10 @@ import (
 // served results byte-identical to CLI output by construction (and
 // pinned by TestServedOutputMatchesCLI).
 //
-// ctx bounds the evaluation — it is threaded into every experiment
-// options struct, so cancellation or an expired deadline aborts the
-// underlying sweep jobs. jobs sizes the worker pool of the sweep-backed
+// ctx bounds the evaluation: it reaches every machine the experiment
+// boots, so cancellation or an expired deadline stops the running
+// simulations at their next machine run, and the error wraps ctx's.
+// jobs sizes the worker pool of the sweep-backed
 // experiments (0 = GOMAXPROCS); it never changes the output, only how
 // fast it is produced.
 func Execute(ctx context.Context, w io.Writer, req Request, jobs int) error {
@@ -84,7 +85,7 @@ func runTable1(ctx context.Context, w io.Writer, a phantom.Microarch, r Request,
 }
 
 func runFig6(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error) {
-	series, err := phantom.RunFig6SweepCtx(ctx, archs, r.Seed, jobs)
+	series, err := phantom.RunFig6Sweep(ctx, archs, r.Seed, jobs)
 	return printedEach(w, series, err)
 }
 
@@ -133,8 +134,8 @@ func runMDS(ctx context.Context, w io.Writer, a phantom.Microarch, r Request, jo
 	return printed(w, rep, err)
 }
 
-func runMitigations(_ context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
-	m, err := phantom.RunMitigations(a, r.Seed)
+func runMitigations(ctx context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
+	m, err := phantom.RunMitigations(ctx, a, r.Seed)
 	return printed(w, m, err)
 }
 
@@ -167,35 +168,34 @@ func runReport(ctx context.Context, w io.Writer, _ []phantom.Microarch, r Reques
 	return nil, phantom.GenerateReport(w, phantom.ReportOptions{Context: ctx, Seed: r.Seed, Runs: r.Runs, Bits: r.Bits, Jobs: jobs})
 }
 
-// runChain renders the full Section 7 exploit chain on one boot.
-func runChain(_ context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
-	sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: r.Seed})
+// runChain renders the full Section 7 exploit chain on one boot. The
+// leak runs the chain itself, so steps 1-3 are the ones it leaked
+// through.
+func runChain(ctx context.Context, w io.Writer, a phantom.Microarch, r Request, _ int) (any, error) {
+	sys, err := phantom.NewSystem(a, phantom.SystemConfig{Seed: r.Seed, Context: ctx})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", a.ModelName(), r.Seed)
-	img, err := sys.BreakImageKASLR()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "1. kernel image:  %#x  correct=%v  (%.4fs sim)\n", img.Guess, img.Correct, img.Seconds)
-	pm, err := sys.BreakPhysmapKASLR(img.Guess)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "2. physmap:       %#x  correct=%v  (%.4fs sim)\n", pm.Guess, pm.Correct, pm.Seconds)
-	pa, err := sys.FindPhysAddr(img.Guess, pm.Guess)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "3. page phys:     %#x  correct=%v  (%.4fs sim)\n", pa.Guess, pa.Correct, pa.Seconds)
 	secretVA, secret := sys.SecretAddr()
 	leak, err := sys.LeakKernelMemory(secretVA, 64)
+	if leak == nil {
+		return nil, err // a harness failure or a cancelled run, not a chain result
+	}
+	// A step coming up empty on one boot is a chain result, not a harness
+	// error: the steps it leaves without input render as not run.
+	fmt.Fprintf(w, "=== Full exploit chain on %s (seed %d) ===\n", a.ModelName(), r.Seed)
+	step := func(label string, s *phantom.KASLRResult) {
+		if s == nil {
+			fmt.Fprintf(w, "%-16s  not run\n", label)
+			return
+		}
+		fmt.Fprintf(w, "%-16s  %#x  correct=%v  (%.4fs sim)\n", label, s.Guess, s.Correct, s.Seconds)
+	}
+	step("1. kernel image:", leak.Image)
+	step("2. physmap:", leak.Physmap)
+	step("3. page phys:", leak.PhysAddr)
 	if err != nil {
-		// An exploit coming up empty on one boot is a chain result, not a
-		// harness error — steps 1-3 likewise report correct=false rather
-		// than aborting.
-		fmt.Fprintf(w, "4. leak @ %#x: failed on this boot: %v\n", secretVA, err)
+		fmt.Fprintf(w, "4. leak @ %#x: not run\n", secretVA)
 		return nil, nil
 	}
 	fmt.Fprintf(w, "4. leak @ %#x: accuracy %.2f%%, %.0f B/s sim\n", secretVA, leak.AccuracyPct, leak.BytesPerSecond)

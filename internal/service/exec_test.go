@@ -3,9 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"phantom/internal/store"
 )
 
 // TestExecuteAllExperiments smoke-runs every servable experiment at
@@ -60,5 +64,36 @@ func TestExecuteCancellationPropagates(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("test bug: deadline never fired")
+	}
+}
+
+// TestServedDeadlineMidJob: a real evaluation whose deadline expires
+// while its machines run answers 504 and leaves nothing behind. Before
+// the context reached the machines, these runners finished under an
+// expired deadline and their output was cached and stored under the
+// request's key as if it were the answer.
+func TestServedDeadlineMidJob(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "results"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := NewServer(Config{Workers: 1, BaseTimeout: 20 * time.Millisecond, Store: st})
+	for _, req := range []Request{
+		{Experiment: "chain"},
+		{Experiment: "mds", Runs: 1},
+		{Experiment: "mitigations", Archs: []string{"zen2"}},
+	} {
+		_, aerr := s.do(context.Background(), req)
+		if aerr == nil || aerr.status != http.StatusGatewayTimeout {
+			t.Errorf("%s: got %+v, want 504", req.Experiment, aerr)
+		}
+		key := mustNormalize(t, req).Key()
+		if _, ok := s.cache.Get(key); ok {
+			t.Errorf("%s: timed-out evaluation was cached", req.Experiment)
+		}
+		if st.Has(key) {
+			t.Errorf("%s: timed-out evaluation was stored", req.Experiment)
+		}
 	}
 }

@@ -36,6 +36,7 @@
 package phantom
 
 import (
+	"context"
 	"fmt"
 
 	"phantom/internal/core"
@@ -111,13 +112,10 @@ type SystemConfig struct {
 	Deterministic bool
 	// KPTI enables kernel page-table isolation costs.
 	KPTI bool
-	// DisablePredecode turns off the interpreter's predecode cache and
-	// runs the byte-at-a-time reference fetch path. The cache is a pure
-	// simulator optimization that charges no cycles, so every experiment
-	// must produce byte-identical output with it on or off; this knob is
-	// how the determinism tests prove that, and how to rule the cache out
-	// when debugging a suspected simulation difference.
-	DisablePredecode bool
+	// Context, when non-nil, is the run the system belongs to: once it
+	// is done, every attack on the system fails with its error at the
+	// next machine run. Nil means unbounded.
+	Context context.Context
 }
 
 // System is one booted machine-plus-kernel, the subject of the attacks.
@@ -142,11 +140,11 @@ func NewSystem(arch Microarch, cfg SystemConfig) (*System, error) {
 		noise = 1
 	}
 	k, err := kernel.Boot(p, kernel.Config{
-		Seed:             cfg.Seed,
-		PhysBytes:        cfg.PhysBytes,
-		NoiseLevel:       noise,
-		KPTI:             cfg.KPTI,
-		DisablePredecode: cfg.DisablePredecode,
+		Seed:       cfg.Seed,
+		PhysBytes:  cfg.PhysBytes,
+		NoiseLevel: noise,
+		KPTI:       cfg.KPTI,
+		Context:    cfg.Context,
 	})
 	if err != nil {
 		return nil, err
@@ -225,6 +223,11 @@ func (s *System) FindPhysAddr(imageBase, physmapBase uint64) (*KASLRResult, erro
 
 // LeakResult is the outcome of the Section 7.4 kernel-memory leak.
 type LeakResult struct {
+	// Image, Physmap and PhysAddr are the Section 7 chain steps the leak
+	// ran first on this boot; it leaks through what they recovered. A
+	// step an earlier one left without input is nil.
+	Image, Physmap, PhysAddr *KASLRResult
+
 	Leaked         []byte
 	AccuracyPct    float64
 	BytesPerSecond float64
@@ -234,40 +237,42 @@ type LeakResult struct {
 // LeakKernelMemory runs the Section 7.4 MDS-gadget exploit end to end on
 // this system: it first recovers the image base, physmap base and the
 // reload buffer's physical address with the Section 7 chain, then leaks
-// n bytes starting at kva.
+// n bytes starting at kva. A chain step can come up empty on an unlucky
+// boot (the paper's own success rates are below 100%); the leak then
+// cannot run, and LeakKernelMemory returns an error saying so together
+// with a result reporting the steps that ran. Every other error comes
+// with a nil result.
 func (s *System) LeakKernelMemory(kva uint64, n int) (*LeakResult, error) {
-	img, err := core.BreakImageKASLR(s.k, core.ImageKASLRConfig{})
-	if err != nil {
+	out := &LeakResult{}
+	var err error
+	if out.Image, err = s.BreakImageKASLR(); err != nil {
 		return nil, err
 	}
-	pm, err := core.BreakPhysmapKASLR(s.k, core.PhysmapKASLRConfig{ImageBase: img.Guess})
-	if err != nil {
+	if out.Physmap, err = s.BreakPhysmapKASLR(out.Image.Guess); err != nil {
 		return nil, err
 	}
-	if img.Guess == 0 || pm.Guess == 0 {
-		// The derandomization steps can come up empty on an unlucky
-		// boot (the paper's own success rates are below 100%); report
-		// that instead of letting FindPhysAddr reject the zero base.
-		return nil, fmt.Errorf("phantom: KASLR derandomization found no candidate on this boot (image=%#x, physmap=%#x)", img.Guess, pm.Guess)
+	if out.Physmap.Guess == 0 {
+		return out, fmt.Errorf("phantom: KASLR derandomization found no candidate on this boot (image=%#x, physmap=%#x)", out.Image.Guess, out.Physmap.Guess)
 	}
 	const hugeVA = uint64(0x7f5000000000)
 	if _, err := s.k.AllocUserHuge(hugeVA); err != nil {
 		return nil, err
 	}
 	pr, reloadPhys, err := core.FindPhysAddr(s.k, core.PhysAddrConfig{
-		ImageBase:   img.Guess,
-		PhysmapBase: pm.Guess,
+		ImageBase:   out.Image.Guess,
+		PhysmapBase: out.Physmap.Guess,
 		HugeVA:      hugeVA,
 	})
 	if err != nil {
 		return nil, err
 	}
+	out.PhysAddr = &KASLRResult{Guess: pr.Guess, Correct: pr.Correct, Seconds: pr.Seconds}
 	if !pr.Correct {
-		return nil, fmt.Errorf("phantom: reload-buffer physical address not recovered")
+		return out, fmt.Errorf("phantom: reload-buffer physical address not recovered")
 	}
 	r, err := core.LeakKernelMemory(s.k, kva, core.MDSLeakConfig{
-		ImageBase:   img.Guess,
-		PhysmapBase: pm.Guess,
+		ImageBase:   out.Image.Guess,
+		PhysmapBase: out.Physmap.Guess,
 		ReloadPhys:  reloadPhys,
 		HugeVA:      hugeVA,
 		Bytes:       n,
@@ -275,10 +280,9 @@ func (s *System) LeakKernelMemory(kva uint64, n int) (*LeakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LeakResult{
-		Leaked:         r.Leaked,
-		AccuracyPct:    r.Accuracy.Percent(),
-		BytesPerSecond: r.BytesPerSecond,
-		Seconds:        r.Seconds,
-	}, nil
+	out.Leaked = r.Leaked
+	out.AccuracyPct = r.Accuracy.Percent()
+	out.BytesPerSecond = r.BytesPerSecond
+	out.Seconds = r.Seconds
+	return out, nil
 }

@@ -2,8 +2,13 @@ package phantom
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"phantom/internal/telemetry"
 )
 
 // reach finds a Table1 cell by kind names.
@@ -133,11 +138,12 @@ func TestTable1UnderNoise(t *testing.T) {
 }
 
 func TestFig6SignalOnlyAtSeriesOffset(t *testing.T) {
-	for _, arch := range []Microarch{Zen2, Zen4} {
-		s, err := RunFig6(arch, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+	series, err := RunFig6Sweep(context.Background(), []Microarch{Zen2, Zen4}, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range series {
+		arch := s.Arch
 		for _, p := range s.Points {
 			sameSet := p.Offset>>6 == s.SeriesOffset>>6
 			if sameSet && p.Misses == 0 {
@@ -346,7 +352,7 @@ func TestMDSLeakNeedsExecuteWindow(t *testing.T) {
 }
 
 func TestMitigationsO4O5(t *testing.T) {
-	m2, err := RunMitigations(Zen2, 19)
+	m2, err := RunMitigations(context.Background(), Zen2, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +378,7 @@ func TestMitigationsO4O5(t *testing.T) {
 		t.Error("IBPB-on-entry failed to block Phantom")
 	}
 
-	m1, err := RunMitigations(Zen1, 20)
+	m1, err := RunMitigations(context.Background(), Zen1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +386,7 @@ func TestMitigationsO4O5(t *testing.T) {
 		t.Error("Zen1 must not support SuppressBPOnNonBr (Section 8.1)")
 	}
 
-	m4, err := RunMitigations(Zen4, 21)
+	m4, err := RunMitigations(context.Background(), Zen4, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,4 +589,48 @@ func TestNegativeCountsRejected(t *testing.T) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
+}
+
+// TestTable5CancelledMidReboot pins that a run's context reaches inside
+// the jobs already running: every reboot's machine binds to it, so a
+// cancel 50 ms in stops the reboots mid-scan. With Runs: 1 both jobs
+// have started by then, so no between-job check can catch it.
+func TestTable5CancelledMidReboot(t *testing.T) {
+	for _, runs := range []int{1, 100} {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		rows, err := RunTable5(DerandOptions{Context: ctx, Seed: 1, Runs: runs})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Runs %d: cancelled RunTable5 = %v, %v; want context.Canceled", runs, rows, err)
+		}
+		t.Logf("Runs %d: returned %v after %v", runs, err, time.Since(start))
+	}
+}
+
+// TestMDSCancelledMidLeak: a reboot cancelled while it leaks is not a
+// zero-signal run — the experiment fails with the context's error
+// instead of reporting "signal in 0/1 runs". The cancel lands once the
+// leak stage has started, which the telemetry hub's per-experiment
+// counter reveals.
+func TestMDSCancelledMidLeak(t *testing.T) {
+	leaks := telemetry.Enable(telemetry.Config{}).Registry().Counter("experiment_mds_leak")
+	defer telemetry.Disable() //nolint:errcheck // no sinks to flush
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for leaks.Value() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rep, err := RunMDSExperiment(Zen2, MDSOptions{Context: ctx, Seed: 1, Runs: 1})
+	cancel()
+	<-stopped
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunMDSExperiment = %v, %v; want context.Canceled", rep, err)
+	}
+	t.Logf("returned %v", err)
 }

@@ -6,14 +6,13 @@ import (
 	"io"
 
 	"phantom/internal/core"
-	"phantom/internal/sweep"
 )
 
 // ReportOptions controls GenerateReport's scale.
 type ReportOptions struct {
-	// Context, when non-nil, bounds the generation: cancellation or a
-	// deadline aborts between sections and cancels the section sweeps.
-	// Nil means context.Background().
+	// Context, when non-nil, bounds the generation: every section's
+	// machines bind to it, so cancellation or a deadline stops the
+	// section running. Nil means unbounded.
 	Context context.Context
 	Seed    int64
 	// Runs per multi-run experiment (Tables 3-5, the MDS leak); 0 = 10.
@@ -126,9 +125,6 @@ func GenerateReport(w io.Writer, opts ReportOptions) error {
 	fmt.Fprintf(w, "scale discussion. Paper columns quote MICRO '23 Tables 1-5 and Sections 6-8.\n\n")
 
 	for _, s := range reportSections() {
-		if err := optionsContext(opts.Context).Err(); err != nil {
-			return err
-		}
 		fmt.Fprintf(w, "## %s\n\n", s.Title)
 		if err := s.write(w, opts); err != nil {
 			return fmt.Errorf("section %q: %w", s.Title, err)
@@ -138,10 +134,9 @@ func GenerateReport(w io.Writer, opts ReportOptions) error {
 }
 
 func writeTable1Section(w io.Writer, opts ReportOptions) error {
-	tables, err := sweep.Run(optionsContext(opts.Context), len(opts.Archs), sweepOpts("report_table1", len(opts.Archs), opts.Jobs),
-		func(ctx context.Context, i int) (*Table1, error) {
-			return RunTable1(opts.Archs[i], Table1Options{Context: ctx, Seed: opts.Seed, Trials: 4})
-		})
+	tables, err := sweepJobs(opts.Context, "report_table1", len(opts.Archs), opts.Jobs, func(ctx context.Context, i int) (*Table1, error) {
+		return RunTable1(opts.Archs[i], Table1Options{Context: ctx, Seed: opts.Seed, Trials: 4})
+	})
 	if err != nil {
 		return err
 	}
@@ -155,7 +150,7 @@ func writeTable1Section(w io.Writer, opts ReportOptions) error {
 
 func writeFig6Section(w io.Writer, opts ReportOptions) error {
 	fig6Archs := []Microarch{Zen2, Zen4}
-	series, err := RunFig6SweepCtx(opts.Context, fig6Archs, opts.Seed, opts.Jobs)
+	series, err := RunFig6Sweep(opts.Context, fig6Archs, opts.Seed, opts.Jobs)
 	if err != nil {
 		return err
 	}
@@ -236,14 +231,13 @@ func writeMDSSection(w io.Writer, opts ReportOptions) error {
 
 func writeSpectreV2Section(w io.Writer, opts ReportOptions) error {
 	v2Archs := []Microarch{Zen2, Zen4, Intel13}
-	v2s, err := sweep.Run(optionsContext(opts.Context), len(v2Archs), sweepOpts("report_spectrev2", len(v2Archs), opts.Jobs),
-		func(_ context.Context, i int) (*core.SpectreV2Result, error) {
-			p, err := v2Archs[i].profile()
-			if err != nil {
-				return nil, err
-			}
-			return core.RunSpectreV2(p, opts.Seed, 32)
-		})
+	v2s, err := sweepJobs(opts.Context, "report_spectrev2", len(v2Archs), opts.Jobs, func(ctx context.Context, i int) (*core.SpectreV2Result, error) {
+		p, err := v2Archs[i].profile()
+		if err != nil {
+			return nil, err
+		}
+		return core.RunSpectreV2(ctx, p, opts.Seed, 32)
+	})
 	if err != nil {
 		return err
 	}
@@ -256,10 +250,9 @@ func writeSpectreV2Section(w io.Writer, opts ReportOptions) error {
 }
 
 func writeMitigationSection(w io.Writer, opts ReportOptions) error {
-	mits, err := sweep.Run(optionsContext(opts.Context), len(opts.MitigationArchs), sweepOpts("report_mitigations", len(opts.MitigationArchs), opts.Jobs),
-		func(_ context.Context, i int) (*MitigationSummary, error) {
-			return RunMitigations(opts.MitigationArchs[i], opts.Seed)
-		})
+	mits, err := sweepJobs(opts.Context, "report_mitigations", len(opts.MitigationArchs), opts.Jobs, func(ctx context.Context, i int) (*MitigationSummary, error) {
+		return RunMitigations(ctx, opts.MitigationArchs[i], opts.Seed)
+	})
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,11 @@ package phantom
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
+
+	"phantom/internal/pipeline"
 )
 
 // The sweep engine's contract: per-run seeds are derived arithmetically
@@ -99,19 +102,19 @@ func TestMDSSweepDeterminism(t *testing.T) {
 
 func TestFig6SweepMatchesSerial(t *testing.T) {
 	archs := []Microarch{Zen2, Zen4}
-	swept, err := RunFig6Sweep(archs, 66, 8)
+	swept, err := RunFig6Sweep(context.Background(), archs, 66, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(swept) != len(archs) {
 		t.Fatalf("%d series for %d archs", len(swept), len(archs))
 	}
+	serial, err := RunFig6Sweep(context.Background(), archs, 66, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, arch := range archs {
-		serial, err := RunFig6(arch, 66)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(swept[i], serial) {
+		if swept[i].Arch != arch || !reflect.DeepEqual(swept[i], serial[i]) {
 			t.Errorf("%s: swept series differs from serial run", arch)
 		}
 	}
@@ -120,11 +123,18 @@ func TestFig6SweepMatchesSerial(t *testing.T) {
 // The predecode cache (internal/pipeline/predecode.go) is a pure fetch
 // memoisation: it must never change what any experiment renders. These
 // tests pin byte-identical output between the cached fast path and the
-// byte-at-a-time reference path for each experiment family.
+// byte-at-a-time reference path for each experiment family. runCtx is
+// the run context that selects the path.
+func runCtx(reference bool) context.Context {
+	if reference {
+		return pipeline.WithReferenceFetch(context.Background())
+	}
+	return context.Background()
+}
 
 func TestTable1PredecodeParity(t *testing.T) {
 	render := func(disable bool) string {
-		tab, err := RunTable1(Zen2, Table1Options{Seed: 70, Trials: 3, DisablePredecode: disable})
+		tab, err := RunTable1(Zen2, Table1Options{Context: runCtx(disable), Seed: 70, Trials: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +147,7 @@ func TestTable1PredecodeParity(t *testing.T) {
 
 func TestTable2PredecodeParity(t *testing.T) {
 	render := func(disable bool) string {
-		rows, err := RunTable2Fetch([]Microarch{Zen2}, Table2Options{Seed: 71, Bits: 128, Runs: 2, Jobs: 2, DisablePredecode: disable})
+		rows, err := RunTable2Fetch([]Microarch{Zen2}, Table2Options{Context: runCtx(disable), Seed: 71, Bits: 128, Runs: 2, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +160,7 @@ func TestTable2PredecodeParity(t *testing.T) {
 
 func TestTable3PredecodeParity(t *testing.T) {
 	render := func(disable bool) string {
-		rows, err := RunTable3([]Microarch{Zen3}, DerandOptions{Seed: 72, Runs: 3, Jobs: 2, DisablePredecode: disable})
+		rows, err := RunTable3([]Microarch{Zen3}, DerandOptions{Context: runCtx(disable), Seed: 72, Runs: 3, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +173,7 @@ func TestTable3PredecodeParity(t *testing.T) {
 
 func TestMDSPredecodeParity(t *testing.T) {
 	render := func(disable bool) string {
-		rep, err := RunMDSExperiment(Zen2, MDSOptions{Seed: 73, Runs: 2, Bytes: 256, Jobs: 2, DisablePredecode: disable})
+		rep, err := RunMDSExperiment(Zen2, MDSOptions{Context: runCtx(disable), Seed: 73, Runs: 2, Bytes: 256, Jobs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +181,30 @@ func TestMDSPredecodeParity(t *testing.T) {
 	}
 	if on, off := render(false), render(true); on != off {
 		t.Errorf("MDS report changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
+	}
+}
+
+// TestReportPredecodeParity covers what the per-experiment parity tests
+// above do not reach — Figure 6, Tables 4-5, the Spectre-V2 baseline and
+// the mitigations — by rendering the whole report on both fetch paths.
+func TestReportPredecodeParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the report twice")
+	}
+	render := func(reference bool) []byte {
+		var buf bytes.Buffer
+		err := GenerateReport(&buf, ReportOptions{
+			Context: runCtx(reference), Seed: 68, Runs: 1, Bits: 64,
+			Archs:           []Microarch{Zen2},
+			MitigationArchs: []Microarch{Zen2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if on, off := render(false), render(true); !bytes.Equal(on, off) {
+		t.Errorf("report changes with the predecode cache:\n--- cache on\n%s--- cache off\n%s", on, off)
 	}
 }
 

@@ -2,6 +2,7 @@ package phantom
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func telemetryParityCases() []parityCase {
 			return FormatDerand("Table 5", rows)
 		}},
 		{"fig6", func(t *testing.T) string {
-			series, err := RunFig6Sweep([]Microarch{Zen2}, 85, 8)
+			series, err := RunFig6Sweep(context.Background(), []Microarch{Zen2}, 85, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
