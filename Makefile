@@ -11,9 +11,12 @@ test:
 # The sweep-backed packages at one and four cores: a verdict that
 # depends on how many sweep jobs run at once (a cancel that only lands
 # between jobs, say) fails here rather than on the next machine with a
-# different core count.
+# different core count. Then the request-coalescing tests 200 times at
+# 1, 2 and 8 cores: their races (a request arriving just as an
+# identical flight finishes) show up only once in a few hundred runs.
 test-cpu:
 	$(GO) test -cpu 1,4 . ./internal/service ./internal/sweep ./cmd/phantom
+	$(GO) test -count=200 -cpu 1,2,8 -run 'TestCoalescing$$|TestBatchRequests$$|TestCacheCoalesceRace$$' ./internal/service
 
 vet:
 	$(GO) vet ./...

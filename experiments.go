@@ -69,23 +69,9 @@ func sweepGrid[T any](ctx context.Context, name string, configs, runs, jobs int,
 	return out, nil
 }
 
-// StageReach mirrors the paper's per-cell Table 1 annotation: which
-// pipeline stages the mispredicted control flow observably entered.
-type StageReach struct {
-	IF, ID, EX bool
-}
-
-func (r StageReach) String() string {
-	switch {
-	case r.EX:
-		return "IF+ID+EX"
-	case r.ID:
-		return "IF+ID"
-	case r.IF:
-		return "IF"
-	}
-	return "-"
-}
+// StageReach is the paper's per-cell Table 1 annotation: which pipeline
+// stages the mispredicted control flow observably entered.
+type StageReach = core.Reach
 
 // Table1Cell is one training×victim combination.
 type Table1Cell struct {
@@ -141,7 +127,7 @@ func RunTable1(arch Microarch, opts Table1Options) (*Table1, error) {
 				Victim:   c.Victim.String(),
 				Excluded: c.Status == core.CellSymmetric,
 				Note:     c.Note,
-				Reach:    StageReach(c.Reach),
+				Reach:    c.Reach,
 			}
 		}
 	}
@@ -203,7 +189,7 @@ func RunFig6Sweep(ctx context.Context, archs []Microarch, seed int64, jobs int) 
 		if err != nil {
 			return nil, err
 		}
-		s := &Fig6Series{Arch: archs[i], SeriesOffset: 0xac0}
+		s := &Fig6Series{Arch: archs[i], SeriesOffset: core.Fig6SeriesOffset}
 		for _, pt := range pts {
 			s.Points = append(s.Points, Fig6Point{Offset: pt.Offset, Hits: pt.Hits, Misses: pt.Misses})
 		}
@@ -735,9 +721,9 @@ func RunMitigations(ctx context.Context, arch Microarch, seed int64) (*Mitigatio
 	return &MitigationSummary{
 		Arch:                     arch,
 		SuppressSupported:        rep.SuppressSupported,
-		BaselineReach:            StageReach(rep.BaselineReach),
-		SuppressReach:            StageReach(rep.SuppressReach),
-		BranchVictimReach:        StageReach(rep.BranchVictimReachWithMSR),
+		BaselineReach:            rep.BaselineReach,
+		SuppressReach:            rep.SuppressReach,
+		BranchVictimReach:        rep.BranchVictimReachWithMSR,
 		OverheadPct:              rep.OverheadPct,
 		AutoIBRSSupported:        rep.AutoIBRSSupported,
 		AutoIBRSLeavesIF:         rep.AutoIBRSCrossPrivIF,

@@ -162,18 +162,6 @@ func (b *BTB) UpdateBHB(va uint64, kernel bool, class isa.BranchClass, target ui
 	}
 }
 
-// Evict removes the entry matching va/kernel if present (used by targeted
-// "untraining" in tests).
-func (b *BTB) Evict(va uint64, kernel bool) {
-	set := b.set(b.scheme.Index(va))
-	tag := b.scheme.Tag(va, kernel)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = entry{}
-		}
-	}
-}
-
 // FlushAll invalidates every entry — the semantics this simulator gives
 // IBPB, which on the modeled parts flushes all prediction types
 // (Section 8.2: "if IBPB flushes all types of predictions, it mitigates

@@ -22,9 +22,6 @@ func NewRSB(capacity int) *RSB {
 // Capacity returns the RSB size.
 func (r *RSB) Capacity() int { return len(r.entries) }
 
-// Depth returns the number of live entries.
-func (r *RSB) Depth() int { return r.depth }
-
 // Push records a return address at a call.
 func (r *RSB) Push(retAddr uint64) {
 	r.entries[r.top] = retAddr

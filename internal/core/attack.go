@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"phantom/internal/btb"
@@ -26,6 +27,10 @@ type Attack struct {
 	stubVA     uint64
 }
 
+// errNoCrossPriv is NewAttack's failure on a BTB scheme that admits no
+// cross-privilege aliasing.
+var errNoCrossPriv = errors.New("no cross-privilege BTB aliasing")
+
 // NewAttack prepares an attacker context. It fails on profiles whose BTB
 // scheme admits no cross-privilege aliasing (the Intel parts), matching
 // the paper's finding that exploitation there is blocked by
@@ -33,7 +38,7 @@ type Attack struct {
 func NewAttack(k *kernel.Kernel) (*Attack, error) {
 	maskVal, ok := btb.CrossPrivAliasMask(k.M.BTB.Scheme())
 	if !ok {
-		return nil, fmt.Errorf("core: no cross-privilege BTB aliasing on %s", k.M.Prof)
+		return nil, fmt.Errorf("core: %w on %s", errNoCrossPriv, k.M.Prof)
 	}
 	return &Attack{K: k, CrossMask: maskVal, trainPages: make(map[uint64]bool)}, nil
 }

@@ -169,10 +169,9 @@ func (lab *collideLab) collisionTest(u uint64, mapped map[uint64]bool) (bool, er
 
 // BruteForceResult reports the Section 6.2 brute-force stage.
 type BruteForceResult struct {
-	Found    bool
-	Mask     uint64 // flip pattern (including canonical high bits), if found
-	Tested   int
-	MaxFlips int
+	Found  bool
+	Mask   uint64 // flip pattern (including canonical high bits), if found
+	Tested int
 }
 
 // BruteForceCollisions searches for a user/kernel aliasing pattern by
@@ -188,7 +187,7 @@ func BruteForceCollisions(ctx context.Context, p *uarch.Profile, seed int64, max
 	if err != nil {
 		return nil, err
 	}
-	res := &BruteForceResult{MaxFlips: maxFlips}
+	res := &BruteForceResult{}
 	mapped := make(map[uint64]bool)
 
 	// Enumerate flip sets of bits 12..46 of increasing size, plus the
@@ -239,7 +238,6 @@ func BruteForceCollisions(ctx context.Context, p *uarch.Profile, seed int64, max
 // RecoveryResult reports the SMT-solver-replacement stage: collision
 // sampling plus GF(2) function recovery.
 type RecoveryResult struct {
-	Profile   string
 	Samples   int       // collisions observed
 	Batches   int       // victim runs
 	Functions []gf2.Vec // all recovered forms with weight <= MaxWeight
@@ -270,7 +268,7 @@ func RecoverBTBFunctions(ctx context.Context, p *uarch.Profile, seed int64, want
 	}
 	m := lab.k.M
 	rng := rand.New(rand.NewSource(seed ^ 0xc0111de))
-	res := &RecoveryResult{Profile: p.String()}
+	res := &RecoveryResult{}
 	if wantSamples == 0 {
 		wantSamples = 24
 	}
@@ -370,24 +368,4 @@ func RecoverBTBFunctions(ctx context.Context, p *uarch.Profile, seed int64, want
 		}
 	}
 	return res, nil
-}
-
-// String renders the recovery in the style of Figure 7.
-func (r *RecoveryResult) String() string {
-	s := fmt.Sprintf("BTB function recovery on %s: %d collisions in %d batches\n",
-		r.Profile, r.Samples, r.Batches)
-	s += "Functions involving b47 (cf. Figure 7):\n"
-	for i, f := range r.B47Functions {
-		s += fmt.Sprintf("  f%-2d = %s\n", i, f)
-	}
-	if len(r.TagOverlaps) > 0 {
-		s += "Overlapping tag functions (cf. the b12/b16, b13/b17 finding):\n"
-		for _, f := range r.TagOverlaps {
-			s += fmt.Sprintf("  %s\n", f)
-		}
-	}
-	if r.ExampleMask != 0 {
-		s += fmt.Sprintf("Example collision pattern: K ^ %#x\n", r.ExampleMask)
-	}
-	return s
 }

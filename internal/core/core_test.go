@@ -125,9 +125,9 @@ func TestFlushReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := NewFlushReload(k.M, 0x7f3000000000+0x80)
-	fr.Flush()
-	cold := fr.Reload()
-	warm := fr.Reload()
+	fr.Prime()
+	cold := fr.Probe()
+	warm := fr.Probe()
 	if cold <= warm {
 		t.Fatalf("cold=%d warm=%d", cold, warm)
 	}
@@ -170,29 +170,8 @@ func TestMatrixZen2MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestDeriveObservations(t *testing.T) {
-	var results []*MatrixResult
-	for _, p := range []*uarch.Profile{uarch.Zen1(), uarch.Zen3(), uarch.Intel13()} {
-		r, err := RunMatrix(context.Background(), p, MatrixConfig{Seed: 8, Trials: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, r)
-	}
-	obs := DeriveObservations(results)
-	if !obs.O1AllFetch {
-		t.Error("O1 (fetch everywhere) not derived")
-	}
-	if !obs.O2AllDecode {
-		t.Error("O2 (decode everywhere) not derived")
-	}
-	if len(obs.O3ExecuteProfiles) != 1 || obs.O3ExecuteProfiles[0] != "Zen 1" {
-		t.Errorf("O3 profiles = %v, want [Zen 1]", obs.O3ExecuteProfiles)
-	}
-}
-
 func TestFig6SeriesOffsetConfigurable(t *testing.T) {
-	pts, err := RunFig6(context.Background(), uarch.Zen2(), Fig6Config{Seed: 9, SeriesOffset: 0x540, Step: 0x40})
+	pts, err := RunFig6(context.Background(), uarch.Zen2(), Fig6Config{Seed: 9, SeriesOffset: 0x540})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +280,7 @@ func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
 }
 
 func TestSuppressOverheadBand(t *testing.T) {
-	pct, err := SuppressOverhead(context.Background(), uarch.Zen2(), 16)
+	pct, err := suppressOverhead(context.Background(), uarch.Zen2(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,43 +326,6 @@ func TestRunFullChainZen1(t *testing.T) {
 	if img.Seconds <= 0 || pm.Seconds <= 0 || pa.Seconds <= 0 {
 		t.Fatal("missing stage timings")
 	}
-}
-
-func TestKASLRResultString(t *testing.T) {
-	r := &KASLRResult{Guess: 0x1000, Truth: 0x1000, Correct: true, Seconds: 0.5}
-	if s := r.String(); s == "" {
-		t.Fatal("empty string")
-	}
-	r.Correct = false
-	if s := r.String(); s == "" {
-		t.Fatal("empty string")
-	}
-}
-
-func TestMatrixResultString(t *testing.T) {
-	res, err := RunMatrix(context.Background(), uarch.Zen1(), MatrixConfig{Seed: 32, Trials: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := res.String()
-	for _, want := range []string{"Table 1", "jmp*", "(sym)", "non-branch"} {
-		if !contains(out, want) {
-			t.Errorf("matrix output missing %q", want)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && indexOf(s, sub) >= 0
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestCovertFetchSurvivesSiblingStress(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"phantom/internal/kernel"
 	"phantom/internal/stats"
@@ -12,7 +11,6 @@ import (
 
 // CovertResult reports one covert-channel run in Table 2's terms.
 type CovertResult struct {
-	Profile  string
 	Bits     int
 	Accuracy stats.Accuracy
 	Cycles   uint64
@@ -21,11 +19,6 @@ type CovertResult struct {
 	// high; the Accuracy column and the relative behaviour across
 	// microarchitectures are the reproduction targets.
 	BitsPerSecond float64
-}
-
-func (r *CovertResult) String() string {
-	return fmt.Sprintf("%-22s %6d bits  accuracy %s  %8.0f bits/s",
-		r.Profile, r.Bits, &r.Accuracy, r.BitsPerSecond)
 }
 
 // CovertConfig tunes a covert-channel run.
@@ -59,32 +52,26 @@ const calibrationRounds = 12
 // variants of Section 6.4.
 type covertChannel struct {
 	a       *Attack
-	victim  uint64 // kernel branch the prediction hijacks
-	target1 uint64 // injected target encoding bit 1
-	target0 uint64 // injected target encoding bit 0
+	recv    channel // the receiving end: prime before each bit, probe after
+	victim  uint64  // kernel branch the prediction hijacks
+	target1 uint64  // injected target encoding bit 1
+	target0 uint64  // injected target encoding bit 0
 	arg     func(bit byte) uint64
-	prime   func()
-	probe   func() int
 }
 
-// transmit runs the per-bit loop: prime, inject, invoke, probe.
+// transmit runs one primitive round per bit.
 func (c *covertChannel) transmit(cfg CovertConfig) (*CovertResult, error) {
 	m := c.a.K.M
 	rng := m.RNG()
 
 	sendBit := func(b byte) (int, error) {
-		c.prime()
 		target := c.target0
 		if b == 1 {
 			target = c.target1
 		}
-		if err := c.a.InjectPrediction(c.victim, target); err != nil {
-			return 0, err
-		}
-		if err := c.a.Syscall(kernel.SysCovertBranch, 0, c.arg(b)); err != nil {
-			return 0, err
-		}
-		return c.probe(), nil
+		return c.a.observe(c.recv, c.victim, target, func() error {
+			return c.a.Syscall(kernel.SysCovertBranch, 0, c.arg(b))
+		})
 	}
 
 	// Calibration: send known bits, split the distributions.
@@ -108,7 +95,7 @@ func (c *covertChannel) transmit(cfg CovertConfig) (*CovertResult, error) {
 		msg[i] = byte(rng.Intn(2))
 	}
 
-	res := &CovertResult{Profile: m.Prof.String(), Bits: cfg.Bits}
+	res := &CovertResult{Bits: cfg.Bits}
 	start := m.Cycle
 	for _, b := range msg {
 		t, err := sendBit(b)
@@ -159,12 +146,11 @@ func RunCovertFetch(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*C
 
 	ch := &covertChannel{
 		a:       a,
+		recv:    pp,
 		victim:  k.Symbol("covert_branch_site"),
 		target1: t1,
 		target0: t0,
 		arg:     func(byte) uint64 { return 0 },
-		prime:   pp.Prime,
-		probe:   pp.Probe,
 	}
 	return ch.transmit(cfg)
 }
@@ -195,10 +181,10 @@ func RunCovertExecute(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (
 	if _, err := k.AllocUserHuge(hugeVA); err != nil {
 		return nil, err
 	}
-	pp := NewDPrimeProbe(k.M, hugeVA, probePA)
 
 	ch := &covertChannel{
 		a:       a,
+		recv:    NewDPrimeProbe(k.M, hugeVA, probePA),
 		victim:  k.Symbol("covert_branch_site"),
 		target1: k.Symbol("covert_exec_gadget"),
 		target0: k.Symbol("covert_exec_gadget"),
@@ -208,8 +194,6 @@ func RunCovertExecute(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (
 			}
 			return t0
 		},
-		prime: pp.Prime,
-		probe: pp.Probe,
 	}
 	return ch.transmit(cfg)
 }

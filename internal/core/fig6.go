@@ -19,26 +19,21 @@ type Fig6Point struct {
 	Misses int    // op-cache misses — spikes when C's offset matches the series set
 }
 
+// Fig6SeriesOffset is the page offset of the paper's jmp-series, the
+// default Fig6Config.SeriesOffset.
+const Fig6SeriesOffset = 0xac0
+
+// fig6Step is the distance between C's page offsets: the paper plots
+// 0x40-granular points up to 0xfc0 (the figure labels every 0x100).
+const fig6Step = 0x40
+
 // Fig6Config tunes the experiment.
 type Fig6Config struct {
 	Seed int64
-	// SeriesOffset is the page offset of the priming jmp-series (the
-	// paper's example uses 0xac0; only a C at the matching offset evicts
-	// series lines).
+	// SeriesOffset is the page offset of the priming jmp-series; only a C
+	// at the matching offset evicts series lines. 0 means
+	// Fig6SeriesOffset.
 	SeriesOffset uint64
-	// Step is the offset increment (paper plots 0x40-granular points up
-	// to 0xfc0; the figure labels every 0x100).
-	Step uint64
-}
-
-func (c Fig6Config) withDefaults() Fig6Config {
-	if c.SeriesOffset == 0 {
-		c.SeriesOffset = 0xac0
-	}
-	if c.Step == 0 {
-		c.Step = 0x40
-	}
-	return c
 }
 
 // seriesLen is the number of jmp-series branches; it fills every way of
@@ -53,9 +48,11 @@ const seriesLen = 8
 // jmp-series' µop-cache set do re-runs of the series show misses.
 func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
 	telemetry.CountExperiment("fig6")
-	cfg = cfg.withDefaults()
+	if cfg.SeriesOffset == 0 {
+		cfg.SeriesOffset = Fig6SeriesOffset
+	}
 	var points []Fig6Point
-	for off := uint64(0); off < 0x1000; off += cfg.Step {
+	for off := uint64(0); off < 0x1000; off += fig6Step {
 		pt, err := fig6Point(ctx, p, cfg, off)
 		if err != nil {
 			return nil, fmt.Errorf("offset %#x: %w", off, err)

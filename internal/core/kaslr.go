@@ -19,14 +19,6 @@ type KASLRResult struct {
 	Seconds float64 // simulated wall clock at the nominal 3 GHz
 }
 
-func (r *KASLRResult) String() string {
-	status := "WRONG"
-	if r.Correct {
-		status = "ok"
-	}
-	return fmt.Sprintf("guess=%#x truth=%#x %s (%.4fs simulated)", r.Guess, r.Truth, status, r.Seconds)
-}
-
 // ImageKASLRConfig tunes the Table 3 exploit.
 type ImageKASLRConfig struct {
 	// Sets is how many distinct I-cache sets contribute to the Section
@@ -87,22 +79,15 @@ func BreakImageKASLR(k *kernel.Kernel, cfg ImageKASLRConfig) (*KASLRResult, erro
 	}
 
 	start := m.Cycle
+	getpid := func() error { return a.Syscall(kernel.SysGetpid) }
 
-	// Baselines per set: prime, run the victim syscall with no usable
-	// injection, probe (Section 7.3: "we also measure the time when it
-	// maps to some unrelated set").
+	// Baselines per set: the victim syscall with no injection (Section
+	// 7.3: "we also measure the time when it maps to some unrelated set").
 	baselines := make([]float64, len(sets))
 	for i, pp := range pps {
-		const reps = 3
-		total := 0
-		for r := 0; r < reps; r++ {
-			pp.Prime()
-			if err := a.Syscall(kernel.SysGetpid); err != nil {
-				return nil, err
-			}
-			total += pp.Probe()
+		if baselines[i], err = quiet(pp, 3, getpid); err != nil {
+			return nil, err
 		}
-		baselines[i] = float64(total) / reps
 	}
 
 	// Offset of the second injection point on the getpid path (public
@@ -117,22 +102,23 @@ func BreakImageKASLR(k *kernel.Kernel, cfg ImageKASLRConfig) (*KASLRResult, erro
 		for i, pp := range pps {
 			// Target inside the candidate image that maps to set i.
 			target := candidate + 0x2000 + uint64(sets[i])<<6
-			pp.Prime()
-			if err := a.InjectPrediction(victim, target); err != nil {
-				return nil, err
-			}
+			invoke := getpid
 			if cfg.Amplify {
 				// Second speculative branch on the same syscall path, to a
 				// second target line in the same set.
 				target2 := candidate + 0x8000 + uint64(sets[i])<<6
-				if err := a.InjectPrediction(candidate+exitJmpOff, target2); err != nil {
-					return nil, err
+				invoke = func() error {
+					if err := a.InjectPrediction(candidate+exitJmpOff, target2); err != nil {
+						return err
+					}
+					return getpid()
 				}
 			}
-			if err := a.Syscall(kernel.SysGetpid); err != nil {
+			t, err := a.observe(pp, victim, target, invoke)
+			if err != nil {
 				return nil, err
 			}
-			probeTimes[i] = float64(pp.Probe())
+			probeTimes[i] = float64(t)
 		}
 		score := ScoreBounded(probeTimes, baselines, cfg.Bound)
 		if bestSlot < 0 || score > bestScore {
@@ -155,11 +141,6 @@ type PhysmapKASLRConfig struct {
 	// ImageBase is the kernel image location, discovered by
 	// BreakImageKASLR in the full chain.
 	ImageBase uint64
-	// Threshold is the probe-slowdown (cycles over baseline) treated as a
-	// signal; 0 picks a default between the L1D-eviction-only noise
-	// signature (~one L2 hit) and the true transient-load signature (an
-	// L1D+L2 eviction, costing a memory access on probe).
-	Threshold float64
 	// Confirmations is how many of 4 re-tests must agree before a signal
 	// is accepted (0 = the default 3). Negative disables confirmation
 	// entirely — the ablation benchmarks use this to quantify what the
@@ -184,12 +165,10 @@ func BreakPhysmapKASLR(k *kernel.Kernel, cfg PhysmapKASLRConfig) (*KASLRResult, 
 	if cfg.ImageBase == 0 {
 		return nil, fmt.Errorf("core: physmap exploit needs the kernel image base")
 	}
-	if cfg.Threshold == 0 {
-		// The true signal evicts a primed line from both L1D and L2, so
-		// the probe pays a DRAM access; ambient noise usually evicts from
-		// L1D only (an L2 hit on probe). Split the difference.
-		cfg.Threshold = float64(m.Prof.L2.HitLatency) + float64(m.Prof.MemLatency)/2
-	}
+	// The true signal evicts a primed line from both L1D and L2, so the
+	// probe pays a DRAM access; ambient noise usually evicts from L1D
+	// only (an L2 hit on probe). Split the difference.
+	threshold := float64(m.Prof.L2.HitLatency) + float64(m.Prof.MemLatency)/2
 
 	victim := cfg.ImageBase + k.SymbolOffset("fdget_call_site")
 	gadget := cfg.ImageBase + kernel.DisclosureGadgetOff
@@ -205,26 +184,19 @@ func BreakPhysmapKASLR(k *kernel.Kernel, cfg PhysmapKASLRConfig) (*KASLRResult, 
 	start := m.Cycle
 
 	// Baseline: no injection.
-	const reps = 3
-	baseTotal := 0
-	for r := 0; r < reps; r++ {
-		pp.Prime()
-		if err := a.Syscall(kernel.SysReadv, 0, 0); err != nil {
-			return nil, err
-		}
-		baseTotal += pp.Probe()
+	baseline, err := quiet(pp, 3, func() error { return a.Syscall(kernel.SysReadv, 0, 0) })
+	if err != nil {
+		return nil, err
 	}
-	baseline := float64(baseTotal) / reps
 
 	testSlot := func(candidate uint64) (bool, error) {
-		pp.Prime()
-		if err := a.InjectPrediction(victim, gadget); err != nil {
+		t, err := a.observe(pp, victim, gadget, func() error {
+			return a.Syscall(kernel.SysReadv, 0, candidate)
+		})
+		if err != nil {
 			return false, err
 		}
-		if err := a.Syscall(kernel.SysReadv, 0, candidate); err != nil {
-			return false, err
-		}
-		return float64(pp.Probe())-baseline > cfg.Threshold, nil
+		return float64(t)-baseline > threshold, nil
 	}
 
 	needVotes := cfg.Confirmations
@@ -284,9 +256,6 @@ type PhysAddrConfig struct {
 	// HugeVA is where the attacker's 2 MiB page A is mapped; 0 picks a
 	// default and allocates it.
 	HugeVA uint64
-	// Threshold for the Flush+Reload hit decision; 0 picks half the
-	// memory latency.
-	Threshold int
 }
 
 // FindPhysAddr reproduces Table 5: determining the physical address of
@@ -304,9 +273,6 @@ func FindPhysAddr(k *kernel.Kernel, cfg PhysAddrConfig) (*KASLRResult, uint64, e
 	if cfg.ImageBase == 0 || cfg.PhysmapBase == 0 {
 		return nil, 0, fmt.Errorf("core: physical-address exploit needs image and physmap bases")
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = fetchLatencyThreshold(m.Prof)
-	}
 	hugeVA := cfg.HugeVA
 	if hugeVA == 0 {
 		hugeVA = 0x7f5000000000
@@ -323,14 +289,13 @@ func FindPhysAddr(k *kernel.Kernel, cfg PhysAddrConfig) (*KASLRResult, uint64, e
 	start := m.Cycle
 	found := uint64(0)
 	for pg := uint64(0); pg < m.Phys.Size(); pg += mem.HugePageSize {
-		fr.Flush()
-		if err := a.InjectPrediction(victim, gadget); err != nil {
+		lat, err := a.observe(fr, victim, gadget, func() error {
+			return a.Syscall(kernel.SysReadv, 0, cfg.PhysmapBase+pg)
+		})
+		if err != nil {
 			return nil, 0, err
 		}
-		if err := a.Syscall(kernel.SysReadv, 0, cfg.PhysmapBase+pg); err != nil {
-			return nil, 0, err
-		}
-		if fr.Reload() < cfg.Threshold {
+		if lat < fetchLatencyThreshold(m.Prof) {
 			found = pg
 			break
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
@@ -89,67 +88,4 @@ func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*Matrix
 		}
 	}
 	return res, nil
-}
-
-// Observations derives the paper's headline observations O1-O3 from a set
-// of matrix results, the same way Section 6 reads Table 1.
-type Observations struct {
-	// O1: speculative branch targets are fetched before the branch source
-	// is decoded, on every profile.
-	O1AllFetch bool
-	// O2: the fetches enter the pipeline (decode), on every profile (the
-	// jmp*-victim Intel anomaly excepted, as in the paper).
-	O2AllDecode bool
-	// O3: decoder-detectable speculation reaches execute — and the
-	// profiles on which it does.
-	O3ExecuteProfiles []string
-}
-
-// DeriveObservations summarizes matrix results across profiles.
-func DeriveObservations(results []*MatrixResult) Observations {
-	obs := Observations{O1AllFetch: true, O2AllDecode: true}
-	for _, r := range results {
-		anyFetch, anyDecode, anyExec := false, false, false
-		for tr := BranchKind(0); tr < NumKinds; tr++ {
-			for vi := BranchKind(0); vi < NumKinds; vi++ {
-				c := r.Cells[tr][vi]
-				if c.Status != CellEvaluated || tr == KindNonBranch {
-					continue
-				}
-				anyFetch = anyFetch || c.Reach.IF
-				anyDecode = anyDecode || c.Reach.ID
-				anyExec = anyExec || c.Reach.EX
-			}
-		}
-		obs.O1AllFetch = obs.O1AllFetch && anyFetch
-		obs.O2AllDecode = obs.O2AllDecode && anyDecode
-		if anyExec {
-			obs.O3ExecuteProfiles = append(obs.O3ExecuteProfiles, r.Profile.Name)
-		}
-	}
-	return obs
-}
-
-// String renders the matrix in the layout of Table 1.
-func (r *MatrixResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1 — %s: stage reached per training (rows) x victim (cols)\n", r.Profile)
-	fmt.Fprintf(&b, "%-12s", "")
-	for vi := BranchKind(0); vi < NumKinds; vi++ {
-		fmt.Fprintf(&b, "%-12s", vi)
-	}
-	b.WriteString("\n")
-	for tr := BranchKind(0); tr < NumKinds; tr++ {
-		fmt.Fprintf(&b, "%-12s", tr)
-		for vi := BranchKind(0); vi < NumKinds; vi++ {
-			c := r.Cells[tr][vi]
-			cell := c.Reach.String()
-			if c.Status == CellSymmetric {
-				cell = "(sym)"
-			}
-			fmt.Fprintf(&b, "%-12s", cell)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

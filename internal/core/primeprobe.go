@@ -129,12 +129,13 @@ func NewFlushReload(m *pipeline.Machine, va uint64) *FlushReload {
 	return &FlushReload{m: m, va: va}
 }
 
-// Flush evicts the line from the whole hierarchy.
-func (fr *FlushReload) Flush() { fr.m.FlushVA(fr.va) }
+// Prime flushes the line from the whole hierarchy.
+func (fr *FlushReload) Prime() { fr.m.FlushVA(fr.va) }
 
-// Reload returns the access latency; below threshold means someone (the
-// victim, through shared memory such as physmap) touched the line.
-func (fr *FlushReload) Reload() int {
+// Probe reloads the line and returns the access latency; below the
+// DRAM latency means someone (the victim, through shared memory such as
+// physmap) touched the line.
+func (fr *FlushReload) Probe() int {
 	lat, _ := fr.m.TimedLoad(fr.va)
 	return lat
 }

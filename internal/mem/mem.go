@@ -270,15 +270,6 @@ func (pm *PhysMem) noteCodeChange(pa uint64) {
 	}
 }
 
-// ReadBytes copies n bytes starting at pa.
-func (pm *PhysMem) ReadBytes(pa uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = pm.Read8(pa + uint64(i))
-	}
-	return out
-}
-
 // AddrSpace is a virtual address space: a page-granular map of VA to PTE.
 // Kernel and user mappings coexist in one AddrSpace, distinguished by
 // PermUser, as on x86-64 Linux without KPTI; with KPTI the kernel swaps in
@@ -488,6 +479,3 @@ func (as *AddrSpace) Clone() *AddrSpace {
 	c.ranges = append([]linearRange(nil), as.ranges...)
 	return c
 }
-
-// MappedPages returns the number of installed PTEs (diagnostics).
-func (as *AddrSpace) MappedPages() int { return len(as.pages) }

@@ -367,9 +367,6 @@ func (m *Machine) IBPB() {
 	m.BHB.Clear()
 }
 
-// ResetPerf zeroes the attacker-visible counters.
-func (m *Machine) ResetPerf() { m.Perf = PerfCounters{} }
-
 func (m *Machine) String() string {
 	return fmt.Sprintf("machine(%s, rip=%#x, kernel=%v, cycle=%d)",
 		m.Prof, m.RIP, m.Kernel, m.Cycle)

@@ -64,6 +64,18 @@ func (c *Cache) Get(key string) (*Result, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
+// peek is Get without side effects: it counts neither a hit nor a miss
+// and leaves recency alone.
+func (c *Cache) peek(key string) (*Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*cacheEntry).res, true
+}
+
 // Put stores res under key, evicting least-recently-used entries until
 // the budget holds. A result larger than the whole budget is not stored
 // (it would immediately evict everything for one entry no second

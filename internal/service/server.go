@@ -263,6 +263,29 @@ func (s *Server) lookup(key string) (*Result, bool) {
 	}
 	s.stats.CacheMisses.Add(1)
 	counter("serve_cache_misses").Inc(0)
+	return s.storeLookup(key)
+}
+
+// recheck is lookup for a flight about to simulate, without counting a
+// miss in either tier. A request that missed in lookup can reach
+// flights.Do just after an identical flight stored its result and left
+// the group; the new flight must answer from the tiers, not simulate a
+// second time.
+func (s *Server) recheck(key string) (*Result, bool) {
+	if res, ok := s.cache.peek(key); ok {
+		out := *res
+		out.Cached = true
+		return &out, true
+	}
+	if s.store == nil || !s.store.Has(key) {
+		return nil, false
+	}
+	return s.storeLookup(key)
+}
+
+// storeLookup answers key from the durable store, promoting a hit into
+// the cache.
+func (s *Server) storeLookup(key string) (*Result, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -415,14 +438,18 @@ func (s *Server) storePut(key string, res *Result) {
 	gauge("store_total_bytes").Set(st.TotalBytes)
 }
 
-// evaluate returns the flight function for one normalized request: take
-// a scheduler slot, render under the per-experiment deadline, cache,
-// and write through to the durable store. internal marks cluster-
-// internal work (fan-out sub-jobs, forwarded requests), which blocks
-// for a slot instead of being shed — admission already happened at the
-// edge of the cluster.
+// evaluate returns the flight function for one normalized request:
+// answer from the cache tiers if an identical flight already has (see
+// recheck), else take a scheduler slot, render under the
+// per-experiment deadline, cache, and write through to the durable
+// store. internal marks cluster-internal work (fan-out sub-jobs,
+// forwarded requests), which blocks for a slot instead of being shed —
+// admission already happened at the edge of the cluster.
 func (s *Server) evaluate(req Request, key string, internal bool) func(context.Context) (*Result, error) {
 	return func(fctx context.Context) (*Result, error) {
+		if res, ok := s.recheck(key); ok {
+			return res, nil
+		}
 		acquire := s.sched.acquire
 		if internal {
 			acquire = s.sched.acquireInternal

@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"phantom/internal/store"
 )
 
 // stubExec is a controllable evaluation engine: deterministic output
@@ -313,6 +316,60 @@ func TestBatchRequests(t *testing.T) {
 	}
 	if sims := s.Stats().Simulations.Load(); sims != 2 {
 		t.Errorf("batch ran %d simulations, want 2 (identical items collapse)", sims)
+	}
+}
+
+// TestFlightRechecksTiers pins the race between a request's lookup miss
+// and its flights.Do: an identical flight can store the result and leave
+// the group in between. The flight the late request starts must then
+// answer from whichever tier holds the result, without a simulation and
+// without counting a second cache miss.
+func TestFlightRechecksTiers(t *testing.T) {
+	norm, err := Request{Experiment: "kaslr", Seed: 7}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := norm.Key()
+	settled := &Result{ID: key, Experiment: norm.Experiment, Output: "settled\n"}
+
+	st, err := store.Open(filepath.Join(t.TempDir(), "results"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	data, err := json.Marshal(settled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cache", Config{Workers: 1}},
+		{"store", Config{Workers: 1, CacheBytes: -1, Store: st}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := &stubExec{}
+			s := newTestServer(tc.cfg, stub)
+			s.cache.Put(key, settled)
+			res, _, err := s.flights.Do(context.Background(), key, s.evaluate(norm, key, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sims := s.Stats().Simulations.Load(); sims != 0 || stub.started.Load() != 0 {
+				t.Errorf("flight simulated %d times with the result already in the %s", sims, tc.name)
+			}
+			if res.Output != settled.Output || !res.Cached {
+				t.Errorf("flight answered %+v, want the settled result marked cached", res)
+			}
+			if misses := s.CacheStats().Misses; misses != 0 {
+				t.Errorf("recheck counted %d cache misses, want 0", misses)
+			}
+		})
 	}
 }
 

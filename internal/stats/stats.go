@@ -29,15 +29,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MedianUint64 returns the median of xs as a float64.
-func MedianUint64(xs []uint64) float64 {
-	f := make([]float64, len(xs))
-	for i, x := range xs {
-		f[i] = float64(x)
-	}
-	return Median(f)
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -267,12 +267,6 @@ func All() []*Profile {
 	}
 }
 
-// AMDZen returns the four AMD profiles, the parts the paper builds
-// end-to-end exploits for.
-func AMDZen() []*Profile {
-	return []*Profile{Zen1(), Zen2(), Zen3(), Zen4()}
-}
-
 // ByName returns the profile with the given name (case-sensitive match on
 // Profile.Name or the compact aliases zen1..zen4, intel9..intel13).
 func ByName(name string) (*Profile, error) {

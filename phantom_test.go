@@ -102,25 +102,34 @@ func TestTable1IntelAnomalies(t *testing.T) {
 	}
 }
 
-func TestTable1ObservationsO1O2(t *testing.T) {
+func TestTable1ObservationsO1O2O3(t *testing.T) {
 	// O1/O2 hold on every modeled part: some evaluated cell shows IF and
-	// ID on each microarchitecture.
+	// ID on each microarchitecture. O3: decoder-detectable speculation
+	// (a trained branch, so outside the non-branch row) reaches EX only
+	// on Zen 1/2.
 	for _, arch := range AllMicroarchs() {
 		tb, err := RunTable1(arch, Table1Options{Seed: 5, Trials: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		anyIF, anyID := false, false
-		for _, row := range tb.Cells {
+		anyIF, anyID, anyEX := false, false, false
+		for tr, row := range tb.Cells {
 			for _, c := range row {
-				if !c.Excluded {
-					anyIF = anyIF || c.Reach.IF
-					anyID = anyID || c.Reach.ID
+				if c.Excluded {
+					continue
+				}
+				anyIF = anyIF || c.Reach.IF
+				anyID = anyID || c.Reach.ID
+				if tb.Kinds[tr] != "non-branch" {
+					anyEX = anyEX || c.Reach.EX
 				}
 			}
 		}
 		if !anyIF || !anyID {
 			t.Errorf("%s: O1/O2 violated (IF=%v ID=%v)", arch, anyIF, anyID)
+		}
+		if want := arch == Zen1 || arch == Zen2; anyEX != want {
+			t.Errorf("%s: O3 violated (EX outside the non-branch row = %v, want %v)", arch, anyEX, want)
 		}
 	}
 }
