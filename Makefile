@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet bench-vet staticcheck govulncheck race check cover bench bench-boot bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,16 @@ cover:
 # per line) so before/after comparisons can be committed next to the code.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -json ./... > BENCH_$$(date +%Y%m%d).json
+
+# The boot-cost numbers: one kernel boot, and the Table 3 reboot sweep
+# it dominates, archived as a dated JSON log like `make bench`. The
+# first line records the core count the sweep ran on.
+bench-boot:
+	printf '{"Action":"output","Package":"phantom","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
+		> BENCH_$$(date +%Y%m%d)_boot.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSubstrate_Boot$$|BenchmarkSweepTable3' -benchmem -json . \
+		>> BENCH_$$(date +%Y%m%d)_boot.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_boot.json || true
 
 # One benchmark iteration each: a smoke test that the harness still runs,
 # not a measurement. CI uses this.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -72,17 +73,18 @@ func (a *Attack) InjectPrediction(kernelVictim, target uint64) error {
 	return nil
 }
 
+// int3Page is the content every training page is mapped with, shared by
+// all of them and never written: MapUserCode copies it into each page's
+// own fresh frame.
+var int3Page = bytes.Repeat(isa.EncInt3(), mem.PageSize)
+
 // ensureTrainPage maps (once) the user page that contains u.
 func (a *Attack) ensureTrainPage(u uint64) error {
 	page := u &^ (mem.PageSize - 1)
 	if a.trainPages[page] {
 		return nil
 	}
-	blob := make([]byte, mem.PageSize)
-	for i := range blob {
-		blob[i] = 0xcc
-	}
-	if err := a.K.MapUserCode(page, blob); err != nil {
+	if err := a.K.MapUserCode(page, int3Page); err != nil {
 		return err
 	}
 	a.trainPages[page] = true

@@ -11,7 +11,6 @@ import (
 
 // CovertResult reports one covert-channel run in Table 2's terms.
 type CovertResult struct {
-	Bits     int
 	Accuracy stats.Accuracy
 	Cycles   uint64
 	// BitsPerSecond uses the nominal 3 GHz clock. Simulated syscalls are
@@ -95,7 +94,7 @@ func (c *covertChannel) transmit(cfg CovertConfig) (*CovertResult, error) {
 		msg[i] = byte(rng.Intn(2))
 	}
 
-	res := &CovertResult{Bits: cfg.Bits}
+	res := &CovertResult{}
 	start := m.Cycle
 	for _, b := range msg {
 		t, err := sendBit(b)

@@ -13,7 +13,6 @@ import (
 // simulated machine take).
 type KASLRResult struct {
 	Guess   uint64 // recovered base address (or physical address)
-	Truth   uint64 // ground truth, for verification only
 	Correct bool
 	Cycles  uint64
 	Seconds float64 // simulated wall clock at the nominal 3 GHz
@@ -128,7 +127,6 @@ func BreakImageKASLR(k *kernel.Kernel, cfg ImageKASLRConfig) (*KASLRResult, erro
 
 	res := &KASLRResult{
 		Guess:   kernel.SlotBase(bestSlot),
-		Truth:   k.ImageBase,
 		Correct: kernel.SlotBase(bestSlot) == k.ImageBase,
 		Cycles:  m.Cycle - start,
 	}
@@ -241,7 +239,6 @@ scan:
 
 	res := &KASLRResult{
 		Guess:   found,
-		Truth:   k.PhysmapBase,
 		Correct: found == k.PhysmapBase,
 		Cycles:  m.Cycle - start,
 	}
@@ -307,7 +304,6 @@ func FindPhysAddr(k *kernel.Kernel, cfg PhysAddrConfig) (*KASLRResult, uint64, e
 	}
 	res := &KASLRResult{
 		Guess:   found,
-		Truth:   truth,
 		Correct: found == truth,
 		Cycles:  m.Cycle - start,
 	}

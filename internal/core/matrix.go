@@ -33,8 +33,7 @@ type MatrixCell struct {
 
 // MatrixResult is a full 5×5 sweep for one microarchitecture.
 type MatrixResult struct {
-	Profile *uarch.Profile
-	Cells   [NumKinds][NumKinds]MatrixCell
+	Cells [NumKinds][NumKinds]MatrixCell
 }
 
 // MatrixConfig tunes the Table 1 experiment.
@@ -64,7 +63,7 @@ func symmetricCell(train, victim BranchKind) (bool, string) {
 // combination, measured through the IF/ID/EX observation channels.
 func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*MatrixResult, error) {
 	telemetry.CountExperiment("matrix")
-	res := &MatrixResult{Profile: p}
+	res := &MatrixResult{}
 	for tr := BranchKind(0); tr < NumKinds; tr++ {
 		for vi := BranchKind(0); vi < NumKinds; vi++ {
 			cell := MatrixCell{Training: tr, Victim: vi}

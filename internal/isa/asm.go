@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -10,12 +11,25 @@ import (
 // two-pass label resolution. Experiments use it to lay out the training
 // snippet A, victim snippet B, signal gadget C and the jmp-series exactly as
 // Figures 4 and 5 of the paper describe, at byte-precise page offsets.
+//
+// Org and Align leave gaps rather than padding bytes: buf holds only the
+// emitted bytes, and runs records where each stretch of them lands. A
+// blob is those runs laid over an int3 fill, which Segments returns as
+// is (a kernel boot writes its 309 bytes of code, not 4 MiB of padding)
+// and Bytes flattens.
 type Assembler struct {
 	base   uint64
-	buf    []byte
+	buf    []byte // every emitted byte, gaps omitted
+	runs   []run  // starts of the runs after the first, which is {base, 0}
 	labels map[string]uint64
 	fixups []fixup
 	err    error
+}
+
+// run marks that buf[off:], up to the next run's off, lands at addr.
+type run struct {
+	addr uint64
+	off  int
 }
 
 // fixup records a rel32 field to patch once labels are known.
@@ -23,6 +37,12 @@ type fixup struct {
 	off   int    // offset of the rel32 field within buf
 	end   uint64 // VA of the end of the branch instruction
 	label string
+}
+
+// Segment is one run of emitted bytes and the address of its first byte.
+type Segment struct {
+	Addr  uint64
+	Bytes []byte
 }
 
 // NewAssembler returns an assembler whose first emitted byte lands at base.
@@ -37,7 +57,13 @@ func NewAssembler(base uint64) *Assembler {
 func (a *Assembler) Base() uint64 { return a.base }
 
 // PC returns the virtual address of the next byte to be emitted.
-func (a *Assembler) PC() uint64 { return a.base + uint64(len(a.buf)) }
+func (a *Assembler) PC() uint64 {
+	if n := len(a.runs); n > 0 {
+		r := a.runs[n-1]
+		return r.addr + uint64(len(a.buf)-r.off)
+	}
+	return a.base + uint64(len(a.buf))
+}
 
 // Label binds name to the current PC.
 func (a *Assembler) Label(name string) {
@@ -60,22 +86,20 @@ func (a *Assembler) MustAddr(name string) uint64 {
 	return v
 }
 
-// Org pads with int3 bytes up to the given virtual address, which must not
-// be behind the current PC. Speculative fetches that run into the padding
-// therefore decode as traps rather than as stale instructions.
+// Org moves the PC forward to the given virtual address, which must not be
+// behind it. The gap reads as int3 bytes, so speculative fetches that run
+// into it decode as traps rather than as stale instructions.
 func (a *Assembler) Org(addr uint64) {
-	if addr < a.PC() {
-		a.fail(fmt.Errorf("Org(%#x) behind PC %#x", addr, a.PC()))
-		return
+	switch pc := a.PC(); {
+	case addr < pc:
+		a.fail(fmt.Errorf("Org(%#x) behind PC %#x", addr, pc))
+	case addr > pc:
+		a.runs = append(a.runs, run{addr: addr, off: len(a.buf)})
 	}
-	pad := make([]byte, addr-a.PC())
-	for i := range pad {
-		pad[i] = 0xcc
-	}
-	a.buf = append(a.buf, pad...)
 }
 
-// Align pads with int3 to the next multiple of n (a power of two).
+// Align moves the PC to the next multiple of n (a power of two), leaving
+// an int3 gap as Org does.
 func (a *Assembler) Align(n uint64) {
 	if n == 0 || n&(n-1) != 0 {
 		a.fail(fmt.Errorf("Align(%d): not a power of two", n))
@@ -204,16 +228,15 @@ func (a *Assembler) Push(reg int) { a.emit(EncPush(reg)) }
 // Pop emits pop reg.
 func (a *Assembler) Pop(reg int) { a.emit(EncPop(reg)) }
 
-// Bytes resolves all fixups and returns the assembled blob. The blob's
-// first byte corresponds to Base().
-func (a *Assembler) Bytes() ([]byte, error) {
+// resolve patches every fixup with its label's address.
+func (a *Assembler) resolve() error {
 	if a.err != nil {
-		return nil, a.err
+		return a.err
 	}
 	for _, f := range a.fixups {
 		target, ok := a.labels[f.label]
 		if !ok {
-			return nil, fmt.Errorf("isa: unresolved label %q", f.label)
+			return fmt.Errorf("isa: unresolved label %q", f.label)
 		}
 		if f.end == 0 {
 			// 64-bit absolute fixup (MovImmLabel).
@@ -222,11 +245,56 @@ func (a *Assembler) Bytes() ([]byte, error) {
 		}
 		rel := int64(target) - int64(f.end)
 		if rel < -1<<31 || rel >= 1<<31 {
-			return nil, fmt.Errorf("isa: label %q out of rel32 range (%d)", f.label, rel)
+			return fmt.Errorf("isa: label %q out of rel32 range (%d)", f.label, rel)
 		}
 		binary.LittleEndian.PutUint32(a.buf[f.off:], uint32(int32(rel)))
 	}
-	return a.buf, nil
+	return nil
+}
+
+// Segments resolves all fixups and returns the non-empty runs of emitted
+// bytes in address order. Every address in [Base(), PC()) outside them
+// is an int3 gap. The slices alias the assembler's buffer.
+func (a *Assembler) Segments() ([]Segment, error) {
+	if err := a.resolve(); err != nil {
+		return nil, err
+	}
+	segs := make([]Segment, 0, len(a.runs)+1)
+	for i := 0; i <= len(a.runs); i++ {
+		r, end := run{addr: a.base}, len(a.buf)
+		if i > 0 {
+			r = a.runs[i-1]
+		}
+		if i < len(a.runs) {
+			end = a.runs[i].off
+		}
+		if end > r.off {
+			segs = append(segs, Segment{Addr: r.addr, Bytes: a.buf[r.off:end:end]})
+		}
+	}
+	return segs, nil
+}
+
+// Bytes resolves all fixups and returns the assembled blob: the segments
+// laid over int3 from Base() to PC(). The blob's first byte corresponds to
+// Base().
+func (a *Assembler) Bytes() ([]byte, error) {
+	if len(a.runs) == 0 {
+		// No gaps: the emitted bytes are the blob.
+		if err := a.resolve(); err != nil {
+			return nil, err
+		}
+		return a.buf, nil
+	}
+	segs, err := a.Segments()
+	if err != nil {
+		return nil, err
+	}
+	blob := bytes.Repeat(EncInt3(), int(a.PC()-a.base))
+	for _, s := range segs {
+		copy(blob[s.Addr-a.base:], s.Bytes)
+	}
+	return blob, nil
 }
 
 // MustBytes is Bytes, panicking on error. Experiments with hard-coded

@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -303,6 +305,57 @@ func TestAssemblerOrgAlign(t *testing.T) {
 	blob := a.MustBytes()
 	if blob[1] != 0xcc {
 		t.Errorf("Org padding byte = %#x, want int3", blob[1])
+	}
+
+	// The two views of one assembly: the segments laid over an int3 fill
+	// are the padded blob. This program has a zero-length Org, an Align
+	// at an aligned PC, and a rel32 branch and a MovImmLabel that each
+	// reach across a gap.
+	a = NewAssembler(0x1000)
+	a.Org(0x1000) // zero-length: no gap, no empty segment
+	a.Label("top")
+	a.Jmp("far")
+	a.MovImmLabel(RAX, "far")
+	a.Org(0x1040)
+	a.Align(0x40) // already aligned
+	a.Label("mid")
+	a.Jcc(CondZ, "top")
+	a.Align(0x100)
+	a.Org(0x1300) // a gap right after another
+	a.Label("far")
+	a.Call("mid")
+	a.MovImmLabel(RBX, "top")
+	a.Ret()
+
+	blob, err := a.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := a.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 3 || segs[0].Addr != 0x1000 || segs[1].Addr != 0x1040 || segs[2].Addr != 0x1300 {
+		t.Fatalf("segments %+v, want three at 0x1000, 0x1040, 0x1300", segs)
+	}
+	over := bytes.Repeat([]byte{0xcc}, int(a.PC()-a.Base()))
+	for _, s := range segs {
+		copy(over[s.Addr-a.Base():], s.Bytes)
+	}
+	if !bytes.Equal(over, blob) {
+		t.Fatalf("segments over int3:\n% x\nBytes:\n% x", over, blob)
+	}
+	if in := Decode(blob); in.Op != OpJmp || in.Target(0x1000) != 0x1300 {
+		t.Errorf("jmp across the gaps decodes as %v", in)
+	}
+	if got := binary.LittleEndian.Uint64(blob[5+2:]); got != 0x1300 {
+		t.Errorf("mov rax, far = %#x, want 0x1300", got)
+	}
+	if in := Decode(blob[0x300:]); in.Op != OpCall || in.Target(0x1300) != 0x1040 {
+		t.Errorf("call back across a gap decodes as %v", in)
+	}
+	if got := binary.LittleEndian.Uint64(blob[0x305+2:]); got != 0x1000 {
+		t.Errorf("mov rbx, top = %#x, want 0x1000", got)
 	}
 }
 

@@ -99,20 +99,26 @@ func Boot(p *uarch.Profile, cfg Config) (*Kernel, error) {
 	k.ImageBase = SlotBase(k.ImageSlot)
 	k.PhysmapBase = PhysmapSlotBase(k.PhysmapSlot)
 
-	// Kernel text: supervisor, read+exec.
+	// Kernel text: supervisor, read+exec. Only the code is written: the
+	// image is its segments over an int3 fill up to the last byte emitted,
+	// and the text pages past that read zero.
 	asm := buildImage(k.ImageBase)
-	blob, err := asm.Bytes()
+	segs, err := asm.Segments()
 	if err != nil {
 		return nil, fmt.Errorf("kernel: assembling image: %w", err)
 	}
-	textLen := (uint64(len(blob)) + mem.PageSize - 1) &^ (mem.PageSize - 1)
+	span := asm.PC() - k.ImageBase
+	textLen := (span + mem.PageSize - 1) &^ (mem.PageSize - 1)
 	if textLen > ImageTextSize {
 		return nil, fmt.Errorf("kernel: image text %#x exceeds budget %#x", textLen, ImageTextSize)
 	}
 	if err := m.KernelAS.Map(k.ImageBase, imagePhysBase, ImageTextSize, mem.PermRead|mem.PermExec); err != nil {
 		return nil, err
 	}
-	m.Phys.WriteBytes(imagePhysBase, blob)
+	m.Phys.FillInt3(imagePhysBase, span)
+	for _, s := range segs {
+		m.Phys.WriteBytes(imagePhysBase+(s.Addr-k.ImageBase), s.Bytes)
+	}
 
 	// Kernel data: supervisor, read+write, NX.
 	dataVA := k.ImageBase + ImageTextSize

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"phantom/internal/mem"
@@ -186,5 +187,60 @@ func TestUserCannotTouchSecret(t *testing.T) {
 	k := bootTest(t, 1)
 	if _, f := k.M.KernelAS.Translate(k.SecretVA, mem.AccessRead, true); f == nil {
 		t.Fatal("user mode can read the kernel secret")
+	}
+}
+
+// TestSparseImageMatchesPaddedImage pins the sparse kernel image: boot
+// writes only the code, over an int3 fill, yet every text byte read
+// through the kernel's page tables equals the padded image, zero-extended
+// to the text size. Seeds 397 and 565 boot into the first and last KASLR
+// slots.
+func TestSparseImageMatchesPaddedImage(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		slot int
+	}{{397, 0}, {565, KernelSlots - 1}, {29, -1}} {
+		k := bootTest(t, c.seed)
+		if c.slot >= 0 && k.ImageSlot != c.slot {
+			t.Fatalf("seed %d booted slot %d, want %d", c.seed, k.ImageSlot, c.slot)
+		}
+		img := buildImage(k.ImageBase)
+		want := make([]byte, ImageTextSize)
+		copy(want, img.MustBytes())
+		for off := uint64(0); off < ImageTextSize; off += mem.PageSize {
+			pa, f := k.M.KernelAS.Translate(k.ImageBase+off, mem.AccessRead, false)
+			if f != nil {
+				t.Fatal(f)
+			}
+			got, _ := k.M.Phys.Window(pa, mem.PageSize)
+			for i := range got {
+				if got[i] != want[off+uint64(i)] {
+					t.Fatalf("slot %d: text byte %#x = %#x, padded image has %#x",
+						k.ImageSlot, off+uint64(i), got[i], want[off+uint64(i)])
+				}
+			}
+		}
+		if b, _ := k.M.KernelAS.Read8(k.Symbol("getpid_site") - 1); b != 0xcc {
+			t.Errorf("slot %d: gap byte before getpid_site = %#x, want int3", k.ImageSlot, b)
+		}
+		if b, _ := k.M.KernelAS.Read8(img.PC()); b != 0 {
+			t.Errorf("slot %d: byte after the last ret = %#x, want 0", k.ImageSlot, b)
+		}
+	}
+}
+
+// TestBootAllocBudget guards boot's cost: a boot that materialized the
+// int3-padded text again (about 25 MB) would fail here, not in a
+// benchmark someone has to read.
+func TestBootAllocBudget(t *testing.T) {
+	const boots, budget = 5, 4e6 // bytes per boot; a sparse boot takes about 0.45 MB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < boots; i++ {
+		bootTest(t, int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / boots; per > budget {
+		t.Fatalf("a boot allocates %.1f MB, budget %.0f MB", float64(per)/1e6, budget/1e6)
 	}
 }

@@ -117,6 +117,10 @@ type PhysMem struct {
 	// allocation per chunk instead of one per frame.
 	arena []byte
 
+	// int3Lo and int3Hi bound the one range whose bytes start out as
+	// int3 rather than zero (see FillInt3).
+	int3Lo, int3Hi uint64
+
 	size uint64 // advertised physical memory size (for physmap experiments)
 }
 
@@ -134,6 +138,19 @@ func NewPhysMem(size uint64) *PhysMem {
 // Size returns the advertised physical memory size in bytes.
 func (pm *PhysMem) Size() uint64 { return pm.size }
 
+// FillInt3 makes the n bytes at pa read as int3 (0xcc) until written,
+// replacing any earlier such range. It holds for frames that nothing has
+// touched yet, so the kernel declares its text range at boot, before it
+// writes the code there: the text then reads as the code over an int3
+// fill, exactly as if the padded image had been copied in, without
+// materializing the padding.
+func (pm *PhysMem) FillInt3(pa, n uint64) {
+	pm.int3Lo, pm.int3Hi = pa, pa+n
+}
+
+// int3Page is the source a fresh frame's int3 bytes are copied from.
+var int3Page = bytes.Repeat([]byte{0xcc}, PageSize)
+
 // frameArenaPages is how many frames one arena chunk backs.
 const frameArenaPages = 16
 
@@ -147,6 +164,10 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 		f = pm.arena[:PageSize:PageSize]
 		pm.arena = pm.arena[PageSize:]
 		pm.frames[key] = f
+		base := key << PageShift
+		if lo, hi := max(pm.int3Lo, base), min(pm.int3Hi, base+PageSize); lo < hi {
+			copy(f[lo-base:hi-base], int3Page)
+		}
 	}
 	return f
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,143 @@ func TestFrameAllocatorReserveExcludes(t *testing.T) {
 	}
 	if pa != HugePageSize {
 		t.Fatalf("allocated reserved frame %#x", pa)
+	}
+}
+
+// refAllocator is the frame allocator with one map entry per allocated
+// 4 KiB frame, as it was before the 2 MiB bitmaps. Its answers are the
+// reference the bitmaps must reproduce: Table 5 and the hugepage
+// fragmentation at boot depend on every rng draw and address.
+type refAllocator struct {
+	size, next uint64
+	rng        *rand.Rand
+	used       map[uint64]bool
+}
+
+func (fa *refAllocator) AllocSeq(length uint64) uint64 {
+	length = (length + PageSize - 1) &^ (PageSize - 1)
+	base := fa.next
+	fa.markUsed(base, length)
+	fa.next = base + length
+	return base
+}
+
+func (fa *refAllocator) AllocRandomHuge() (uint64, error) {
+	slots := fa.size / HugePageSize
+	if slots == 0 {
+		return 0, fmt.Errorf("mem: physical memory smaller than a huge page")
+	}
+	for attempt := 0; attempt < 4096; attempt++ {
+		base := uint64(fa.rng.Int63n(int64(slots))) * HugePageSize
+		if fa.rangeFree(base, HugePageSize) {
+			fa.markUsed(base, HugePageSize)
+			return base, nil
+		}
+	}
+	return 0, fmt.Errorf("mem: no free huge frame found")
+}
+
+func (fa *refAllocator) rangeFree(base, length uint64) bool {
+	for off := uint64(0); off < length; off += PageSize {
+		if fa.used[(base+off)>>PageShift] {
+			return false
+		}
+	}
+	return true
+}
+
+func (fa *refAllocator) markUsed(base, length uint64) {
+	for off := uint64(0); off < length; off += PageSize {
+		fa.used[(base+off)>>PageShift] = true
+	}
+}
+
+func (fa *refAllocator) Reserve(base, length uint64) { fa.markUsed(base, length) }
+
+// TestFrameAllocatorMatchesReference drives the bitmap allocator and the
+// per-frame reference with the same seeded sequences of AllocSeq,
+// Reserve (at any byte offset, over part of a region or several) and
+// AllocRandomHuge, in memories small enough to fill, and requires the
+// same addresses, the same errors and the same allocated frames.
+func TestFrameAllocatorMatchesReference(t *testing.T) {
+	var partial, fails int
+	for seed := int64(1); seed <= 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		size := uint64(r.Intn(64)) * HugePageSize
+		if r.Intn(4) == 0 {
+			size += uint64(r.Intn(HugePageSize)) // a ragged top
+		}
+		start := uint64(r.Intn(int(size/PageSize)+1)) * PageSize
+		fa := NewFrameAllocator(NewPhysMem(size), start, rand.New(rand.NewSource(seed)))
+		ref := &refAllocator{size: size, next: start, rng: rand.New(rand.NewSource(seed)), used: make(map[uint64]bool)}
+	ops:
+		for op := 0; op < 40; op++ {
+			switch r.Intn(3) {
+			case 0:
+				n := uint64(r.Intn(2 * HugePageSize))
+				if got, want := fa.AllocSeq(n), ref.AllocSeq(n); got != want {
+					t.Fatalf("seed %d op %d: AllocSeq(%#x) = %#x, reference %#x", seed, op, n, got, want)
+				}
+			case 1:
+				base := uint64(r.Int63n(int64(size) + HugePageSize))
+				n := uint64(r.Intn(3 * HugePageSize))
+				if base%HugePageSize != 0 || n%HugePageSize != 0 {
+					partial++
+				}
+				fa.Reserve(base, n)
+				ref.Reserve(base, n)
+			case 2:
+				got, gerr := fa.AllocRandomHuge()
+				want, werr := ref.AllocRandomHuge()
+				if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("seed %d op %d: AllocRandomHuge = %#x, %v; reference %#x, %v", seed, op, got, gerr, want, werr)
+				}
+				if gerr != nil {
+					fails++
+					break ops // memory is full: what follows fails alike
+				}
+			}
+		}
+		marked := 0
+		for region, bits := range fa.used {
+			for i := uint64(0); i < framesPerRegion; i++ {
+				if bits[i/64]>>(i%64)&1 == 0 {
+					continue
+				}
+				marked++
+				if f := region*framesPerRegion + i; !ref.used[f] {
+					t.Fatalf("seed %d: frame %#x marked, reference free", seed, f)
+				}
+			}
+		}
+		if marked != len(ref.used) {
+			t.Fatalf("seed %d: %d frames marked, reference %d", seed, marked, len(ref.used))
+		}
+	}
+	if partial == 0 || fails == 0 {
+		t.Fatalf("sequences never reserved part of a region (%d) or filled memory (%d)", partial, fails)
+	}
+}
+
+// TestPhysMemFillInt3 pins the int3 range: frames first touched inside it
+// read 0xcc up to its last byte and zero after it, writes land over the
+// fill, and frames outside it read zero.
+func TestPhysMemFillInt3(t *testing.T) {
+	pm := NewPhysMem(1 << 30)
+	const lo, hi = 3*PageSize + 100, 5*PageSize + 7
+	pm.FillInt3(lo, hi-lo)
+	pm.Write8(4*PageSize+1, 0x90)
+	for pa := uint64(2 * PageSize); pa < 7*PageSize; pa++ {
+		want := byte(0)
+		switch {
+		case pa == 4*PageSize+1:
+			want = 0x90
+		case pa >= lo && pa < hi:
+			want = 0xcc
+		}
+		if got := pm.Read8(pa); got != want {
+			t.Fatalf("Read8(%#x) = %#x, want %#x", pa, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+
 	"phantom/internal/isa"
 	"phantom/internal/pipeline"
 )
@@ -101,13 +103,15 @@ type Diff struct {
 	CycleDelta   int64 `json:"cycleDelta"` // on - off
 }
 
-// runLeg builds a fresh machine for p, trains, runs the victim once,
-// and captures the leg. specOff selects the mispredict-off reference.
-func runLeg(p *Program, specOff bool) (Leg, error) {
+// runLeg builds a fresh machine for p, bound to ctx, trains, runs the
+// victim once, and captures the leg. specOff selects the mispredict-off
+// reference. A leg that ctx cut short returns ctx's error.
+func runLeg(ctx context.Context, p *Program, specOff bool) (Leg, error) {
 	l, err := buildLab(p)
 	if err != nil {
 		return Leg{}, err
 	}
+	l.m.Bind(ctx)
 	l.m.DisableSpeculation = specOff
 
 	col := &collector{}
@@ -128,6 +132,9 @@ func runLeg(p *Program, specOff bool) (Leg, error) {
 	col.reset()
 	cyclesBefore := l.m.Cycle
 	res := l.runVictim()
+	if err := ctx.Err(); err != nil {
+		return Leg{}, err
+	}
 
 	leg := Leg{
 		Arch: ArchState{
@@ -170,12 +177,15 @@ func (l *lab) predDigest() uint64 {
 
 // RunDiff executes p mispredict-on and mispredict-off and diffs the
 // two legs.
-func RunDiff(p *Program) (*Diff, error) {
-	on, err := runLeg(p, false)
+func RunDiff(p *Program) (*Diff, error) { return runDiff(context.TODO(), p) }
+
+// runDiff is RunDiff with both legs' machines bound to ctx.
+func runDiff(ctx context.Context, p *Program) (*Diff, error) {
+	on, err := runLeg(ctx, p, false)
 	if err != nil {
 		return nil, err
 	}
-	off, err := runLeg(p, true)
+	off, err := runLeg(ctx, p, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package search
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Minimize shrinks an anomalous program to a locally-minimal
 // reproducer of one category: a delta-debugging pass over the victim
@@ -16,7 +19,13 @@ import "fmt"
 // merely pad the episode, which is exactly the noise minimization
 // exists to strip.
 func Minimize(p *Program, cat Category) (*Program, error) {
-	ok, err := reproduces(p, cat)
+	return minimize(context.TODO(), p, cat)
+}
+
+// minimize is Minimize under ctx: every candidate runs on machines bound
+// to it, and a done ctx ends the pass with its error.
+func minimize(ctx context.Context, p *Program, cat Category) (*Program, error) {
+	ok, err := reproduces(ctx, p, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -28,12 +37,12 @@ func Minimize(p *Program, cat Category) (*Program, error) {
 	for changed := true; changed; {
 		changed = false
 
-		if v, shrunk, err := ddList(cur, cat, true); err != nil {
+		if v, shrunk, err := ddList(ctx, cur, cat, true); err != nil {
 			return nil, err
 		} else if shrunk {
 			cur, changed = v, true
 		}
-		if v, shrunk, err := ddList(cur, cat, false); err != nil {
+		if v, shrunk, err := ddList(ctx, cur, cat, false); err != nil {
 			return nil, err
 		} else if shrunk {
 			cur, changed = v, true
@@ -41,7 +50,7 @@ func Minimize(p *Program, cat Category) (*Program, error) {
 		for cur.Rounds > 1 {
 			c := cur.clone()
 			c.Rounds--
-			ok, err := reproduces(c, cat)
+			ok, err := reproduces(ctx, c, cat)
 			if err != nil {
 				return nil, err
 			}
@@ -57,7 +66,7 @@ func Minimize(p *Program, cat Category) (*Program, error) {
 // ddList runs one delta-debugging sweep over the victim (victim=true)
 // or gadget statement list, returning the shrunk program and whether
 // anything was removed.
-func ddList(p *Program, cat Category, victim bool) (*Program, bool, error) {
+func ddList(ctx context.Context, p *Program, cat Category, victim bool) (*Program, bool, error) {
 	cur := p.clone()
 	shrunk := false
 	list := func(q *Program) []string {
@@ -83,7 +92,7 @@ func ddList(p *Program, cat Category, victim bool) (*Program, bool, error) {
 			cand = append(cand, l[start+chunk:]...)
 			c := cur.clone()
 			setList(c, cand)
-			ok, err := reproduces(c, cat)
+			ok, err := reproduces(ctx, c, cat)
 			if err != nil {
 				return nil, false, err
 			}
@@ -111,10 +120,12 @@ func ddList(p *Program, cat Category, victim bool) (*Program, bool, error) {
 // that no longer assembles (possible when removal strands a branch
 // without its label — not with the current single-label grammar, but
 // the minimizer must not depend on that) counts as not reproducing.
-func reproduces(p *Program, cat Category) (bool, error) {
-	d, err := RunDiff(p)
+// Every delta-debugging step runs through here, so this is where a done
+// ctx stops the minimizer: its legs fail, and ctx's error is returned.
+func reproduces(ctx context.Context, p *Program, cat Category) (bool, error) {
+	d, err := runDiff(ctx, p)
 	if err != nil {
-		return false, nil //nolint:nilerr // unassemblable candidate = not a reproducer
+		return false, ctx.Err() //nolint:nilerr // with ctx live, an unassemblable candidate = not a reproducer
 	}
 	for _, f := range Classify(p, d) {
 		if f.Category == cat {

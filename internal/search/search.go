@@ -82,7 +82,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				return jr, err
 			}
 			p := Generate(opts.Arch, deriveSeed(opts.Seed, it))
-			d, err := RunDiff(p)
+			d, err := runDiff(ctx, p)
 			if err != nil {
 				return jr, fmt.Errorf("iteration %d (seed %d): %w", it, p.Seed, err)
 			}
@@ -119,13 +119,16 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// also the fixture filename, so it must be unique).
 	minSeen := make(map[string]bool)
 	for _, f := range kept {
-		min, err := Minimize(f.Program, f.Category)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		min, err := minimize(ctx, f.Program, f.Category)
 		if err != nil {
 			return nil, fmt.Errorf("minimize %s: %w", f.Key(), err)
 		}
 		// Re-measure the minimized program so the pinned numbers match
 		// what the fixture will replay.
-		d, err := RunDiff(min)
+		d, err := runDiff(ctx, min)
 		if err != nil {
 			return nil, err
 		}

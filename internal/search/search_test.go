@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"phantom/internal/telemetry"
 )
 
 // TestSearchDeterministicAcrossJobs pins the sweep-partition invariant:
@@ -71,7 +74,7 @@ func TestSearchFindsKnownAnomaly(t *testing.T) {
 		t.Errorf("deep-window finding with MaxUops=%d, want >=1", deep.MaxUops)
 	}
 	// The minimized reproducer must still reproduce standalone.
-	if ok, err := reproduces(deep.Program, CatDeepWindow); err != nil || !ok {
+	if ok, err := reproduces(context.Background(), deep.Program, CatDeepWindow); err != nil || !ok {
 		t.Errorf("minimized deep-window program does not reproduce (ok=%v err=%v)", ok, err)
 	}
 }
@@ -88,6 +91,32 @@ func TestSearchCancellation(t *testing.T) {
 	if _, err := Run(ctx, Options{Arch: "zen2", Seed: 1, Budget: 320}); err == nil {
 		t.Fatal("want error from pre-cancelled context")
 	}
+}
+
+// TestSearchCancelledDuringMinimization: a cancel that lands once the
+// sweep is over, while its findings wait to be minimized, must end the
+// run with the context's error instead of returning findings. The
+// progress line's closing newline, written as the sweep ends, fires the
+// cancel; seed 1 at budget 64 has findings to minimize.
+func TestSearchCancelledDuringMinimization(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	telemetry.Enable(telemetry.Config{Progress: cancelOnNewline(cancel)})
+	defer telemetry.Disable() //nolint:errcheck // no run log to flush
+	r, err := Run(ctx, Options{Arch: "zen2", Seed: 1, Budget: 64, Jobs: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, %v; want context.Canceled", r, err)
+	}
+}
+
+// cancelOnNewline is a progress sink that cancels on the first newline.
+type cancelOnNewline context.CancelFunc
+
+func (c cancelOnNewline) Write(p []byte) (int, error) {
+	if bytes.IndexByte(p, '\n') >= 0 {
+		c()
+	}
+	return len(p), nil
 }
 
 func TestRenderEmpty(t *testing.T) {
