@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	phantom-vet [-run names] [-list] [-v] [-cache-dir dir] [-fixture] packages...
+//	phantom-vet [-run names] [-list] [-v] [-fixture] packages...
 //
 // Packages use `go list` pattern syntax (./..., phantom/internal/...,
 // or plain directories). -run restricts the suite to a comma-separated
@@ -16,14 +16,8 @@
 // -fixture treats each argument as a single fixture package directory
 // and runs the raw rules on it, ignoring Applies scopes — the CLI face
 // of the in-tree fixture harness, used by CI to pin seeded violations.
-//
-// -cache-dir enables the driver's on-disk result cache: packages whose
-// content (and whole import chain, and hot-set slice) is unchanged
-// since the last run are restored without being type-checked or
-// analyzed. The cache applies only to full-suite runs — a -run subset
-// always analyzes from scratch, so a cached full-suite result can
-// never be confused with a partial one. -v reports per-package cache
-// hits and per-analyzer wall time on stderr.
+// -v reports the package count, the wall time, each package's load and
+// analyze time, and per-analyzer totals on stderr.
 //
 // Exit codes follow the convention shared by every phantom binary:
 // 0 on success (no findings), 1 on runtime errors or findings, 2 on
@@ -35,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -52,24 +47,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	run := fs.String("run", "", "comma-separated subset of analyzers to run (default: all)")
-	fixture := fs.Bool("fixture", false, "treat arguments as fixture package directories and run the raw rules (ignores Applies scopes and the cache)")
-	verbose := fs.Bool("v", false, "report per-package timing and cache hits on stderr")
-	cacheDir := fs.String("cache-dir", "", "directory for the on-disk result cache (default: no cache)")
-	version := fs.Bool("V", false, "print version and exit (go vet -vettool handshake compatibility)")
+	fixture := fs.Bool("fixture", false, "treat arguments as fixture package directories and run the raw rules (ignores Applies scopes)")
+	verbose := fs.Bool("v", false, "report per-package and per-analyzer timing on stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: phantom-vet [-run names] [-list] [-v] [-cache-dir dir] [-fixture] packages...\n")
+		fmt.Fprintf(stderr, "usage: phantom-vet [-run names] [-list] [-v] [-fixture] packages...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version {
-		// The standalone driver is the supported mode (the build
-		// environment vendors no x/tools unitchecker); the flag exists
-		// so `phantom-vet -V=full` identifies itself instead of
-		// misparsing.
-		fmt.Fprintln(stdout, "phantom-vet version dev")
-		return 0
 	}
 	suite, err := selectAnalyzers(*run)
 	if err != nil {
@@ -90,25 +75,28 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *fixture {
 		// Fixture mode exercises the raw rules the way the test harness
 		// does: Applies scopes are ignored (testdata package paths never
-		// fall inside the real tree's scopes) and the cache stays out of
-		// the picture. CI uses this to pin each analyzer's seeded bad
-		// fixture to exit code 1.
+		// fall inside the real tree's scopes). CI uses this to pin each
+		// analyzer's seeded bad fixture to exit code 1.
 		return runFixtures(suite, fs.Args(), stdout, stderr)
 	}
-	opts := analysis.DriverOptions{CacheDir: *cacheDir}
-	if *run != "" && *cacheDir != "" {
-		// A -run subset must not populate (or consume) the cache: the
-		// stored diagnostics would reflect a partial suite.
-		opts.CacheDir = ""
-		fmt.Fprintln(stderr, "phantom-vet: -cache-dir ignored with -run (cache stores full-suite results only)")
-	}
-	diags, stats, err := analysis.RunDriver(suite, fs.Args(), opts)
+	start := time.Now()
+	pkgs, err := analysis.Load(fs.Args())
 	if err != nil {
 		fmt.Fprintf(stderr, "phantom-vet: %v\n", err)
 		return 1
 	}
+	var timing func(pkgPath, analyzer string, d time.Duration)
+	analyze := make(map[string]time.Duration)     // per package
+	perAnalyzer := make(map[string]time.Duration) // summed over packages
 	if *verbose {
-		printStats(stderr, stats)
+		timing = func(pkgPath, analyzer string, d time.Duration) {
+			analyze[pkgPath] += d
+			perAnalyzer[analyzer] += d
+		}
+	}
+	diags := analysis.Run(suite, pkgs, timing)
+	if *verbose {
+		printStats(stderr, pkgs, analyze, perAnalyzer, time.Since(start))
 	}
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
@@ -146,21 +134,24 @@ func runFixtures(suite []*analysis.Analyzer, dirs []string, stdout, stderr io.Wr
 	return 0
 }
 
-// printStats renders the -v report: cache effectiveness, then the
-// per-package and per-analyzer wall-time breakdowns.
-func printStats(w io.Writer, stats *analysis.DriverStats) {
-	fmt.Fprintf(w, "phantom-vet: %d package(s), %d cache hit(s), %d analyzed, wall %v\n",
-		stats.Packages, stats.CacheHits, stats.CacheMisses, stats.Wall.Round(time.Millisecond))
-	for _, ps := range stats.PerPackage {
-		if ps.CacheHit {
-			fmt.Fprintf(w, "  %-40s cache hit\n", ps.Path)
-			continue
-		}
-		fmt.Fprintf(w, "  %-40s load %v, analyze %v\n", ps.Path,
-			ps.Load.Round(time.Millisecond), ps.Analyze.Round(time.Millisecond))
+// printStats renders the -v report: the package count and wall time,
+// then the per-package (by path) and per-analyzer (by name) wall-time
+// breakdowns.
+func printStats(w io.Writer, pkgs []*analysis.Package, analyze, perAnalyzer map[string]time.Duration, wall time.Duration) {
+	fmt.Fprintf(w, "phantom-vet: %d package(s), wall %v\n", len(pkgs), wall.Round(time.Millisecond))
+	byPath := append([]*analysis.Package(nil), pkgs...)
+	sort.Slice(byPath, func(i, j int) bool { return byPath[i].PkgPath < byPath[j].PkgPath })
+	for _, p := range byPath {
+		fmt.Fprintf(w, "  %-40s load %v, analyze %v\n", p.PkgPath,
+			p.LoadTime.Round(time.Millisecond), analyze[p.PkgPath].Round(time.Millisecond))
 	}
-	for _, as := range stats.PerAnalyzer {
-		fmt.Fprintf(w, "  analyzer %-12s %v\n", as.Name, as.Wall.Round(time.Millisecond))
+	names := make([]string, 0, len(perAnalyzer))
+	for name := range perAnalyzer {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "  analyzer %-12s %v\n", name, perAnalyzer[name].Round(time.Millisecond))
 	}
 }
 

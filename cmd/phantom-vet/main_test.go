@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"io"
-	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"phantom/internal/analysis"
 )
 
 // TestExitCodes pins the CLI convention shared by all five binaries:
@@ -18,7 +20,6 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{"list analyzers", []string{"-list"}, 0},
-		{"version handshake", []string{"-V"}, 0},
 		{"clean package", []string{"phantom/internal/gf2"}, 0},
 		{"seeded violation", []string{"../../internal/analysis/testdata/src/maporder/bad"}, 1},
 		{"unknown package", []string{"phantom/internal/not-a-package"}, 1},
@@ -78,49 +79,32 @@ func TestRunSubset(t *testing.T) {
 	}
 }
 
-// TestVerboseCacheRoundTrip drives -v and -cache-dir together on a
-// stdlib-only package: the first run analyzes and reports timing, the
-// second is a cache hit — the behaviour `make phantom-vet` relies on
-// for warm-run speed.
-func TestVerboseCacheRoundTrip(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "vetcache")
+// TestVerboseReport drives -v on a stdlib-only package: stderr gets
+// the package count, a load/analyze line for the package, and one
+// line per analyzer whose scope covers it, and nothing about a cache.
+func TestVerboseReport(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := realMain([]string{"-v", "-cache-dir", cacheDir, "phantom/internal/gf2"}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("cold run: exit = %d\n%s", code, stderr.String())
-	}
-	cold := stderr.String()
-	for _, want := range []string{"1 package(s), 0 cache hit(s), 1 analyzed", "load ", "analyze ", "analyzer "} {
-		if !strings.Contains(cold, want) {
-			t.Errorf("cold -v report missing %q:\n%s", want, cold)
-		}
-	}
-	stderr.Reset()
-	if code := realMain([]string{"-v", "-cache-dir", cacheDir, "phantom/internal/gf2"}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("warm run: exit = %d\n%s", code, stderr.String())
-	}
-	warm := stderr.String()
-	for _, want := range []string{"1 cache hit(s), 0 analyzed", "cache hit"} {
-		if !strings.Contains(warm, want) {
-			t.Errorf("warm -v report missing %q:\n%s", want, warm)
-		}
-	}
-}
-
-// TestRunSubsetBypassesCache pins that -run and -cache-dir do not
-// compose: the cache stores full-suite results only, and the CLI says
-// so instead of silently ignoring one flag.
-func TestRunSubsetBypassesCache(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "vetcache")
-	var stderr bytes.Buffer
-	if code := realMain([]string{"-run", "maporder", "-cache-dir", cacheDir, "phantom/internal/gf2"}, io.Discard, &stderr); code != 0 {
+	if code := realMain([]string{"-v", "phantom/internal/gf2"}, io.Discard, &stderr); code != 0 {
 		t.Fatalf("exit = %d\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "-cache-dir ignored with -run") {
-		t.Errorf("missing cache-bypass notice:\n%s", stderr.String())
+	report := stderr.String()
+	if !strings.Contains(report, "phantom-vet: 1 package(s), wall ") {
+		t.Errorf("-v report missing the package count:\n%s", report)
 	}
-	entries, err := os.ReadDir(cacheDir)
-	if err == nil && len(entries) > 0 {
-		t.Errorf("-run populated the cache: %v", entries)
+	if !regexp.MustCompile(`(?m)^  phantom/internal/gf2 +load \S+, analyze \S+$`).MatchString(report) {
+		t.Errorf("-v report missing gf2's load/analyze line:\n%s", report)
+	}
+	for _, a := range analysis.Suite() {
+		// unusedignore only checks, after the others ran, which
+		// directives they left unused; it is not timed on its own.
+		ran := a != analysis.UnusedIgnore && (a.Applies == nil || a.Applies("phantom/internal/gf2", "gf2.go"))
+		line := regexp.MustCompile(`(?m)^  analyzer ` + a.Name + ` +\S+$`)
+		if got := line.MatchString(report); got != ran {
+			t.Errorf("-v analyzer line for %s: present = %v, want %v\n%s", a.Name, got, ran, report)
+		}
+	}
+	if strings.Contains(report, "cache") {
+		t.Errorf("-v report mentions a cache:\n%s", report)
 	}
 }
 
@@ -140,8 +124,8 @@ func TestFixtureMode(t *testing.T) {
 		t.Errorf("expected lockcheck findings:\n%s", stdout.String())
 	}
 
-	// The same analyzer through the scoped driver stays silent on the
-	// same directory — the contrast -fixture exists to resolve.
+	// The same analyzer through the scoped Load+Run path stays silent
+	// on the same directory — the contrast -fixture exists to resolve.
 	stdout.Reset()
 	code = realMain([]string{"-run", "lockcheck",
 		"../../internal/analysis/testdata/src/lockcheck/bad"}, &stdout, io.Discard)
@@ -166,10 +150,28 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 	if code := realMain([]string{"-list"}, &stdout, io.Discard); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "maporder", "noperturb", "ctxflow", "faultalloc",
-		"lockcheck", "errflow", "goleak", "hotalloc", "unusedignore"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list missing %s", name)
+	for _, a := range analysis.Suite() {
+		if !strings.Contains(stdout.String(), a.Name+" ") {
+			t.Errorf("-list missing %s", a.Name)
+		}
+	}
+}
+
+// TestFixtureExitCodes is the seeded-violation gate CI runs over the
+// -list output, one analyzer at a time: -fixture -run <name> exits 1
+// on the analyzer's bad fixture (0 would mean the gate is asleep, 2 a
+// misconfigured fixture) and 0 on its ok fixture.
+func TestFixtureExitCodes(t *testing.T) {
+	for _, a := range analysis.Suite() {
+		dir := filepath.Join("..", "..", "internal", "analysis", "testdata", "src", a.Name)
+		for _, c := range []struct {
+			kind string
+			want int
+		}{{"bad", 1}, {"ok", 0}} {
+			args := []string{"-fixture", "-run", a.Name, filepath.Join(dir, c.kind)}
+			if got := realMain(args, io.Discard, io.Discard); got != c.want {
+				t.Errorf("%s %s fixture: exit = %d, want %d", a.Name, c.kind, got, c.want)
+			}
 		}
 	}
 }

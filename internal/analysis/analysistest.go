@@ -88,7 +88,7 @@ func AnalyzeDir(a *Analyzer, dir string) ([]Diagnostic, *token.FileSet, error) {
 		// a directive is unused only if the analyzer it names ran and
 		// stayed silent. Its fixtures therefore run everything and
 		// report only the unusedignore findings.
-		all, _ := AnalyzePackage(Suite(), pkg, nil, nil, nil, nil)
+		all := AnalyzePackage(Suite(), pkg, nil, nil, nil, nil)
 		var out []Diagnostic
 		for _, d := range all {
 			if d.Analyzer == UnusedIgnore.Name {

@@ -12,54 +12,16 @@ func fixture(parts ...string) string {
 	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
 }
 
-func TestDeterminismFixtures(t *testing.T) {
-	RunFixture(t, Determinism, fixture("determinism", "bad"))
-	RunFixture(t, Determinism, fixture("determinism", "ok"))
-}
-
-func TestMapOrderFixtures(t *testing.T) {
-	RunFixture(t, MapOrder, fixture("maporder", "bad"))
-	RunFixture(t, MapOrder, fixture("maporder", "ok"))
-}
-
-func TestNoPerturbFixtures(t *testing.T) {
-	RunFixture(t, NoPerturb, fixture("noperturb", "bad"))
-	RunFixture(t, NoPerturb, fixture("noperturb", "ok"))
-}
-
-func TestCtxFlowFixtures(t *testing.T) {
-	RunFixture(t, CtxFlow, fixture("ctxflow", "bad"))
-	RunFixture(t, CtxFlow, fixture("ctxflow", "ok"))
-}
-
-func TestFaultAllocFixtures(t *testing.T) {
-	RunFixture(t, FaultAlloc, fixture("faultalloc", "bad"))
-	RunFixture(t, FaultAlloc, fixture("faultalloc", "ok"))
-}
-
-func TestLockCheckFixtures(t *testing.T) {
-	RunFixture(t, LockCheck, fixture("lockcheck", "bad"))
-	RunFixture(t, LockCheck, fixture("lockcheck", "ok"))
-}
-
-func TestErrFlowFixtures(t *testing.T) {
-	RunFixture(t, ErrFlow, fixture("errflow", "bad"))
-	RunFixture(t, ErrFlow, fixture("errflow", "ok"))
-}
-
-func TestGoLeakFixtures(t *testing.T) {
-	RunFixture(t, GoLeak, fixture("goleak", "bad"))
-	RunFixture(t, GoLeak, fixture("goleak", "ok"))
-}
-
-func TestHotAllocFixtures(t *testing.T) {
-	RunFixture(t, HotAlloc, fixture("hotalloc", "bad"))
-	RunFixture(t, HotAlloc, fixture("hotalloc", "ok"))
-}
-
-func TestUnusedIgnoreFixtures(t *testing.T) {
-	RunFixture(t, UnusedIgnore, fixture("unusedignore", "bad"))
-	RunFixture(t, UnusedIgnore, fixture("unusedignore", "ok"))
+// TestAnalyzerFixtures runs every analyzer in the suite on its own
+// testdata/src/<name>/bad and ok fixtures. A missing fixture directory
+// fails the subtest, so a new analyzer cannot join the suite untested.
+func TestAnalyzerFixtures(t *testing.T) {
+	for _, a := range Suite() {
+		t.Run(a.Name, func(t *testing.T) {
+			RunFixture(t, a, fixture(a.Name, "bad"))
+			RunFixture(t, a, fixture(a.Name, "ok"))
+		})
+	}
 }
 
 // TestCrossAnalyzerSilence pins that analyzers do not fire on each

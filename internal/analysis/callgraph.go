@@ -9,10 +9,10 @@ import (
 // callgraph.go extracts per-package static call summaries and
 // assembles them into the whole-repo call graph. The summary is a
 // fact (facts.go): each package exports the out-edges of its
-// functions, and the driver — which sees every package's summary,
-// cached or fresh — computes reachability over the union. That split
-// is what lets a warm run rebuild the global graph without
-// type-checking a single unchanged package.
+// functions, and Run computes reachability over the union before any
+// checking analyzer runs. That order matters because the hot set flows
+// against the import DAG: a function is hot when a hot root in some
+// importing package reaches it.
 //
 // Resolution is static and conservative: direct calls and method
 // calls whose callee the type-checker resolved to a concrete

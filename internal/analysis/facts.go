@@ -10,16 +10,14 @@ import (
 // analogue of golang.org/x/tools/go/analysis facts. An analyzer
 // running on package P exports facts about P's functions; analyzers
 // running on packages that import P consume them. Facts flow strictly
-// along the import DAG (the driver analyzes packages in dependency
-// order), are keyed by types.Func.FullName (stable across processes),
-// and are plain JSON-serializable data so the driver's on-disk result
-// cache can restore a package's exports without re-analyzing it.
+// along the import DAG (Run analyzes packages in dependency order) and
+// are keyed by types.Func.FullName.
 //
 // Two fact kinds exist today:
 //
 //   - Callees: the static call edges out of every function, extracted
-//     for every package (callgraph.go). The driver assembles them into
-//     the whole-repo call graph that marks the hot set for hotalloc.
+//     for every package (callgraph.go). Run assembles them into the
+//     whole-repo call graph that marks the hot set for hotalloc.
 //   - Durable: set by errflow on functions whose error result reports
 //     a durability outcome (an fsync/flush/flock, or transitively a
 //     call to one). A caller in an importing package that discards
@@ -30,18 +28,18 @@ type FuncFact struct {
 	// Callees holds the FullNames of functions this one statically
 	// calls (closure bodies attributed to their enclosing function),
 	// sorted and deduplicated.
-	Callees []string `json:"callees,omitempty"`
+	Callees []string
 
 	// Durable, when non-empty, is the human-readable reason this
 	// function's error result must not be discarded on a durability
 	// path ("calls (*os.File).Sync", ...).
-	Durable string `json:"durable,omitempty"`
+	Durable string
 }
 
 // PackageFacts is everything one package exports, keyed by
 // types.Func.FullName.
 type PackageFacts struct {
-	Funcs map[string]*FuncFact `json:"funcs,omitempty"`
+	Funcs map[string]*FuncFact
 }
 
 func newPackageFacts() *PackageFacts {
@@ -73,10 +71,10 @@ func (pf *PackageFacts) names() []string {
 	return out
 }
 
-// A FactStore holds the facts of every package analyzed (or restored
-// from cache) so far in one run. The driver writes a package's facts
-// exactly once, after its analysis completes and before any importer
-// starts, so readers never observe a partially exported package.
+// A FactStore holds the facts of every package analyzed so far in one
+// run. Run writes a package's facts exactly once, after its analysis
+// completes and before any importer starts, so readers never observe a
+// partially exported package.
 type FactStore struct {
 	mu   sync.Mutex
 	pkgs map[string]*PackageFacts
@@ -94,7 +92,7 @@ func (s *FactStore) Set(pkgPath string, pf *PackageFacts) {
 }
 
 // Package returns pkgPath's facts, or nil if the package has not been
-// analyzed (not in the vetted set, or not yet reached — the driver's
+// analyzed (not in the vetted set, or not yet reached — Run's
 // dependency ordering makes the latter impossible for true imports).
 func (s *FactStore) Package(pkgPath string) *PackageFacts {
 	s.mu.Lock()

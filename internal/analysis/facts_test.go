@@ -92,7 +92,7 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(Suite(), pkgs)
+	diags := Run(Suite(), pkgs, nil)
 	var found bool
 	for _, d := range diags {
 		if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
@@ -105,50 +105,4 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	if !found {
 		t.Fatalf("no errflow finding for the cross-package durable discard; got: %v", diags)
 	}
-}
-
-// TestCachedFactsFlowToInvalidatedImporter is the reason cache entries
-// persist facts at all: after a warm fill, only the importer (cluster)
-// is edited. store must be restored from cache — unparsed, unchecked —
-// and its Durable fact must still reach cluster's fresh analysis.
-func TestCachedFactsFlowToInvalidatedImporter(t *testing.T) {
-	root := writePhantomShadowModule(t)
-	inDir(t, root)
-	cacheDir := filepath.Join(t.TempDir(), "vetcache")
-
-	run := func() ([]Diagnostic, *DriverStats) {
-		t.Helper()
-		diags, stats, err := RunDriver(Suite(), []string{"./..."}, DriverOptions{CacheDir: cacheDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return diags, stats
-	}
-	cold, _ := run()
-
-	// Touch only the importer.
-	src := filepath.Join(root, "internal", "cluster", "cluster.go")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(src, append(data, []byte("\nfunc unrelated() {}\n")...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, stats := run()
-	if stats.CacheHits != 1 || stats.CacheMisses != 1 {
-		t.Fatalf("after editing cluster: hits=%d misses=%d, want 1/1 (store cached, cluster re-analyzed)", stats.CacheHits, stats.CacheMisses)
-	}
-	assertDurableFinding := func(diags []Diagnostic, label string) {
-		t.Helper()
-		for _, d := range diags {
-			if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
-				return
-			}
-		}
-		t.Fatalf("%s run lost the cross-package durable finding: %v", label, diags)
-	}
-	assertDurableFinding(cold, "cold")
-	assertDurableFinding(warm, "warm")
 }

@@ -25,8 +25,8 @@ var HotRoots = []string{
 //
 // faultalloc pins one shape (&Fault{}) in a fixed package list; it
 // misses the helper two calls away that builds a []Probe on every
-// step. HotAlloc closes that gap with the call graph: the driver
-// computes the set of functions reachable from HotRoots across the
+// step. HotAlloc closes that gap with the call graph: Run computes
+// the set of functions reachable from HotRoots across the
 // repo (callgraph.go facts) and this analyzer flags the allocating
 // shapes inside them — address-of composite literal, new(T), map and
 // slice composite literals, and growing append. Plain `make` is
@@ -72,7 +72,7 @@ func runHotAlloc(pass *Pass) {
 	}
 }
 
-// hotFuncs returns the hot set for this package: the driver's global
+// hotFuncs returns the hot set for this package: Run's global
 // reachability (pass.Hot) unioned with intra-package reachability from
 // local roots. Local roots are HotRoots declared here plus any
 // function annotated `//phantomvet:hotroot` — the escape hatch fixture

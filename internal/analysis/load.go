@@ -14,24 +14,23 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"time"
 )
 
 // listedPackage is the subset of `go list -json` output the loader
-// needs. Imports feeds the driver's dependency ordering and content
-// chain hashes; it costs nothing extra to list.
+// needs.
 type listedPackage struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 }
 
 // Load expands the given `go list` patterns (./..., package paths, or
 // directories) and returns each matched package parsed and
 // type-checked from source. Test files are excluded: the invariants
 // phantom-vet enforces are about what ships in the simulator, and
-// tests legitimately use time.Now, os.Stdout capture, etc.
+// tests legitimately use time.Now, os.Stdout capture, etc. Each
+// package's LoadTime records how long its parse and type-check took.
 //
 // Type information is resolved with the standard library's "source"
 // importer, so the loader needs no compiled export data and no
@@ -55,10 +54,12 @@ func Load(patterns []string) ([]*Package, error) {
 		if len(lp.GoFiles) == 0 {
 			continue
 		}
+		start := time.Now()
 		pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
+		pkg.LoadTime = time.Since(start)
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -69,7 +70,7 @@ func Load(patterns []string) ([]*Package, error) {
 // constraints, module resolution, and pattern syntax all live in the
 // go command.
 func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles,Imports", "--"}, patterns...)
+	args := append([]string{"list", "-json=Dir,ImportPath,GoFiles", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
@@ -95,17 +96,6 @@ func goList(patterns []string) ([]listedPackage, error) {
 
 // checkPackage parses and type-checks one package's files.
 func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
-	files, err := parseFiles(fset, pkgPath, dir, goFiles)
-	if err != nil {
-		return nil, err
-	}
-	return typeCheck(fset, imp, pkgPath, files)
-}
-
-// parseFiles parses one package's files. A token.FileSet is safe for
-// concurrent use, so the driver runs this phase in parallel across
-// packages.
-func parseFiles(fset *token.FileSet, pkgPath, dir string, goFiles []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(goFiles))
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -114,14 +104,6 @@ func parseFiles(fset *token.FileSet, pkgPath, dir string, goFiles []string) ([]*
 		}
 		files = append(files, f)
 	}
-	return files, nil
-}
-
-// typeCheck resolves types for already-parsed files. The shared source
-// importer mutates its internal cache, so callers that type-check from
-// multiple goroutines must serialize calls (the driver holds a mutex
-// here; Load is serial).
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)

@@ -32,6 +32,9 @@ func TestLoadTypeChecksModulePackage(t *testing.T) {
 	if len(p.Info.Uses) == 0 {
 		t.Error("no uses resolved; analyzers would be blind")
 	}
+	if p.LoadTime <= 0 {
+		t.Errorf("LoadTime = %v, want the parse and type-check time", p.LoadTime)
+	}
 	for _, f := range p.Files {
 		name := p.Fset.Position(f.Pos()).Filename
 		if strings.HasSuffix(name, "_test.go") {
@@ -48,7 +51,7 @@ func TestLoadRunsSuiteOnIntraModuleImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(Suite(), pkgs)
+	diags := Run(Suite(), pkgs, nil)
 	for _, d := range diags {
 		t.Errorf("clean package produced: %s", d)
 	}
