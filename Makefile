@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ test:
 # 1, 2 and 8 cores: their races (a request arriving just as an
 # identical flight finishes) show up only once in a few hundred runs.
 test-cpu:
-	$(GO) test -cpu 1,4 . ./internal/service ./internal/sweep ./cmd/phantom
+	$(GO) test -cpu 1,4 . ./internal/service ./internal/sweep ./internal/search ./cmd/phantom
 	$(GO) test -count=200 -cpu 1,2,8 -run 'TestCoalescing$$|TestBatchRequests$$|TestCacheCoalesceRace$$' ./internal/service
 
 vet:
@@ -88,6 +88,17 @@ bench-boot:
 		>> BENCH_$$(date +%Y%m%d)_boot.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_boot.json || true
 
+# The search-throughput number: one search.Run on zen2 (seed 3, budget
+# 2000), where a leg is about ten instructions and machine setup, not
+# simulation, sets the cost. Archived as a dated JSON log like
+# `make bench-boot`, with the core count on its first line.
+bench-search:
+	printf '{"Action":"output","Package":"phantom/internal/search","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
+		> BENCH_$$(date +%Y%m%d)_search.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSearch_Zen2$$' -benchmem -json ./internal/search \
+		>> BENCH_$$(date +%Y%m%d)_search.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_search.json || true
+
 # One benchmark iteration each: a smoke test that the harness still runs,
 # not a measurement. CI uses this.
 bench-smoke:
@@ -103,10 +114,11 @@ bench-sweep:
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/isa
 
-# A ~2s slice of the attack-variant search (differential fuzzing of the
-# speculation model): generates, diffs, classifies, and minimizes at a
-# small budget, so the whole generate→diff→classify→minimize pipeline
-# is exercised on every `make check`. The full-budget run with fixture
+# A slice of the attack-variant search (differential fuzzing of the
+# speculation model), about 0.06 s of search on a 2-core box once built:
+# generates, diffs, classifies, and minimizes at a small budget, so the
+# whole generate→diff→classify→minimize pipeline is exercised on every
+# `make check`. The full-budget run with fixture
 # accumulation is the scheduled search-nightly job.
 search-smoke:
 	$(GO) run ./cmd/phantom search -seed 1 -budget 500 > /dev/null

@@ -42,9 +42,11 @@ func TestExitCodes(t *testing.T) {
 		{"negative mds bytes", []string{"mds", "-bytes", "-5"}, 1},
 		{"negative mds runs", []string{"mds", "-runs", "-1"}, 1},
 		{"negative fig7 samples", []string{"fig7", "-samples", "-1"}, 1},
+		{"negative search budget", []string{"search", "-budget", "-5"}, 1},
+		{"zero search budget", []string{"search", "-budget", "0"}, 0},
 	}
 	for _, c := range cases {
-		if got := realMain(c.args, io.Discard); got != c.want {
+		if got := realMainCtx(context.Background(), c.args, io.Discard, io.Discard); got != c.want {
 			t.Errorf("%s: realMain(%v) = %d, want %d", c.name, c.args, got, c.want)
 		}
 	}

@@ -43,10 +43,12 @@ type BTB struct {
 	// low PC bits) and sparsely used. Set slices are carved from arena in
 	// ways-sized runs so that populating thousands of sets (KASLR sweeps
 	// touch a new index per probe slot) costs one allocation per chunk
-	// instead of one per set.
-	sets  map[uint32][]entry
-	arena []entry
-	tick  uint64
+	// instead of one per set. The first arenaUsed entries of the current
+	// chunk are handed out; FlushAll rewinds it.
+	sets      map[uint32][]entry
+	arena     []entry
+	arenaUsed int
+	tick      uint64
 
 	// Lookups and Hits count queries for diagnostics.
 	Lookups uint64
@@ -55,7 +57,16 @@ type BTB struct {
 
 // New returns an empty BTB with the given scheme and associativity.
 func New(s *Scheme, ways int) *BTB {
-	return &BTB{scheme: s, ways: ways, sets: make(map[uint32][]entry)}
+	b := &BTB{scheme: s, ways: ways, sets: make(map[uint32][]entry)}
+	b.Reset()
+	return b
+}
+
+// Reset empties the BTB and zeroes its recency clock and counters,
+// keeping its allocations: the state New returns.
+func (b *BTB) Reset() {
+	b.FlushAll()
+	b.tick, b.Lookups, b.Hits = 0, 0, 0
 }
 
 // arenaChunkSets is how many sets one arena allocation backs.
@@ -65,11 +76,13 @@ const arenaChunkSets = 8
 func (b *BTB) set(idx uint32) []entry {
 	s := b.sets[idx]
 	if s == nil {
-		if len(b.arena) < b.ways {
+		if b.arenaUsed+b.ways > len(b.arena) {
 			b.arena = make([]entry, b.ways*arenaChunkSets)
+			b.arenaUsed = 0
 		}
-		s = b.arena[:b.ways:b.ways]
-		b.arena = b.arena[b.ways:]
+		next := b.arenaUsed + b.ways
+		s = b.arena[b.arenaUsed:next:next]
+		b.arenaUsed = next
 		b.sets[idx] = s
 	}
 	return s
@@ -167,8 +180,10 @@ func (b *BTB) UpdateBHB(va uint64, kernel bool, class isa.BranchClass, target ui
 // (Section 8.2: "if IBPB flushes all types of predictions, it mitigates
 // all our exploitation primitives").
 func (b *BTB) FlushAll() {
-	b.sets = make(map[uint32][]entry)
-	b.arena = nil // old chunks alias flushed sets; start clean
+	clear(b.sets)
+	// The current chunk's sets are gone from the map: zero and reuse it.
+	clear(b.arena[:b.arenaUsed])
+	b.arenaUsed = 0
 }
 
 // Occupancy returns the number of valid entries (diagnostics).

@@ -2,6 +2,7 @@ package btb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"phantom/internal/isa"
@@ -318,5 +319,50 @@ func TestDefaultSchemesIgnoreBHB(t *testing.T) {
 	b.UpdateBHB(0x400000, false, isa.BrJmpInd, 0xccc000, 0xdeadbeef)
 	if _, ok := b.LookupBHB(0x400000, false, 0x12345678); !ok {
 		t.Fatal("history sensitivity leaked into a default scheme")
+	}
+}
+
+// TestResetMatchesNew: a used BTB, once Reset, digests, counts and
+// trains exactly as a new one; a reset RSB and PHT equal new ones field
+// for field.
+func TestResetMatchesNew(t *testing.T) {
+	s := NewZen12Scheme("zen2")
+	used, fresh := New(s, 2), New(s, 2)
+	rng := rand.New(rand.NewSource(5))
+	train := func(b *BTB, n int, rng *rand.Rand) {
+		for i := 0; i < n; i++ {
+			va := rng.Uint64() & 0x7fffffffffff
+			b.Update(va, i%3 == 0, isa.BrJmpInd, va+0x40)
+			b.Lookup(va, false)
+		}
+	}
+	train(used, 200, rng) // sets from several arena chunks
+	used.Reset()
+	if used.Occupancy() != 0 || used.StateDigest() != fresh.StateDigest() ||
+		used.Lookups != 0 || used.Hits != 0 || used.tick != 0 {
+		t.Fatalf("reset BTB is not empty: %v, %d lookups, %d hits, tick %d", used, used.Lookups, used.Hits, used.tick)
+	}
+	train(used, 50, rand.New(rand.NewSource(6)))
+	train(fresh, 50, rand.New(rand.NewSource(6)))
+	if used.StateDigest() != fresh.StateDigest() || used.Hits != fresh.Hits {
+		t.Fatal("a reset BTB trains differently from a new one")
+	}
+
+	r := NewRSB(4)
+	for i := uint64(1); i <= 6; i++ {
+		r.Push(i * 0x100)
+	}
+	r.Reset()
+	if want := NewRSB(4); !reflect.DeepEqual(r, want) {
+		t.Fatalf("reset RSB %+v, new RSB %+v", r, want)
+	}
+
+	p := NewPHT(6)
+	for i := uint64(0); i < 100; i++ {
+		p.Update(i*7, 0, i%2 == 0)
+	}
+	p.Reset()
+	if want := NewPHT(6); !reflect.DeepEqual(p, want) {
+		t.Fatal("reset PHT differs from a new one")
 	}
 }

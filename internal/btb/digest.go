@@ -19,6 +19,10 @@ import "sort"
 const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
+	// fnvPrime8 is fnvPrime^8 mod 2^64: fnv1a of a value below 256 XORs
+	// it in and multiplies eight times, seven of them after XORing in a
+	// zero byte, so it equals (h ^ v) * fnvPrime8.
+	fnvPrime8 = 0x1efac7090aef4a21
 )
 
 func fnv1a(h, v uint64) uint64 {
@@ -87,11 +91,12 @@ func (r *RSB) StateDigest() uint64 {
 	return h
 }
 
-// StateDigest hashes the full direction-counter array.
+// StateDigest hashes the full direction-counter array: fnv1a of every
+// counter, each folded as one multiply because counters fit a byte.
 func (p *PHT) StateDigest() uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range p.counters {
-		h = fnv1a(h, uint64(c))
+		h = (h ^ uint64(c)) * fnvPrime8
 	}
 	return h
 }

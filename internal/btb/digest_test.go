@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"math/rand"
 	"testing"
 
 	"phantom/internal/isa"
@@ -160,5 +161,31 @@ func TestBHBDigest(t *testing.T) {
 	a.Clear()
 	if a.StateDigest() != b.StateDigest() {
 		t.Fatal("cleared BHB digests differently from fresh")
+	}
+}
+
+// TestPHTDigestMatchesBytewise: the one-multiply fold per counter equals
+// fnv1a's byte-by-byte fold, on random counter states.
+func TestPHTDigestMatchesBytewise(t *testing.T) {
+	p8 := uint64(1)
+	for i := 0; i < 8; i++ {
+		p8 *= fnvPrime
+	}
+	if p8 != fnvPrime8 {
+		t.Fatalf("fnvPrime8 = %#x, want fnvPrime^8 = %#x", uint64(fnvPrime8), p8)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		p := NewPHT(1 + rng.Intn(12))
+		for i := range p.counters {
+			p.counters[i] = uint8(rng.Intn(4))
+		}
+		want := uint64(fnvOffset)
+		for _, c := range p.counters {
+			want = fnv1a(want, uint64(c))
+		}
+		if got := p.StateDigest(); got != want {
+			t.Fatalf("trial %d (%d counters): StateDigest %#x, byte-wise %#x", trial, len(p.counters), got, want)
+		}
 	}
 }

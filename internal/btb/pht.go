@@ -15,10 +15,16 @@ type PHT struct {
 func NewPHT(indexBits int) *PHT {
 	n := 1 << uint(indexBits)
 	p := &PHT{counters: make([]uint8, n), mask: uint64(n - 1)}
+	p.Reset()
+	return p
+}
+
+// Reset puts every counter back to weakly not-taken (1): the state
+// NewPHT returns.
+func (p *PHT) Reset() {
 	for i := range p.counters {
 		p.counters[i] = 1
 	}
-	return p
 }
 
 func (p *PHT) index(pc, bhb uint64) uint64 {

@@ -16,7 +16,16 @@ type RSB struct {
 // NewRSB returns an RSB with the given capacity (16 or 32 on the modeled
 // parts).
 func NewRSB(capacity int) *RSB {
-	return &RSB{entries: make([]uint64, capacity)}
+	r := &RSB{entries: make([]uint64, capacity)}
+	r.Reset()
+	return r
+}
+
+// Reset empties the RSB and also zeroes the slots Clear leaves behind:
+// the state NewRSB returns.
+func (r *RSB) Reset() {
+	clear(r.entries)
+	r.Clear()
 }
 
 // Capacity returns the RSB size.

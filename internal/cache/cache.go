@@ -122,8 +122,19 @@ func New(cfg Config, rng *rand.Rand) *Cache {
 		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.plru = make([]uint64, cfg.Sets)
-	c.epoch = 1
+	c.Reset()
 	return c
+}
+
+// Reset empties the cache and zeroes its statistics, keeping its
+// allocations: the state New returns. The epoch only counts forward, so
+// every line filled before the reset is dead (the first Reset, from
+// New, moves it to 1, which the zero line value never matches).
+func (c *Cache) Reset() {
+	c.epoch++
+	clear(c.plru)
+	c.useCounter = 0
+	c.ResetStats()
 }
 
 // Config returns the cache's configuration.

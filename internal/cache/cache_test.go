@@ -239,3 +239,36 @@ func TestHierarchyLatencies(t *testing.T) {
 		t.Fatal("FlushAll left lines")
 	}
 }
+
+// TestResetMatchesNew: a used cache, once Reset, answers an access
+// sequence exactly as a new one does, replacement decisions and
+// statistics included.
+func TestResetMatchesNew(t *testing.T) {
+	for _, repl := range []ReplacementPolicy{LRU, TreePLRU} {
+		cfg := testConfig(4, 4, repl)
+		rng := rand.New(rand.NewSource(1))
+		addrs := make([]uint64, 300)
+		for i := range addrs {
+			addrs[i] = uint64(rng.Intn(64)) * 64
+		}
+		used := New(cfg, nil)
+		for _, a := range addrs {
+			used.Access(a)
+		}
+		used.Flush(addrs[0])
+		used.Reset()
+		fresh := New(cfg, nil)
+		for i, a := range addrs {
+			gh, gt, ge := used.Access(a)
+			wh, wt, we := fresh.Access(a)
+			if gh != wh || gt != wt || ge != we {
+				t.Fatalf("%s access %d (%#x): reset cache (%v %#x %v), new cache (%v %#x %v)",
+					repl, i, a, gh, gt, ge, wh, wt, we)
+			}
+		}
+		if used.Hits != fresh.Hits || used.Misses != fresh.Misses ||
+			used.Evictions != fresh.Evictions || used.Flushes != fresh.Flushes {
+			t.Fatalf("%s: stats differ after reset", repl)
+		}
+	}
+}

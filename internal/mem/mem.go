@@ -114,8 +114,10 @@ type PhysMem struct {
 	// arena backs lazily-touched frames in page-sized runs carved from
 	// chunk allocations, so experiments that touch thousands of fresh
 	// frames (KASLR slot sweeps map new training pages per probe) pay one
-	// allocation per chunk instead of one per frame.
-	arena []byte
+	// allocation per chunk instead of one per frame. The first arenaUsed
+	// bytes of the current chunk are handed out; Reset rewinds it.
+	arena     []byte
+	arenaUsed int
 
 	// int3Lo and int3Hi bound the one range whose bytes start out as
 	// int3 rather than zero (see FillInt3).
@@ -128,11 +130,25 @@ type PhysMem struct {
 // (the size bounds the physical-address search space in the Table 5
 // experiment; frames are still allocated lazily).
 func NewPhysMem(size uint64) *PhysMem {
-	return &PhysMem{
+	pm := &PhysMem{
 		frames:   make(map[uint64][]byte),
 		codeGens: make(map[uint64]uint64),
 		size:     size,
 	}
+	pm.Reset()
+	return pm
+}
+
+// Reset drops every frame, every code generation and the int3 range,
+// keeping the size and the allocations: the state NewPhysMem returns.
+// The current arena chunk is zeroed and rewound, so the frames touched
+// next reuse it.
+func (pm *PhysMem) Reset() {
+	clear(pm.frames)
+	clear(pm.codeGens)
+	clear(pm.arena[:pm.arenaUsed])
+	pm.arenaUsed = 0
+	pm.int3Lo, pm.int3Hi = 0, 0
 }
 
 // Size returns the advertised physical memory size in bytes.
@@ -158,11 +174,13 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 	key := pa >> PageShift
 	f := pm.frames[key]
 	if f == nil {
-		if len(pm.arena) < PageSize {
+		if pm.arenaUsed == len(pm.arena) {
 			pm.arena = make([]byte, PageSize*frameArenaPages)
+			pm.arenaUsed = 0
 		}
-		f = pm.arena[:PageSize:PageSize]
-		pm.arena = pm.arena[PageSize:]
+		next := pm.arenaUsed + PageSize
+		f = pm.arena[pm.arenaUsed:next:next]
+		pm.arenaUsed = next
 		pm.frames[key] = f
 		base := key << PageShift
 		if lo, hi := max(pm.int3Lo, base), min(pm.int3Hi, base+PageSize); lo < hi {
@@ -308,7 +326,19 @@ type AddrSpace struct {
 
 // NewAddrSpace returns an empty address space backed by pm.
 func NewAddrSpace(pm *PhysMem) *AddrSpace {
-	return &AddrSpace{pages: make(map[uint64]PTE), phys: pm}
+	as := &AddrSpace{pages: make(map[uint64]PTE), phys: pm}
+	as.Reset()
+	return as
+}
+
+// Reset drops every mapping and linear range, keeping the allocations.
+// It is a mapping mutation like any other: the epoch moves forward and
+// never rewinds, so a translation memoized before the reset can never
+// match after it.
+func (as *AddrSpace) Reset() {
+	clear(as.pages)
+	as.ranges = as.ranges[:0]
+	as.epoch++
 }
 
 // Phys returns the backing physical memory.

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -422,5 +423,81 @@ func TestCloneCopiesRanges(t *testing.T) {
 	c := as.Clone()
 	if _, f := c.Translate(0x2000040, AccessRead, false); f != nil {
 		t.Fatal("clone lost linear ranges")
+	}
+}
+
+// TestPhysMemReset: Reset drops every frame, code generation and the
+// int3 range, keeping the size, and the frames touched next come out of
+// the rewound arena chunk without allocating.
+func TestPhysMemReset(t *testing.T) {
+	pm := NewPhysMem(1 << 30)
+	pm.FillInt3(PageSize, 2*PageSize)
+	pm.MarkCodeFrame(PageSize)
+	pm.Write8(PageSize, 0x90)
+	for i := uint64(0); i < 2*frameArenaPages; i++ {
+		pm.Write64(i*PageSize+8, 0xfeed)
+	}
+	pm.Reset()
+	if pm.Size() != 1<<30 {
+		t.Fatalf("Size = %#x after Reset", pm.Size())
+	}
+	for i := uint64(0); i < 2*frameArenaPages; i++ {
+		if b := pm.Read8(i*PageSize + 8); b != 0 {
+			t.Fatalf("frame %d reads %#x after Reset", i, b)
+		}
+		if g := pm.CodeGen(i * PageSize); g != 0 {
+			t.Fatalf("frame %d keeps code generation %d", i, g)
+		}
+	}
+	if b := pm.Read8(PageSize + 1); b != 0 {
+		t.Fatalf("the int3 range survived Reset: %#x", b)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		pm.Reset()
+		for i := uint64(0); i < frameArenaPages; i++ {
+			pm.Write8(i*PageSize, 1)
+		}
+	}); n != 0 {
+		t.Fatalf("touching frames after Reset allocates %v times", n)
+	}
+}
+
+// TestAddrSpaceReset: Reset drops pages and linear ranges, and the epoch
+// moves forward rather than back to a value a memo may hold.
+func TestAddrSpaceReset(t *testing.T) {
+	as := NewAddrSpace(NewPhysMem(1 << 30))
+	const physmap = 0xffff888000000000
+	if err := as.Map(0x400000, 0x1000, PageSize, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.AddLinearRange(physmap, 0, HugePageSize, PermRead, true); err != nil {
+		t.Fatal(err)
+	}
+	before := as.Epoch()
+	as.Reset()
+	if _, ok := as.Lookup(0x400000); ok {
+		t.Fatal("page mapping survived Reset")
+	}
+	if _, ok := as.Lookup(physmap); ok {
+		t.Fatal("linear range survived Reset")
+	}
+	if as.Epoch() <= before {
+		t.Fatalf("epoch went from %d to %d", before, as.Epoch())
+	}
+	if err := as.AddLinearRange(physmap, 0, HugePageSize, PermRead, true); err != nil {
+		t.Fatalf("re-adding the range after Reset: %v", err)
+	}
+}
+
+// TestTLBResetMatchesNew: Reset clears tags, replacement clocks and
+// statistics, so the TLB equals a new one field for field.
+func TestTLBResetMatchesNew(t *testing.T) {
+	tlb := NewTLB(4, 2)
+	for i := uint64(0); i < 40; i++ {
+		tlb.Lookup((i * 3) << PageShift)
+	}
+	tlb.Reset()
+	if want := NewTLB(4, 2); !reflect.DeepEqual(tlb, want) {
+		t.Fatalf("reset TLB %+v, new TLB %+v", tlb, want)
 	}
 }

@@ -26,7 +26,16 @@ func NewTLB(sets, ways int) *TLB {
 		t.tags[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	t.clock = make([]int, sets)
+	t.Reset()
 	return t
+}
+
+// Reset empties the TLB, rewinds its replacement clocks (which Flush
+// keeps) and zeroes the statistics: the state NewTLB returns.
+func (t *TLB) Reset() {
+	t.Flush()
+	clear(t.clock)
+	t.Hits, t.Misses = 0, 0
 }
 
 // Lookup probes the TLB for the page containing va, inserting it on miss,

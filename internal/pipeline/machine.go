@@ -150,35 +150,108 @@ type Machine struct {
 // RNG seed. The address spaces start empty; callers (the kernel package or
 // tests) install mappings and code.
 func New(p *uarch.Profile, physBytes uint64, seed int64) *Machine {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(&lazySource{})
 	phys := mem.NewPhysMem(physBytes)
-	as := mem.NewAddrSpace(phys)
 	m := &Machine{
-		Prof:     p,
-		Phys:     phys,
-		UserAS:   as,
-		KernelAS: as,
+		Prof:   p,
+		Phys:   phys,
+		UserAS: mem.NewAddrSpace(phys),
 		Hier: &cache.Hierarchy{
-			L1I:        cache.New(p.L1I, rng),
-			L1D:        cache.New(p.L1D, rng),
-			L2:         cache.New(p.L2, rng),
-			MemLatency: p.MemLatency,
+			L1I: cache.New(p.L1I, rng),
+			L1D: cache.New(p.L1D, rng),
+			L2:  cache.New(p.L2, rng),
 		},
-		Uop:  cache.New(p.UopCache, rng),
-		ITLB: mem.NewTLB(64, 8),
-		DTLB: mem.NewTLB(64, 8),
-		BTB:  btb.New(p.NewScheme(), p.BTBWays),
-		RSB:  btb.NewRSB(p.RSBDepth),
-		PHT:  btb.NewPHT(p.PHTBits),
-		BHB:  &btb.BHB{},
-		rng:  rng,
+		Uop:   cache.New(p.UopCache, rng),
+		ITLB:  mem.NewTLB(64, 8),
+		DTLB:  mem.NewTLB(64, 8),
+		BTB:   btb.New(p.NewScheme(), p.BTBWays),
+		RSB:   btb.NewRSB(p.RSBDepth),
+		PHT:   btb.NewPHT(p.PHTBits),
+		BHB:   &btb.BHB{},
+		Noise: &NoiseSource{},
+		rng:   rng,
+		pre:   newPredecodeCache(),
 	}
-	m.Noise = NewNoiseSource(m, rng)
-	m.lastFetchLine = ^uint64(0)
-	m.lastUopLine = ^uint64(0)
-	m.pre = newPredecodeCache()
-	m.attachTelemetry()
+	m.Reset(seed)
 	return m
+}
+
+// Reset puts the machine back into exactly the state
+// New(m.Prof, m.Phys.Size(), seed) returns while keeping its
+// allocations, so a harness that runs many short programs can reuse one
+// machine. Every layer empties in place: memory, mappings (KPTI undone),
+// caches, TLBs, predictors, the predecode cache. Registers, clock,
+// counters, MSRs, the tracer and the bound context clear, noise returns
+// to level 1, and the RNG draws as a fresh one seeded with seed. Like
+// New, a reset counts one pipeline_boots, so telemetry counts stay a
+// function of the programs run, not of how machines were reused.
+func (m *Machine) Reset(seed int64) {
+	m.Phys.Reset()
+	m.UserAS.Reset()
+	m.Hier.L1I.Reset()
+	m.Hier.L1D.Reset()
+	m.Hier.L2.Reset()
+	m.Hier.MemLatency = m.Prof.MemLatency
+	m.Uop.Reset()
+	m.ITLB.Reset()
+	m.DTLB.Reset()
+	m.BTB.Reset()
+	m.RSB.Reset()
+	m.PHT.Reset()
+	m.BHB.Clear()
+	m.pre.reset()
+	m.rng.Seed(seed)
+	*m.Noise = NoiseSource{m: m, rng: m.rng, Level: 1}
+	// Every field not named here takes its zero value.
+	*m = Machine{
+		Prof:     m.Prof,
+		Phys:     m.Phys,
+		UserAS:   m.UserAS,
+		KernelAS: m.UserAS,
+		Hier:     m.Hier,
+		Uop:      m.Uop,
+		ITLB:     m.ITLB,
+		DTLB:     m.DTLB,
+		BTB:      m.BTB,
+		RSB:      m.RSB,
+		PHT:      m.PHT,
+		BHB:      m.BHB,
+		Noise:    m.Noise,
+		rng:      m.rng,
+		pre:      m.pre,
+
+		lastFetchLine: ^uint64(0),
+		lastUopLine:   ^uint64(0),
+	}
+	m.attachTelemetry()
+}
+
+// lazySource is math/rand's default source, seeded on its first draw
+// rather than by Seed: seeding costs more than a short program's whole
+// simulation, and most machines never draw. Its draws equal those of
+// rand.NewSource(seed).
+type lazySource struct {
+	src    rand.Source64 // nil until the first draw
+	seed   int64
+	seeded bool
+}
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+
+func (s *lazySource) Int63() int64 { return s.source().Int63() }
+
+func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
+
+func (s *lazySource) source() rand.Source64 {
+	if !s.seeded {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
+	}
+	return s.src
 }
 
 // referenceFetch is the context key of WithReferenceFetch's mark.

@@ -25,11 +25,6 @@ type NoiseSource struct {
 	SiblingStress int
 }
 
-// NewNoiseSource returns a source at Level 1.
-func NewNoiseSource(m *Machine, rng *rand.Rand) *NoiseSource {
-	return &NoiseSource{m: m, rng: rng, Level: 1}
-}
-
 // SyscallThrash perturbs cache state the way a kernel entry/exit path
 // does: a few I-cache and D-cache sets get touched by lines the attacker
 // does not control.

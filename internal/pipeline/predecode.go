@@ -63,7 +63,10 @@ type predecodeCache struct {
 	// arena carves predecodeLine values from chunk allocations: KASLR
 	// sweeps decode training code at a fresh physical line per probe
 	// slot, and a per-line allocation showed up in experiment profiles.
-	arena []predecodeLine
+	// The first arenaUsed lines of the current chunk are handed out;
+	// reset rewinds it.
+	arena     []predecodeLine
+	arenaUsed int
 }
 
 // predecodeArenaLines is how many lines one arena chunk backs.
@@ -73,12 +76,23 @@ func newPredecodeCache() predecodeCache {
 	return predecodeCache{lines: make(map[uint64]*predecodeLine)}
 }
 
+// reset empties the cache, keeping its map and its current chunk.
+func (c *predecodeCache) reset() {
+	clear(c.lines)
+	c.arenaUsed = 0
+}
+
+// newLine hands out an empty line; lookup and insert read only the
+// decodes its mask marks, so a line rewound by reset needs only the
+// mask cleared.
 func (c *predecodeCache) newLine() *predecodeLine {
-	if len(c.arena) == 0 {
+	if c.arenaUsed == len(c.arena) {
 		c.arena = make([]predecodeLine, predecodeArenaLines)
+		c.arenaUsed = 0
 	}
-	pl := &c.arena[0]
-	c.arena = c.arena[1:]
+	pl := &c.arena[c.arenaUsed]
+	c.arenaUsed++
+	pl.decoded = 0
 	return pl
 }
 

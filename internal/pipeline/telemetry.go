@@ -48,8 +48,8 @@ func (m *Machine) flushTelemetry() {
 	}
 }
 
-// attachTelemetry hooks a freshly built machine to the active hub (nil
-// handles when disabled) and counts the boot.
+// attachTelemetry hooks a starting machine (New or Reset) to the active
+// hub (nil handles when disabled) and counts the start as a boot.
 func (m *Machine) attachTelemetry() {
 	m.tstat, m.tshard = telemetry.MachineStats()
 	if m.tstat != nil {

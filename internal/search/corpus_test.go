@@ -65,7 +65,7 @@ func TestSearchCorpusParity(t *testing.T) {
 			}
 			// Fixtures are minimized before landing; a fixture that
 			// stops being minimal after a model change is stale evidence.
-			if ok, err := reproduces(context.Background(), fx.Program, fx.Expect.Category); err != nil || !ok {
+			if ok, err := reproduces(context.Background(), &rig{}, fx.Program, fx.Expect.Category); err != nil || !ok {
 				t.Errorf("fixture no longer reproduces its category standalone (ok=%v err=%v)", ok, err)
 			}
 		})

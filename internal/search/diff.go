@@ -2,8 +2,10 @@ package search
 
 import (
 	"context"
+	"encoding/binary"
 
 	"phantom/internal/isa"
+	"phantom/internal/mem"
 	"phantom/internal/pipeline"
 )
 
@@ -103,11 +105,12 @@ type Diff struct {
 	CycleDelta   int64 `json:"cycleDelta"` // on - off
 }
 
-// runLeg builds a fresh machine for p, bound to ctx, trains, runs the
-// victim once, and captures the leg. specOff selects the mispredict-off
-// reference. A leg that ctx cut short returns ctx's error.
-func runLeg(ctx context.Context, p *Program, specOff bool) (Leg, error) {
-	l, err := buildLab(p)
+// runLeg builds p's lab on r's machine, binds it to ctx, trains, runs
+// the victim once, and captures the leg. specOff selects the
+// mispredict-off reference. A leg that ctx cut short returns ctx's
+// error.
+func runLeg(ctx context.Context, r *rig, p *Program, specOff bool) (Leg, error) {
+	l, err := buildLab(r, p)
 	if err != nil {
 		return Leg{}, err
 	}
@@ -150,16 +153,29 @@ func runLeg(ctx context.Context, p *Program, specOff bool) (Leg, error) {
 	return leg, nil
 }
 
-// memDigest hashes the data and stack pages.
+// The 64-bit FNV-1a parameters of the leg digests.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+	fnvPrime8 = 0x1efac7090aef4a21 // fnvPrime^8 mod 2^64: eight zero bytes
+)
+
+// memDigest hashes the data and stack pages: FNV-1a over their bytes,
+// each page read once through its frame. An all-zero word folds as one
+// multiply; in most programs every page is still zero after the victim.
 func (l *lab) memDigest() uint64 {
-	h := uint64(0xcbf29ce484222325)
+	h := uint64(fnvOffset)
 	for _, pa := range l.dataPAs {
-		for off := uint64(0); off < 4096; off += 8 {
-			v := l.m.Phys.Read64(pa + off)
-			for i := 0; i < 8; i++ {
-				h ^= v & 0xff
-				h *= 0x100000001b3
-				v >>= 8
+		// dataPAs are page-aligned, so the window always fits.
+		page, _ := l.m.Phys.Window(pa, mem.PageSize)
+		for off := 0; off < len(page); off += 8 {
+			w := page[off : off+8]
+			if binary.LittleEndian.Uint64(w) == 0 {
+				h *= fnvPrime8
+				continue
+			}
+			for _, b := range w {
+				h = (h ^ uint64(b)) * fnvPrime
 			}
 		}
 	}
@@ -169,23 +185,23 @@ func (l *lab) memDigest() uint64 {
 // predDigest folds the four predictor structures into one fingerprint.
 func (l *lab) predDigest() uint64 {
 	h := l.m.BTB.StateDigest()
-	h = h*0x100000001b3 ^ l.m.RSB.StateDigest()
-	h = h*0x100000001b3 ^ l.m.PHT.StateDigest()
-	h = h*0x100000001b3 ^ l.m.BHB.StateDigest()
+	h = h*fnvPrime ^ l.m.RSB.StateDigest()
+	h = h*fnvPrime ^ l.m.PHT.StateDigest()
+	h = h*fnvPrime ^ l.m.BHB.StateDigest()
 	return h
 }
 
 // RunDiff executes p mispredict-on and mispredict-off and diffs the
 // two legs.
-func RunDiff(p *Program) (*Diff, error) { return runDiff(context.TODO(), p) }
+func RunDiff(p *Program) (*Diff, error) { return runDiff(context.TODO(), &rig{}, p) }
 
-// runDiff is RunDiff with both legs' machines bound to ctx.
-func runDiff(ctx context.Context, p *Program) (*Diff, error) {
-	on, err := runLeg(ctx, p, false)
+// runDiff is RunDiff with both legs on r's machine, bound to ctx.
+func runDiff(ctx context.Context, r *rig, p *Program) (*Diff, error) {
+	on, err := runLeg(ctx, r, p, false)
 	if err != nil {
 		return nil, err
 	}
-	off, err := runLeg(ctx, p, true)
+	off, err := runLeg(ctx, r, p, true)
 	if err != nil {
 		return nil, err
 	}

@@ -23,9 +23,10 @@ func TestGeneratePure(t *testing.T) {
 // the generator's grammar is a subset of what isa.Assemble accepts, and
 // a program that fails buildLab would abort a whole search batch.
 func TestGenerateBuilds(t *testing.T) {
+	var r rig
 	for seed := int64(0); seed < 200; seed++ {
 		p := Generate("zen2", deriveSeed(3, int(seed)))
-		if _, err := buildLab(p); err != nil {
+		if _, err := buildLab(&r, p); err != nil {
 			t.Fatalf("seed %d: program does not build: %v\nvictim: %q\ngadget: %q",
 				p.Seed, err, p.Victim, p.Gadget)
 		}

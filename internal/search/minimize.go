@@ -19,13 +19,13 @@ import (
 // merely pad the episode, which is exactly the noise minimization
 // exists to strip.
 func Minimize(p *Program, cat Category) (*Program, error) {
-	return minimize(context.TODO(), p, cat)
+	return minimize(context.TODO(), &rig{}, p, cat)
 }
 
-// minimize is Minimize under ctx: every candidate runs on machines bound
-// to it, and a done ctx ends the pass with its error.
-func minimize(ctx context.Context, p *Program, cat Category) (*Program, error) {
-	ok, err := reproduces(ctx, p, cat)
+// minimize is Minimize under ctx with every candidate on r's machine,
+// bound to ctx: a done ctx ends the pass with its error.
+func minimize(ctx context.Context, r *rig, p *Program, cat Category) (*Program, error) {
+	ok, err := reproduces(ctx, r, p, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -37,12 +37,12 @@ func minimize(ctx context.Context, p *Program, cat Category) (*Program, error) {
 	for changed := true; changed; {
 		changed = false
 
-		if v, shrunk, err := ddList(ctx, cur, cat, true); err != nil {
+		if v, shrunk, err := ddList(ctx, r, cur, cat, true); err != nil {
 			return nil, err
 		} else if shrunk {
 			cur, changed = v, true
 		}
-		if v, shrunk, err := ddList(ctx, cur, cat, false); err != nil {
+		if v, shrunk, err := ddList(ctx, r, cur, cat, false); err != nil {
 			return nil, err
 		} else if shrunk {
 			cur, changed = v, true
@@ -50,7 +50,7 @@ func minimize(ctx context.Context, p *Program, cat Category) (*Program, error) {
 		for cur.Rounds > 1 {
 			c := cur.clone()
 			c.Rounds--
-			ok, err := reproduces(ctx, c, cat)
+			ok, err := reproduces(ctx, r, c, cat)
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +66,7 @@ func minimize(ctx context.Context, p *Program, cat Category) (*Program, error) {
 // ddList runs one delta-debugging sweep over the victim (victim=true)
 // or gadget statement list, returning the shrunk program and whether
 // anything was removed.
-func ddList(ctx context.Context, p *Program, cat Category, victim bool) (*Program, bool, error) {
+func ddList(ctx context.Context, r *rig, p *Program, cat Category, victim bool) (*Program, bool, error) {
 	cur := p.clone()
 	shrunk := false
 	list := func(q *Program) []string {
@@ -92,7 +92,7 @@ func ddList(ctx context.Context, p *Program, cat Category, victim bool) (*Progra
 			cand = append(cand, l[start+chunk:]...)
 			c := cur.clone()
 			setList(c, cand)
-			ok, err := reproduces(ctx, c, cat)
+			ok, err := reproduces(ctx, r, c, cat)
 			if err != nil {
 				return nil, false, err
 			}
@@ -122,8 +122,8 @@ func ddList(ctx context.Context, p *Program, cat Category, victim bool) (*Progra
 // the minimizer must not depend on that) counts as not reproducing.
 // Every delta-debugging step runs through here, so this is where a done
 // ctx stops the minimizer: its legs fail, and ctx's error is returned.
-func reproduces(ctx context.Context, p *Program, cat Category) (bool, error) {
-	d, err := runDiff(ctx, p)
+func reproduces(ctx context.Context, r *rig, p *Program, cat Category) (bool, error) {
+	d, err := runDiff(ctx, r, p)
 	if err != nil {
 		return false, ctx.Err() //nolint:nilerr // with ctx live, an unassemblable candidate = not a reproducer
 	}

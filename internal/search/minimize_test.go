@@ -33,10 +33,10 @@ func TestMinimizeStopsWhenCancelled(t *testing.T) {
 	p := findOne(t, "zen2", CatDeepWindow)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runDiff(ctx, p); !errors.Is(err, context.Canceled) {
+	if _, err := runDiff(ctx, &rig{}, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("runDiff = %v, want context.Canceled", err)
 	}
-	if _, err := minimize(ctx, p, CatDeepWindow); !errors.Is(err, context.Canceled) {
+	if _, err := minimize(ctx, &rig{}, p, CatDeepWindow); !errors.Is(err, context.Canceled) {
 		t.Errorf("minimize = %v, want context.Canceled", err)
 	}
 }
@@ -51,7 +51,7 @@ func TestMinimizeLocallyMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := reproduces(context.Background(), min, CatDeepWindow); err != nil || !ok {
+	if ok, err := reproduces(context.Background(), &rig{}, min, CatDeepWindow); err != nil || !ok {
 		t.Fatalf("minimized program does not reproduce (ok=%v err=%v)", ok, err)
 	}
 	if len(min.Victim) > len(p.Victim) || len(min.Gadget) > len(p.Gadget) {
@@ -66,21 +66,21 @@ func TestMinimizeLocallyMinimal(t *testing.T) {
 	for i := range min.Victim {
 		c := min.clone()
 		c.Victim = drop(c.Victim, i)
-		if ok, _ := reproduces(context.Background(), c, CatDeepWindow); ok {
+		if ok, _ := reproduces(context.Background(), &rig{}, c, CatDeepWindow); ok {
 			t.Errorf("removing victim[%d] (%q) keeps the finding: not locally minimal", i, min.Victim[i])
 		}
 	}
 	for i := range min.Gadget {
 		c := min.clone()
 		c.Gadget = drop(c.Gadget, i)
-		if ok, _ := reproduces(context.Background(), c, CatDeepWindow); ok {
+		if ok, _ := reproduces(context.Background(), &rig{}, c, CatDeepWindow); ok {
 			t.Errorf("removing gadget[%d] (%q) keeps the finding: not locally minimal", i, min.Gadget[i])
 		}
 	}
 	if min.Rounds > 1 {
 		c := min.clone()
 		c.Rounds--
-		if ok, _ := reproduces(context.Background(), c, CatDeepWindow); ok {
+		if ok, _ := reproduces(context.Background(), &rig{}, c, CatDeepWindow); ok {
 			t.Errorf("dropping a training round (%d -> %d) keeps the finding: not locally minimal",
 				min.Rounds, c.Rounds)
 		}

@@ -74,12 +74,44 @@ const (
 
 	trainLimit  = 300
 	victimLimit = 600
+
+	// labPhysBytes is the physical memory size of every lab machine.
+	labPhysBytes = 1 << 30
 )
+
+// rig is the machine a sequence of legs shares: each leg resets it
+// instead of building a new one, and the arch's alias mask is solved
+// once per machine. The zero rig is ready to use; a program of another
+// arch replaces the machine.
+type rig struct {
+	m    *pipeline.Machine
+	arch string
+	mask uint64 // btb.SamePrivAliasMask of the machine's scheme
+}
+
+// machine returns the rig's machine in the state pipeline.New gives a
+// fresh one for p, and its same-privilege alias mask.
+func (r *rig) machine(p *Program) (*pipeline.Machine, uint64, error) {
+	if r.m != nil && r.arch == p.Arch {
+		r.m.Reset(p.Seed)
+		return r.m, r.mask, nil
+	}
+	prof, err := uarch.ByName(p.Arch)
+	if err != nil {
+		return nil, 0, err
+	}
+	m := pipeline.New(prof, labPhysBytes, p.Seed)
+	mask, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
+	if !ok {
+		return nil, 0, fmt.Errorf("search: no same-privilege alias mask for %s", p.Arch)
+	}
+	*r = rig{m: m, arch: p.Arch, mask: mask}
+	return m, mask, nil
+}
 
 // lab is one assembled instance of a Program on one machine.
 type lab struct {
 	m      *pipeline.Machine
-	prof   *uarch.Profile
 	nextPA uint64
 
 	trainVA  uint64
@@ -102,20 +134,15 @@ func blockSource(stmts []string) string {
 	return b.String()
 }
 
-// buildLab assembles and maps the program on a fresh machine.
-func buildLab(p *Program) (*lab, error) {
-	prof, err := uarch.ByName(p.Arch)
+// buildLab assembles and maps the program on r's machine, reset for p.
+func buildLab(r *rig, p *Program) (*lab, error) {
+	m, mask, err := r.machine(p)
 	if err != nil {
 		return nil, err
 	}
-	m := pipeline.New(prof, 1<<30, p.Seed)
 	m.Noise.Level = 0
-	mask, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
-	if !ok {
-		return nil, fmt.Errorf("search: no same-privilege alias mask for %s", p.Arch)
-	}
 	l := &lab{
-		m: m, prof: prof, nextPA: 0x1000000,
+		m: m, nextPA: 0x1000000,
 		trainVA:  labTrainBase,
 		victimVA: labTrainBase ^ mask,
 		gadgetVA: (labTrainBase &^ 0xfff) + labGadgetOff,

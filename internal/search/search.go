@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -11,11 +12,14 @@ import (
 	"phantom/internal/uarch"
 )
 
+// DefaultBudget is how many programs a search with Budget 0 runs.
+const DefaultBudget = 5000
+
 // Options tunes one search run.
 type Options struct {
 	Arch   string
 	Seed   int64
-	Budget int // programs to generate and diff
+	Budget int // programs to generate and diff (0 = DefaultBudget)
 	// Jobs is the sweep worker-pool size (0 = GOMAXPROCS, 1 =
 	// sequential). Findings are byte-identical at any value.
 	Jobs int
@@ -45,7 +49,11 @@ type jobResult struct {
 // differentially executed and classified, fanned over the sweep worker
 // pool; then (sequentially, in discovery order) the first program of
 // every distinct signature is delta-debugged to a locally-minimal
-// reproducer.
+// reproducer. A negative Budget is an error.
+//
+// Each sweep job runs its legs on one machine, and minimization on
+// another, reset before every leg (pipeline.Machine.Reset): a leg is
+// about ten instructions, and building its machine cost far more.
 //
 // Determinism: program i is a pure function of (Seed, i), batches are
 // merged in index order, and dedup keeps the first occurrence, so the
@@ -53,8 +61,11 @@ type jobResult struct {
 // Jobs value. TestSearchDeterministicAcrossJobs pins this.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	telemetry.CountExperiment("search")
-	if opts.Budget <= 0 {
-		opts.Budget = 1000
+	if opts.Budget < 0 {
+		return nil, errors.New("negative budget")
+	}
+	if opts.Budget == 0 {
+		opts.Budget = DefaultBudget
 	}
 	if opts.Arch == "" {
 		opts.Arch = "zen2"
@@ -72,6 +83,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	results, err := sweep.Run(ctx, batches, sopts, func(ctx context.Context, job int) (jobResult, error) {
 		var jr jobResult
+		var r rig
 		lo := job * batchSize
 		hi := lo + batchSize
 		if hi > opts.Budget {
@@ -82,7 +94,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				return jr, err
 			}
 			p := Generate(opts.Arch, deriveSeed(opts.Seed, it))
-			d, err := runDiff(ctx, p)
+			d, err := runDiff(ctx, &r, p)
 			if err != nil {
 				return jr, fmt.Errorf("iteration %d (seed %d): %w", it, p.Seed, err)
 			}
@@ -118,17 +130,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// are deduped a second time on the minimized signature (which is
 	// also the fixture filename, so it must be unique).
 	minSeen := make(map[string]bool)
+	var r rig
 	for _, f := range kept {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		min, err := minimize(ctx, f.Program, f.Category)
+		min, err := minimize(ctx, &r, f.Program, f.Category)
 		if err != nil {
 			return nil, fmt.Errorf("minimize %s: %w", f.Key(), err)
 		}
 		// Re-measure the minimized program so the pinned numbers match
 		// what the fixture will replay.
-		d, err := runDiff(ctx, min)
+		d, err := runDiff(ctx, &r, min)
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func TestSearchFindsKnownAnomaly(t *testing.T) {
 		t.Errorf("deep-window finding with MaxUops=%d, want >=1", deep.MaxUops)
 	}
 	// The minimized reproducer must still reproduce standalone.
-	if ok, err := reproduces(context.Background(), deep.Program, CatDeepWindow); err != nil || !ok {
+	if ok, err := reproduces(context.Background(), &rig{}, deep.Program, CatDeepWindow); err != nil || !ok {
 		t.Errorf("minimized deep-window program does not reproduce (ok=%v err=%v)", ok, err)
 	}
 }
@@ -82,6 +82,21 @@ func TestSearchFindsKnownAnomaly(t *testing.T) {
 func TestSearchBadArch(t *testing.T) {
 	if _, err := Run(context.Background(), Options{Arch: "z80", Budget: 1}); err == nil {
 		t.Fatal("want error for unknown arch")
+	}
+}
+
+// TestSearchBudget: a negative budget is an error, and 0 runs
+// DefaultBudget programs.
+func TestSearchBudget(t *testing.T) {
+	if _, err := Run(context.Background(), Options{Arch: "zen2", Budget: -5}); err == nil {
+		t.Fatal("want error for a negative budget")
+	}
+	r, err := Run(context.Background(), Options{Arch: "zen2", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Budget != DefaultBudget {
+		t.Fatalf("Budget 0 ran %d programs, want DefaultBudget (%d)", r.Budget, DefaultBudget)
 	}
 }
 

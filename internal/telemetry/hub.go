@@ -117,6 +117,8 @@ func (h *Hub) Registry() *Registry {
 // deltas into these sharded counters at Run boundaries, charging no
 // modeled cycles and touching no modeled structure.
 type PipelineStats struct {
+	// Boots counts machine starts: every pipeline.New and every
+	// Machine.Reset, which returns a machine to the state New gives.
 	Boots, Runs          *Counter
 	Instructions, Cycles *Counter
 
