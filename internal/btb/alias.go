@@ -14,7 +14,7 @@ func constraintMatrix(s *Scheme) *gf2.Matrix {
 	for _, f := range s.TagForms {
 		m.AddRow(f)
 	}
-	for b := 0; b < s.LowTagBits; b++ {
+	for b := 0; b < verbatimTagBits; b++ {
 		m.AddRow(gf2.Vec(1) << uint(b))
 	}
 	return m

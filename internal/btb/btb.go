@@ -26,7 +26,6 @@ type Prediction struct {
 type entry struct {
 	valid  bool
 	tag    uint64
-	bhbTag uint64 // folded history tag (schemes with BHBTagBits > 0)
 	class  isa.BranchClass
 	delta  int64  // direct classes: target - source
 	target uint64 // indirect classes: absolute target
@@ -93,22 +92,14 @@ func (b *BTB) Scheme() *Scheme { return b.scheme }
 
 // Lookup queries the BTB for a branch-source address in the given privilege
 // mode. A hit yields the prediction that the frontend will act on *before*
-// the bytes at va are decoded. For history-tagged schemes use LookupBHB.
+// the bytes at va are decoded.
 func (b *BTB) Lookup(va uint64, kernel bool) (Prediction, bool) {
-	return b.LookupBHB(va, kernel, 0)
-}
-
-// LookupBHB is Lookup with an explicit branch-history fingerprint, which
-// history-tagged schemes (Scheme.BHBTagBits > 0) fold into entry
-// selection; other schemes ignore it.
-func (b *BTB) LookupBHB(va uint64, kernel bool, bhb uint64) (Prediction, bool) {
 	b.Lookups++
 	set := b.set(b.scheme.Index(va))
 	tag := b.scheme.Tag(va, kernel)
-	bhbTag := b.scheme.FoldBHB(bhb)
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.tag == tag && e.bhbTag == bhbTag {
+		if e.valid && e.tag == tag {
 			b.Hits++
 			b.tick++
 			e.lru = b.tick
@@ -129,24 +120,18 @@ func (b *BTB) LookupBHB(va uint64, kernel bool, bhb uint64) (Prediction, bool) {
 
 // Update installs or refreshes the entry for a branch executed at va in the
 // given privilege mode. target is the architectural target the branch
-// actually took this time. For history-tagged schemes use UpdateBHB.
+// actually took this time.
 func (b *BTB) Update(va uint64, kernel bool, class isa.BranchClass, target uint64) {
-	b.UpdateBHB(va, kernel, class, target, 0)
-}
-
-// UpdateBHB is Update with an explicit branch-history fingerprint.
-func (b *BTB) UpdateBHB(va uint64, kernel bool, class isa.BranchClass, target uint64, bhb uint64) {
 	if class == isa.BrNone {
 		return
 	}
 	set := b.set(b.scheme.Index(va))
 	tag := b.scheme.Tag(va, kernel)
-	bhbTag := b.scheme.FoldBHB(bhb)
 	b.tick++
 	victim := 0
 	for i := range set {
 		e := &set[i]
-		if e.valid && e.tag == tag && e.bhbTag == bhbTag {
+		if e.valid && e.tag == tag {
 			victim = i
 			break
 		}
@@ -162,7 +147,6 @@ func (b *BTB) UpdateBHB(va uint64, kernel bool, class isa.BranchClass, target ui
 	*e = entry{
 		valid:  true,
 		tag:    tag,
-		bhbTag: bhbTag,
 		class:  class,
 		kernel: kernel,
 		lru:    b.tick,

@@ -254,77 +254,23 @@ func TestRSBStuffing(t *testing.T) {
 
 func TestPHTSaturatingTraining(t *testing.T) {
 	p := NewPHT(10)
-	pc, bhb := uint64(0x400123), uint64(0)
-	if p.Predict(pc, bhb) {
+	pc := uint64(0x400123)
+	if p.Predict(pc) {
 		t.Fatal("fresh PHT predicts taken")
 	}
-	p.Update(pc, bhb, true)
-	p.Update(pc, bhb, true)
-	if !p.Predict(pc, bhb) {
+	p.Update(pc, true)
+	p.Update(pc, true)
+	if !p.Predict(pc) {
 		t.Fatal("PHT not taken after two taken updates")
 	}
 	// One not-taken should not flip a saturated counter.
-	p.Update(pc, bhb, true)
-	p.Update(pc, bhb, false)
-	if !p.Predict(pc, bhb) {
+	p.Update(pc, true)
+	p.Update(pc, false)
+	if !p.Predict(pc) {
 		t.Fatal("saturated counter flipped by single not-taken")
 	}
 }
 
-func TestBHBChangesWithHistory(t *testing.T) {
-	var b1, b2 BHB
-	b1.Record(0x400000, 0x401000)
-	b2.Record(0x400000, 0x402000)
-	if b1.Value() == b2.Value() {
-		t.Fatal("different edges produced identical history")
-	}
-	b1.Clear()
-	if b1.Value() != 0 {
-		t.Fatal("Clear did not zero history")
-	}
-}
-
-func TestBHBTaggedMultiTargetEntries(t *testing.T) {
-	// Section 2.1: with history tags, one branch source serves multiple
-	// targets, selected by the current BHB fingerprint.
-	s := NewZen12Scheme("bhi")
-	s.BHBTagBits = 8
-	b := New(s, 4)
-	src := uint64(0x400000)
-	histA, histB := uint64(0x1111), uint64(0x2222)
-	if s.FoldBHB(histA) == s.FoldBHB(histB) {
-		t.Skip("histories fold to the same tag; pick others")
-	}
-	b.UpdateBHB(src, false, isa.BrJmpInd, 0xaaa000, histA)
-	b.UpdateBHB(src, false, isa.BrJmpInd, 0xbbb000, histB)
-
-	pa, ok := b.LookupBHB(src, false, histA)
-	if !ok || pa.Target != 0xaaa000 {
-		t.Fatalf("history A: %+v ok=%v", pa, ok)
-	}
-	pb, ok := b.LookupBHB(src, false, histB)
-	if !ok || pb.Target != 0xbbb000 {
-		t.Fatalf("history B: %+v ok=%v", pb, ok)
-	}
-	// An unseen history selects neither entry.
-	if _, ok := b.LookupBHB(src, false, 0x9999); ok && s.FoldBHB(0x9999) != s.FoldBHB(histA) && s.FoldBHB(0x9999) != s.FoldBHB(histB) {
-		t.Fatal("unseen history matched an entry")
-	}
-}
-
-func TestDefaultSchemesIgnoreBHB(t *testing.T) {
-	// The evaluated parts are modeled history-insensitive: the paper's
-	// exploits train and fire under different histories.
-	b := New(NewZen12Scheme("zen2"), 2)
-	b.UpdateBHB(0x400000, false, isa.BrJmpInd, 0xccc000, 0xdeadbeef)
-	if _, ok := b.LookupBHB(0x400000, false, 0x12345678); !ok {
-		t.Fatal("history sensitivity leaked into a default scheme")
-	}
-}
-
-// TestResetMatchesNew: a used BTB, once Reset, digests, counts and
-// trains exactly as a new one; a reset RSB and PHT equal new ones field
-// for field.
 func TestResetMatchesNew(t *testing.T) {
 	s := NewZen12Scheme("zen2")
 	used, fresh := New(s, 2), New(s, 2)
@@ -359,7 +305,7 @@ func TestResetMatchesNew(t *testing.T) {
 
 	p := NewPHT(6)
 	for i := uint64(0); i < 100; i++ {
-		p.Update(i*7, 0, i%2 == 0)
+		p.Update(i*7, i%2 == 0)
 	}
 	p.Reset()
 	if want := NewPHT(6); !reflect.DeepEqual(p, want) {

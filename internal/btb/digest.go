@@ -6,7 +6,7 @@ import "sort"
 // FNV-1a hash over its *prediction-relevant* contents. The differential
 // search (internal/search) compares digests between a mispredict-on and
 // a mispredict-off run of the same program to detect predictor-state
-// divergence — wrong-path BTB lookups refresh entry recency (LookupBHB
+// divergence — wrong-path BTB lookups refresh entry recency (Lookup
 // bumps lru on a hit), so speculation that never retires still moves
 // replacement state, exactly the class of side effect the Canella
 // taxonomy files under "microarchitectural state the transient path
@@ -66,7 +66,6 @@ func (b *BTB) StateDigest() uint64 {
 			e := &set[w]
 			h = fnv1a(h, uint64(rank))
 			h = fnv1a(h, e.tag)
-			h = fnv1a(h, e.bhbTag)
 			h = fnv1a(h, uint64(e.class))
 			h = fnv1a(h, uint64(e.delta))
 			h = fnv1a(h, e.target)
@@ -99,9 +98,4 @@ func (p *PHT) StateDigest() uint64 {
 		h = (h ^ uint64(c)) * fnvPrime8
 	}
 	return h
-}
-
-// StateDigest hashes the folded global history.
-func (b *BHB) StateDigest() uint64 {
-	return fnv1a(fnvOffset, b.value)
 }

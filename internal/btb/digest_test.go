@@ -139,28 +139,13 @@ func TestPHTDigest(t *testing.T) {
 	if a.StateDigest() != b.StateDigest() {
 		t.Fatal("fresh PHTs digest differently")
 	}
-	a.Update(0x400000, 0, true)
+	a.Update(0x400000, true)
 	if a.StateDigest() == b.StateDigest() {
 		t.Fatal("digest blind to a counter update")
 	}
-	b.Update(0x400000, 0, true)
+	b.Update(0x400000, true)
 	if a.StateDigest() != b.StateDigest() {
 		t.Fatal("identical update sequences digest differently")
-	}
-}
-
-func TestBHBDigest(t *testing.T) {
-	a, b := &BHB{}, &BHB{}
-	if a.StateDigest() != b.StateDigest() {
-		t.Fatal("fresh BHBs digest differently")
-	}
-	a.Record(0x400000, 0x500000)
-	if a.StateDigest() == b.StateDigest() {
-		t.Fatal("digest blind to recorded history")
-	}
-	a.Clear()
-	if a.StateDigest() != b.StateDigest() {
-		t.Fatal("cleared BHB digests differently from fresh")
 	}
 }
 

@@ -28,9 +28,6 @@ func (r *RSB) Reset() {
 	r.Clear()
 }
 
-// Capacity returns the RSB size.
-func (r *RSB) Capacity() int { return len(r.entries) }
-
 // Push records a return address at a call.
 func (r *RSB) Push(retAddr uint64) {
 	r.entries[r.top] = retAddr

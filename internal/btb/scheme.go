@@ -1,7 +1,7 @@
 // Package btb models the branch prediction structures of the simulated
 // CPUs: the Branch Target Buffer with per-microarchitecture XOR-folded
-// index and tag functions, the Return Stack Buffer, the Branch History
-// Buffer, and a pattern history table for conditional direction prediction.
+// index and tag functions, the Return Stack Buffer, and a pattern history
+// table for conditional direction prediction.
 //
 // The BTB is the heart of Phantom: entries record the *branch class of the
 // training instruction* along with the target, and the frontend consumes
@@ -29,35 +29,17 @@ type Scheme struct {
 	// with the low VA bits they decide whether two same-index addresses
 	// share an entry.
 	TagForms []gf2.Vec
-	// LowTagBits is how many low VA bits are included verbatim in the tag
-	// (the paper's Zen 3 analysis pins the low 12 bits, which take part in
-	// entry selection directly).
-	LowTagBits int
 	// PrivilegeInTag mixes the privilege mode into the tag, preventing any
 	// cross-privilege reuse — the behaviour the paper observed on Intel
 	// parts ("the Intel processors we tested do not re-use a user-injected
 	// prediction in kernel mode", Section 6).
 	PrivilegeInTag bool
-	// BHBTagBits, when nonzero, folds that many bits of the global branch
-	// history into the entry tag, letting one branch source serve
-	// multiple targets selected by history — the Section 2.1 behaviour
-	// ("BTB entries can serve multiple targets ... the BPU selects the
-	// target by matching a tag of the current BHB with the tag from one
-	// of the targets" [8]). The evaluated parts are modeled without it
-	// (the paper's AMD exploits need no history matching); it exists for
-	// BHI-style [8] experimentation.
-	BHBTagBits int
 }
 
-// FoldBHB compresses a 64-bit history fingerprint into the scheme's BHB
-// tag width. Zero when the scheme does not use history tags.
-func (s *Scheme) FoldBHB(bhb uint64) uint64 {
-	if s.BHBTagBits <= 0 {
-		return 0
-	}
-	f := bhb ^ bhb>>17 ^ bhb>>31 ^ bhb>>47
-	return f & (1<<uint(s.BHBTagBits) - 1)
-}
+// verbatimTagBits is how many low VA bits every scheme includes verbatim
+// in the tag (the paper's Zen 3 analysis pins the low 12 bits, which take
+// part in entry selection directly).
+const verbatimTagBits = 12
 
 // Index returns the BTB set index of va: the XOR-folded high-bit
 // functions (the part the paper reverse engineers, which governs
@@ -76,9 +58,9 @@ func (s *Scheme) Index(va uint64) uint32 {
 
 // Tag returns the BTB tag of va in the given privilege mode.
 func (s *Scheme) Tag(va uint64, kernel bool) uint64 {
-	tag := va & (1<<uint(s.LowTagBits) - 1)
+	tag := va & (1<<verbatimTagBits - 1)
 	for i, f := range s.TagForms {
-		tag |= uint64(parity(va&uint64(f))) << uint(s.LowTagBits+i)
+		tag |= uint64(parity(va&uint64(f))) << uint(verbatimTagBits+i)
 	}
 	if s.PrivilegeInTag && kernel {
 		tag |= 1 << 63
@@ -168,7 +150,6 @@ func NewZen34Scheme(name string) *Scheme {
 		SchemeName: name,
 		IndexForms: Zen34Functions(),
 		TagForms:   Zen34TagOverlap(),
-		LowTagBits: 12,
 	}
 }
 
@@ -197,7 +178,6 @@ func NewZen12Scheme(name string) *Scheme {
 		SchemeName: name,
 		IndexForms: idx,
 		TagForms:   tag,
-		LowTagBits: 12,
 	}
 }
 
@@ -230,7 +210,6 @@ func NewIntelScheme(name string) *Scheme {
 		SchemeName:     name,
 		IndexForms:     idx,
 		TagForms:       tag,
-		LowTagBits:     12,
 		PrivilegeInTag: true,
 	}
 }

@@ -1,7 +1,8 @@
-// Package cache models set-associative caches with pluggable replacement
-// policies and indexing schemes. The same structure instantiates the L1
-// instruction cache, L1 data cache, shared L2 and the µop cache of the
-// simulated machines.
+// Package cache models set-associative LRU caches. The same structure
+// instantiates the L1 instruction cache, L1 data cache, shared L2 and the
+// µop cache of the simulated machines. A cache indexes by whatever
+// address its caller passes: the pipeline hands the µop cache a virtual
+// address and every other level a physical one.
 //
 // These caches carry all of Phantom's observation channels: transient
 // fetch is observed through I-cache state (Prime+Probe / timing), transient
@@ -10,66 +11,28 @@
 // memory) — Figure 3 of the paper.
 package cache
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
-// ReplacementPolicy selects the victim way on a fill into a full set.
-type ReplacementPolicy uint8
-
-// Replacement policies.
-const (
-	LRU ReplacementPolicy = iota
-	TreePLRU
-	Random
-)
-
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case TreePLRU:
-		return "plru"
-	case Random:
-		return "random"
-	}
-	return "policy?"
-}
-
-// Indexing selects which address bits pick the set.
-type Indexing uint8
-
-// Indexing schemes.
-const (
-	// PhysIndex uses the physical address (typical L2/LLC).
-	PhysIndex Indexing = iota
-	// VirtIndex uses the virtual address (µop cache; VIPT L1 behaves
-	// identically for 32 KiB/8-way geometries since index bits sit inside
-	// the page offset).
-	VirtIndex
-)
+// LineSize is the line size in bytes of every modeled cache.
+const LineSize = 64
 
 // Config describes one cache.
 type Config struct {
 	Name       string
 	Sets       int // power of two
 	Ways       int
-	LineSize   int // power of two, bytes
 	HitLatency int // cycles for a hit at this level
-	Repl       ReplacementPolicy
-	Index      Indexing
 }
 
 // Lines returns the capacity in lines.
 func (c Config) Lines() int { return c.Sets * c.Ways }
 
 // SizeBytes returns the capacity in bytes.
-func (c Config) SizeBytes() int { return c.Lines() * c.LineSize }
+func (c Config) SizeBytes() int { return c.Lines() * LineSize }
 
 func (c Config) String() string {
-	return fmt.Sprintf("%s: %d KiB, %d sets x %d ways x %dB, %s",
-		c.Name, c.SizeBytes()/1024, c.Sets, c.Ways, c.LineSize, c.Repl)
+	return fmt.Sprintf("%s: %d KiB, %d sets x %d ways x %dB",
+		c.Name, c.SizeBytes()/1024, c.Sets, c.Ways, LineSize)
 }
 
 type line struct {
@@ -88,8 +51,6 @@ type line struct {
 type Cache struct {
 	cfg        Config
 	sets       [][]line
-	plru       []uint64 // tree-PLRU state per set (bits of the tree)
-	rng        *rand.Rand
 	useCounter uint64
 	// epoch is the current FlushAll generation (starts at 1 so the zero
 	// line value is never live). Experiments flush entire hierarchies
@@ -103,16 +64,12 @@ type Cache struct {
 	Flushes   uint64
 }
 
-// New returns an empty cache. rng is used by the Random policy (and may be
-// nil for other policies).
-func New(cfg Config, rng *rand.Rand) *Cache {
+// New returns an empty cache.
+func New(cfg Config) *Cache {
 	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.Sets == 0 {
 		panic(fmt.Sprintf("cache %s: sets %d not a power of two", cfg.Name, cfg.Sets))
 	}
-	if cfg.LineSize&(cfg.LineSize-1) != 0 || cfg.LineSize == 0 {
-		panic(fmt.Sprintf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineSize))
-	}
-	c := &Cache{cfg: cfg, rng: rng}
+	c := &Cache{cfg: cfg}
 	// One backing array carved into per-set slices: experiment sweeps
 	// construct whole machines per configuration, and Sets separate
 	// allocations per cache dominated their setup cost.
@@ -121,7 +78,6 @@ func New(cfg Config, rng *rand.Rand) *Cache {
 	for i := range c.sets {
 		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	c.plru = make([]uint64, cfg.Sets)
 	c.Reset()
 	return c
 }
@@ -132,7 +88,6 @@ func New(cfg Config, rng *rand.Rand) *Cache {
 // New, moves it to 1, which the zero line value never matches).
 func (c *Cache) Reset() {
 	c.epoch++
-	clear(c.plru)
 	c.useCounter = 0
 	c.ResetStats()
 }
@@ -140,14 +95,13 @@ func (c *Cache) Reset() {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// SetIndex returns the set index for an address (virtual or physical
-// according to the indexing scheme; the caller passes the right one).
+// SetIndex returns the set index for an address.
 func (c *Cache) SetIndex(addr uint64) int {
-	return int(addr/uint64(c.cfg.LineSize)) & (c.cfg.Sets - 1)
+	return int(addr/LineSize) & (c.cfg.Sets - 1)
 }
 
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr / uint64(c.cfg.LineSize) / uint64(c.cfg.Sets)
+	return addr / LineSize / uint64(c.cfg.Sets)
 }
 
 // Present reports whether the line containing addr is cached, without
@@ -176,7 +130,6 @@ func (c *Cache) Access(addr uint64) (hit bool, evictedTag uint64, evicted bool) 
 		if set[i].epoch == c.epoch && set[i].tag == tag {
 			c.Hits++
 			set[i].lru = c.useCounter
-			c.touchPLRU(si, i)
 			return true, 0, false
 		}
 	}
@@ -190,77 +143,24 @@ func (c *Cache) Access(addr uint64) (hit bool, evictedTag uint64, evicted bool) 
 		}
 	}
 	if victim < 0 {
-		victim = c.victimWay(si)
+		victim = lruWay(set)
 		c.Evictions++
-		evictedTag = set[victim].tag*uint64(c.cfg.Sets)*uint64(c.cfg.LineSize) +
-			uint64(si)*uint64(c.cfg.LineSize)
+		evictedTag = (set[victim].tag*uint64(c.cfg.Sets) + uint64(si)) * LineSize
 		evicted = true
 	}
 	set[victim] = line{epoch: c.epoch, tag: tag, lru: c.useCounter}
-	c.touchPLRU(si, victim)
 	return false, evictedTag, evicted
 }
 
-// victimWay picks a way to evict in a full set.
-func (c *Cache) victimWay(si int) int {
-	set := c.sets[si]
-	switch c.cfg.Repl {
-	case Random:
-		return c.rng.Intn(c.cfg.Ways)
-	case TreePLRU:
-		return c.plruVictim(si)
-	default: // LRU
-		victim := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
+// lruWay picks the least recently used way of a full set.
+func lruWay(set []line) int {
+	victim := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].lru < set[victim].lru {
+			victim = i
 		}
-		return victim
 	}
-}
-
-// Tree-PLRU over Ways leaves (Ways must be a power of two for the tree;
-// non-power-of-two ways fall back to LRU).
-func (c *Cache) plruVictim(si int) int {
-	w := c.cfg.Ways
-	if w&(w-1) != 0 {
-		set := c.sets[si]
-		victim := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
-		}
-		return victim
-	}
-	state := c.plru[si]
-	node := 1
-	for node < w {
-		bit := (state >> uint(node)) & 1
-		node = node*2 + int(bit)
-	}
-	return node - w
-}
-
-func (c *Cache) touchPLRU(si, way int) {
-	w := c.cfg.Ways
-	if c.cfg.Repl != TreePLRU || w&(w-1) != 0 {
-		return
-	}
-	state := c.plru[si]
-	node := way + w
-	for node > 1 {
-		parent := node / 2
-		// Point the parent away from the touched child.
-		if node%2 == 0 {
-			state |= 1 << uint(parent)
-		} else {
-			state &^= 1 << uint(parent)
-		}
-		node = parent
-	}
-	c.plru[si] = state
+	return victim
 }
 
 // Flush removes the line containing addr if present (clflush).
@@ -282,39 +182,11 @@ func (c *Cache) FlushAll() {
 	c.Flushes++
 }
 
-// FlushSet invalidates one set by index (used by harnesses to create a
-// clean probe baseline).
-func (c *Cache) FlushSet(si int) {
-	for i := range c.sets[si] {
-		c.sets[si][i] = line{}
-	}
-}
-
 // ValidLines returns the number of valid lines in set si.
 func (c *Cache) ValidLines(si int) int {
 	n := 0
 	for _, l := range c.sets[si] {
 		if l.epoch == c.epoch {
-			n++
-		}
-	}
-	return n
-}
-
-// OccupiedWays returns how many ways of set si hold lines whose address
-// tag differs from those derivable from the given addresses — i.e., lines
-// an attacker's priming of that set did NOT install. Harness/diagnostic
-// helper for Prime+Probe reasoning in tests.
-func (c *Cache) OccupiedWays(si int, primed []uint64) int {
-	primedTags := make(map[uint64]bool, len(primed))
-	for _, a := range primed {
-		if c.SetIndex(a) == si {
-			primedTags[c.tagOf(a)] = true
-		}
-	}
-	n := 0
-	for _, l := range c.sets[si] {
-		if l.epoch == c.epoch && !primedTags[l.tag] {
 			n++
 		}
 	}

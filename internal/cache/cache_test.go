@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 )
 
-func testConfig(sets, ways int, repl ReplacementPolicy) Config {
-	return Config{Name: "t", Sets: sets, Ways: ways, LineSize: 64, HitLatency: 4, Repl: repl}
+func testConfig(sets, ways int) Config {
+	return Config{Name: "t", Sets: sets, Ways: ways, HitLatency: 4}
 }
 
 func TestAccessHitAfterFill(t *testing.T) {
-	c := New(testConfig(64, 8, LRU), nil)
+	c := New(testConfig(64, 8))
 	if hit, _, _ := c.Access(0x1000); hit {
 		t.Fatal("cold access hit")
 	}
@@ -27,7 +27,7 @@ func TestAccessHitAfterFill(t *testing.T) {
 }
 
 func TestSetIndexMapping(t *testing.T) {
-	c := New(testConfig(64, 8, LRU), nil)
+	c := New(testConfig(64, 8))
 	// Addresses 4096 apart with 64 sets x 64B lines map to the same set.
 	if c.SetIndex(0xac0) != c.SetIndex(0xac0+4096) {
 		t.Fatal("4096-stride addresses in different sets")
@@ -38,7 +38,7 @@ func TestSetIndexMapping(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(testConfig(1, 2, LRU), nil)
+	c := New(testConfig(1, 2))
 	c.Access(0x0)  // fill way 0
 	c.Access(0x40) // fill way 1
 	c.Access(0x0)  // touch 0x0 -> 0x40 is LRU
@@ -55,7 +55,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestEvictedTagReconstruction(t *testing.T) {
-	c := New(testConfig(4, 1, LRU), nil)
+	c := New(testConfig(4, 1))
 	c.Access(0x1040)               // set 1
 	_, tag, ev := c.Access(0x2040) // same set, different tag
 	if !ev {
@@ -67,7 +67,7 @@ func TestEvictedTagReconstruction(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := New(testConfig(64, 8, LRU), nil)
+	c := New(testConfig(64, 8))
 	c.Access(0x1000)
 	c.Flush(0x1000)
 	if c.Present(0x1000) {
@@ -78,17 +78,12 @@ func TestFlush(t *testing.T) {
 	if c.Present(0x1000) {
 		t.Fatal("line present after FlushAll")
 	}
-	c.Access(0x1000)
-	c.FlushSet(c.SetIndex(0x1000))
-	if c.Present(0x1000) {
-		t.Fatal("line present after FlushSet")
-	}
 }
 
 func TestPrimeProbeSemantics(t *testing.T) {
 	// Prime a set with exactly Ways lines; a foreign fill must evict one.
-	cfg := testConfig(64, 8, LRU)
-	c := New(cfg, nil)
+	cfg := testConfig(64, 8)
+	c := New(cfg)
 	set := c.SetIndex(0xac0)
 	var primed []uint64
 	for i := 0; i < cfg.Ways; i++ {
@@ -116,44 +111,8 @@ func TestPrimeProbeSemantics(t *testing.T) {
 	}
 }
 
-func TestTreePLRUVictimChanges(t *testing.T) {
-	c := New(testConfig(1, 8, TreePLRU), nil)
-	for i := 0; i < 8; i++ {
-		c.Access(uint64(i) * 64)
-	}
-	// Touch lines 0..3 so the PLRU tree points at the other half.
-	for i := 0; i < 4; i++ {
-		c.Access(uint64(i) * 64)
-	}
-	c.Access(0x10000)
-	// One of lines 4..7 must be gone.
-	gone := 0
-	for i := 4; i < 8; i++ {
-		if !c.Present(uint64(i) * 64) {
-			gone++
-		}
-	}
-	if gone != 1 {
-		t.Fatalf("PLRU evicted %d lines from the cold half", gone)
-	}
-}
-
-func TestRandomPolicyUsesRNG(t *testing.T) {
-	c := New(testConfig(1, 4, Random), rand.New(rand.NewSource(42)))
-	for i := 0; i < 4; i++ {
-		c.Access(uint64(i) * 64)
-	}
-	c.Access(0x9000)
-	if c.ValidLines(0) != 4 {
-		t.Fatal("set should stay full")
-	}
-	if c.Evictions != 1 {
-		t.Fatalf("Evictions = %d", c.Evictions)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
-	c := New(testConfig(64, 8, LRU), nil)
+	c := New(testConfig(64, 8))
 	c.Access(0x1000)
 	c.Access(0x1000)
 	if c.Hits != 1 || c.Misses != 1 {
@@ -165,27 +124,11 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestOccupiedWays(t *testing.T) {
-	c := New(testConfig(64, 8, LRU), nil)
-	set := c.SetIndex(0x40)
-	primed := []uint64{0x40, 0x40 + 4096}
-	for _, a := range primed {
-		c.Access(a)
-	}
-	if got := c.OccupiedWays(set, primed); got != 0 {
-		t.Fatalf("OccupiedWays with only primed lines = %d", got)
-	}
-	c.Access(0x40 + 8*4096)
-	if got := c.OccupiedWays(set, primed); got != 1 {
-		t.Fatalf("OccupiedWays after foreign fill = %d", got)
-	}
-}
-
 func TestCacheInvariantsProperty(t *testing.T) {
 	// Property: a set never holds more than Ways lines and Present
 	// agrees with a just-completed Access.
-	cfg := testConfig(16, 4, LRU)
-	c := New(cfg, nil)
+	cfg := testConfig(16, 4)
+	c := New(cfg)
 	f := func(addrs []uint32) bool {
 		for _, a := range addrs {
 			addr := uint64(a)
@@ -205,11 +148,10 @@ func TestCacheInvariantsProperty(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	h := &Hierarchy{
-		L1I:        New(Config{Name: "L1I", Sets: 64, Ways: 8, LineSize: 64, HitLatency: 4, Repl: LRU}, rng),
-		L1D:        New(Config{Name: "L1D", Sets: 64, Ways: 8, LineSize: 64, HitLatency: 4, Repl: LRU}, rng),
-		L2:         New(Config{Name: "L2", Sets: 1024, Ways: 8, LineSize: 64, HitLatency: 14, Repl: LRU}, rng),
+		L1I:        New(Config{Name: "L1I", Sets: 64, Ways: 8, HitLatency: 4}),
+		L1D:        New(Config{Name: "L1D", Sets: 64, Ways: 8, HitLatency: 4}),
+		L2:         New(Config{Name: "L2", Sets: 1024, Ways: 8, HitLatency: 14}),
 		MemLatency: 150,
 	}
 	// Cold: full miss.
@@ -244,31 +186,29 @@ func TestHierarchyLatencies(t *testing.T) {
 // sequence exactly as a new one does, replacement decisions and
 // statistics included.
 func TestResetMatchesNew(t *testing.T) {
-	for _, repl := range []ReplacementPolicy{LRU, TreePLRU} {
-		cfg := testConfig(4, 4, repl)
-		rng := rand.New(rand.NewSource(1))
-		addrs := make([]uint64, 300)
-		for i := range addrs {
-			addrs[i] = uint64(rng.Intn(64)) * 64
+	cfg := testConfig(4, 4)
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 300)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(64)) * 64
+	}
+	used := New(cfg)
+	for _, a := range addrs {
+		used.Access(a)
+	}
+	used.Flush(addrs[0])
+	used.Reset()
+	fresh := New(cfg)
+	for i, a := range addrs {
+		gh, gt, ge := used.Access(a)
+		wh, wt, we := fresh.Access(a)
+		if gh != wh || gt != wt || ge != we {
+			t.Fatalf("access %d (%#x): reset cache (%v %#x %v), new cache (%v %#x %v)",
+				i, a, gh, gt, ge, wh, wt, we)
 		}
-		used := New(cfg, nil)
-		for _, a := range addrs {
-			used.Access(a)
-		}
-		used.Flush(addrs[0])
-		used.Reset()
-		fresh := New(cfg, nil)
-		for i, a := range addrs {
-			gh, gt, ge := used.Access(a)
-			wh, wt, we := fresh.Access(a)
-			if gh != wh || gt != wt || ge != we {
-				t.Fatalf("%s access %d (%#x): reset cache (%v %#x %v), new cache (%v %#x %v)",
-					repl, i, a, gh, gt, ge, wh, wt, we)
-			}
-		}
-		if used.Hits != fresh.Hits || used.Misses != fresh.Misses ||
-			used.Evictions != fresh.Evictions || used.Flushes != fresh.Flushes {
-			t.Fatalf("%s: stats differ after reset", repl)
-		}
+	}
+	if used.Hits != fresh.Hits || used.Misses != fresh.Misses ||
+		used.Evictions != fresh.Evictions || used.Flushes != fresh.Flushes {
+		t.Fatal("stats differ after reset")
 	}
 }

@@ -141,8 +141,3 @@ func (r *Ring) Owner(key string) Peer {
 	}
 	return r.peers[r.points[i].peer]
 }
-
-// Peers returns the peer set in ID order (a copy).
-func (r *Ring) Peers() []Peer {
-	return append([]Peer(nil), r.peers...)
-}

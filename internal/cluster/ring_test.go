@@ -137,7 +137,8 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 // simulating.
 func TestRingBalance(t *testing.T) {
 	keys := corpus(8192)
-	r, err := NewRing(peersN(3), 0)
+	peers := peersN(3)
+	r, err := NewRing(peers, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestRingBalance(t *testing.T) {
 		counts[r.Owner(k).ID]++
 	}
 	fair := len(keys) / 3
-	for _, p := range r.Peers() {
+	for _, p := range peers {
 		c := counts[p.ID]
 		if c < fair/2 || c > fair*2 {
 			t.Errorf("peer %s owns %d of %d keys (fair share %d)", p.ID, c, len(keys), fair)

@@ -269,9 +269,6 @@ func RecoverBTBFunctions(ctx context.Context, p *uarch.Profile, seed int64, want
 	m := lab.k.M
 	rng := rand.New(rand.NewSource(seed ^ 0xc0111de))
 	res := &RecoveryResult{}
-	if wantSamples == 0 {
-		wantSamples = 24
-	}
 	if maxBatches == 0 {
 		maxBatches = 4000
 	}

@@ -204,17 +204,6 @@ func (i Inst) Class() BranchClass {
 	}
 }
 
-// IsExecuteDependent reports whether the instruction's next PC can only be
-// finalized at the execute stage (paper Section 2.2): conditional branches,
-// indirect branches and returns. Direct jmp/call targets are final at decode.
-func (i Inst) IsExecuteDependent() bool {
-	switch i.Op {
-	case OpJcc, OpJmpInd, OpCallInd, OpRet:
-		return true
-	}
-	return false
-}
-
 // Target returns the architectural target of a direct branch located at
 // pc. It panics for non-direct-branch instructions.
 func (i Inst) Target(pc uint64) uint64 {

@@ -240,26 +240,22 @@ func TestInstTarget(t *testing.T) {
 
 func TestBranchClassification(t *testing.T) {
 	cases := []struct {
-		b       []byte
-		class   BranchClass
-		execDep bool
+		b     []byte
+		class BranchClass
 	}{
-		{EncJmp(0), BrJmp, false},
-		{EncJcc(CondZ, 0), BrJcc, true},
-		{EncJmpInd(RAX), BrJmpInd, true},
-		{EncCall(0), BrCall, false},
-		{EncCallInd(RBX), BrCallInd, true},
-		{EncRet(), BrRet, true},
-		{EncNop(1), BrNone, false},
-		{EncLoad(RAX, RBX, 0), BrNone, false},
+		{EncJmp(0), BrJmp},
+		{EncJcc(CondZ, 0), BrJcc},
+		{EncJmpInd(RAX), BrJmpInd},
+		{EncCall(0), BrCall},
+		{EncCallInd(RBX), BrCallInd},
+		{EncRet(), BrRet},
+		{EncNop(1), BrNone},
+		{EncLoad(RAX, RBX, 0), BrNone},
 	}
 	for _, c := range cases {
 		in := Decode(c.b)
 		if in.Class() != c.class {
 			t.Errorf("class(% x) = %v, want %v", c.b, in.Class(), c.class)
-		}
-		if in.IsExecuteDependent() != c.execDep {
-			t.Errorf("execDep(% x) = %v, want %v", c.b, in.IsExecuteDependent(), c.execDep)
 		}
 	}
 }

@@ -84,9 +84,9 @@ func Boot(p *uarch.Profile, cfg Config) (*Kernel, error) {
 	m.KPTI = cfg.KPTI
 	m.Bind(cfg.Context)
 	// The threat model (Section 3) assumes all state-of-the-art defenses:
-	// parts supporting AutoIBRS / eIBRS boot with them enabled.
+	// parts supporting AutoIBRS boot with it enabled. (Intel's privilege
+	// separation is built into its BTB tags: btb.Scheme.PrivilegeInTag.)
 	m.MSR.AutoIBRS = p.SupportsAutoIBRS
-	m.MSR.EIBRS = p.SupportsEIBRS
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 
 	k := &Kernel{

@@ -70,11 +70,10 @@ const (
 
 // Data-area offsets (from ImageBase + ImageTextSize).
 const (
-	dataPidOff       = uint64(0x0)    // the getpid return value
-	dataArrayLenOff  = uint64(0x100)  // *array_length for Listing 4
-	dataArrayOff     = uint64(0x1000) // array[] base for Listing 4
-	dataKStackOff    = uint64(0x20000)
-	dataKStackTopOff = uint64(0x24000) // 16 KiB kernel stack
+	dataPidOff       = uint64(0x0)     // the getpid return value
+	dataArrayLenOff  = uint64(0x100)   // *array_length for Listing 4
+	dataArrayOff     = uint64(0x1000)  // array[] base for Listing 4
+	dataKStackTopOff = uint64(0x24000) // top of the 16 KiB kernel stack
 	dataScratchOff   = uint64(0x30000)
 )
 

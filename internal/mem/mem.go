@@ -341,9 +341,6 @@ func (as *AddrSpace) Reset() {
 	as.epoch++
 }
 
-// Phys returns the backing physical memory.
-func (as *AddrSpace) Phys() *PhysMem { return as.phys }
-
 // Epoch returns the mapping-mutation count. Any change to the VA→PA
 // relation (or its permissions) moves the epoch forward.
 func (as *AddrSpace) Epoch() uint64 { return as.epoch }
@@ -518,15 +515,4 @@ func (as *AddrSpace) WriteBytes(va uint64, b []byte) error {
 		va += uint64(n)
 	}
 	return nil
-}
-
-// Clone returns a copy of the address space sharing the same physical
-// memory (used to build KPTI's shadow table).
-func (as *AddrSpace) Clone() *AddrSpace {
-	c := NewAddrSpace(as.phys)
-	for k, v := range as.pages {
-		c.pages[k] = v
-	}
-	c.ranges = append([]linearRange(nil), as.ranges...)
-	return c
 }

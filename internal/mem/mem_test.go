@@ -110,20 +110,15 @@ func TestSetPerm(t *testing.T) {
 	}
 }
 
-func TestUnmapAndClone(t *testing.T) {
+func TestUnmap(t *testing.T) {
 	as := NewAddrSpace(NewPhysMem(1 << 20))
 	as.Map(0x400000, 0, 2*PageSize, PermRead|PermUser)
-	clone := as.Clone()
 	as.Unmap(0x400000, PageSize)
 	if _, f := as.Translate(0x400000, AccessRead, true); f == nil {
 		t.Error("unmapped page still translates")
 	}
 	if _, f := as.Translate(0x401000, AccessRead, true); f != nil {
 		t.Error("unmap removed too much")
-	}
-	// Clone unaffected (KPTI shadow semantics).
-	if _, f := clone.Translate(0x400000, AccessRead, true); f != nil {
-		t.Error("clone affected by original's unmap")
 	}
 }
 
@@ -156,10 +151,6 @@ func TestTLB(t *testing.T) {
 	}
 	if !tlb.Lookup(0x400fff) {
 		t.Error("same-page TLB miss")
-	}
-	tlb.FlushPage(0x400000)
-	if tlb.Lookup(0x400000) {
-		t.Error("hit after FlushPage")
 	}
 	tlb.Flush()
 	if tlb.Lookup(0x400000) {
@@ -412,17 +403,6 @@ func TestLinearRangeOverlapRejected(t *testing.T) {
 	}
 	if err := as.AddLinearRange(0x1000001, 0, PageSize, PermRead, false); err == nil {
 		t.Fatal("unaligned range accepted")
-	}
-}
-
-func TestCloneCopiesRanges(t *testing.T) {
-	as := NewAddrSpace(NewPhysMem(1 << 20))
-	if err := as.AddLinearRange(0x2000000, 0, 1<<20, PermRead, false); err != nil {
-		t.Fatal(err)
-	}
-	c := as.Clone()
-	if _, f := c.Translate(0x2000040, AccessRead, false); f != nil {
-		t.Fatal("clone lost linear ranges")
 	}
 }
 

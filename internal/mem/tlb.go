@@ -64,14 +64,3 @@ func (t *TLB) Flush() {
 		}
 	}
 }
-
-// FlushPage invalidates the entry for one page if present.
-func (t *TLB) FlushPage(va uint64) {
-	vpn := va >> PageShift
-	set := int(vpn) & (t.sets - 1)
-	for i, tag := range t.tags[set] {
-		if tag == vpn+1 {
-			t.tags[set][i] = 0
-		}
-	}
-}

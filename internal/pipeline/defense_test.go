@@ -175,49 +175,3 @@ func TestRSBStuffingRedirectsRetPrediction(t *testing.T) {
 		t.Fatal("stuffed dummy target was not fetched — prediction vanished instead of redirecting")
 	}
 }
-
-func TestHistoryTaggedSchemeRequiresMatchingHistory(t *testing.T) {
-	// With a history-tagged BTB (Section 2.1 behaviour, BHI-style [8]),
-	// a phantom injection only fires when the victim reaches the branch
-	// with the same folded history the trainer had. The evaluated parts
-	// are modeled without history tags (the paper's exploits need none);
-	// this documents what the knob changes.
-	p := uarch.Zen2()
-	base := p.NewScheme
-	p.NewScheme = func() *btb.Scheme {
-		s := base()
-		s.BHBTagBits = 8
-		return s
-	}
-
-	f := buildPhantomFixture(t, p)
-	f.train(t, 3)
-	f.flushSignals()
-
-	// The victim run starts from RunAt with whatever history is in the
-	// BHB. Training ended with the jmp* edge recorded, so the victim's
-	// history differs from the trainer's pre-branch history — the aliased
-	// entry should not be selected.
-	f.m.BHB.Record(0x1234, 0x5678) // scramble further
-	f.runVictim(t)
-	fetch, decode, exec := f.signals()
-	if fetch || decode || exec {
-		t.Fatalf("history-tagged scheme matched across different histories: IF=%v ID=%v EX=%v",
-			fetch, decode, exec)
-	}
-
-	// With the history restored to the trainer's fingerprint, it fires.
-	// (Train once: each training pass runs under a different rolling
-	// history and would allocate a separate entry.)
-	f.m.IBPB()
-	f.m.BHB.Clear()
-	f.train(t, 1)
-	f.flushSignals()
-	f.m.BHB.Clear() // trainer executed its branch with a clear history
-	f.runVictim(t)
-	fetch, decode, exec = f.signals()
-	if !fetch || !decode || !exec {
-		t.Fatalf("history-tagged scheme missed with matching history: IF=%v ID=%v EX=%v",
-			fetch, decode, exec)
-	}
-}

@@ -23,36 +23,6 @@ func (m *Machine) exec(va uint64, in isa.Inst) *RunResult {
 	switch in.Op {
 	case isa.OpNop:
 		// nothing
-	case isa.OpMovImm:
-		m.Regs[in.Reg] = uint64(in.Imm)
-	case isa.OpMovReg:
-		m.Regs[in.Reg] = m.Regs[in.Reg2]
-	case isa.OpXorReg:
-		m.Regs[in.Reg] ^= m.Regs[in.Reg2]
-		m.ZF = m.Regs[in.Reg] == 0
-		m.CF = false
-	case isa.OpAddReg:
-		old := m.Regs[in.Reg]
-		m.Regs[in.Reg] += m.Regs[in.Reg2]
-		m.ZF = m.Regs[in.Reg] == 0
-		m.CF = m.Regs[in.Reg] < old
-	case isa.OpSubReg:
-		old := m.Regs[in.Reg]
-		m.Regs[in.Reg] -= m.Regs[in.Reg2]
-		m.ZF = m.Regs[in.Reg] == 0
-		m.CF = old < m.Regs[in.Reg2]
-	case isa.OpCmpReg:
-		m.ZF = m.Regs[in.Reg] == m.Regs[in.Reg2]
-		m.CF = m.Regs[in.Reg] < m.Regs[in.Reg2]
-	case isa.OpAluImm:
-		m.Regs[in.Reg], m.ZF, m.CF = aluImm(in.Alu, m.Regs[in.Reg], uint64(in.Imm), m.ZF, m.CF)
-	case isa.OpShiftImm:
-		if in.Alu == 4 {
-			m.Regs[in.Reg] <<= uint(in.Imm)
-		} else {
-			m.Regs[in.Reg] >>= uint(in.Imm)
-		}
-		m.ZF = m.Regs[in.Reg] == 0
 	case isa.OpLoad:
 		addr := m.Regs[in.Reg2] + uint64(int64(in.Disp))
 		pa, f := m.dataAccess(addr, mem.AccessRead)
@@ -105,8 +75,8 @@ func (m *Machine) exec(va uint64, in isa.Inst) *RunResult {
 	case isa.OpJmp:
 		next = m.takeBranch(va, isa.BrJmp, in.Target(va))
 	case isa.OpJcc:
-		taken := m.evalCond(in.Cond)
-		m.PHT.Update(va, m.BHB.Value(), taken)
+		taken := evalCond(in.Cond, m.ZF, m.CF)
+		m.PHT.Update(va, taken)
 		if taken {
 			next = m.takeBranch(va, isa.BrJcc, in.Target(va))
 		}
@@ -172,20 +142,97 @@ func (m *Machine) exec(va uint64, in isa.Inst) *RunResult {
 		}
 		m.lastFetchLine = ^uint64(0)
 		m.lastUopLine = ^uint64(0)
+	default:
+		m.ZF, m.CF = alu(in, &m.Regs, m.ZF, m.CF)
 	}
 
 	m.RIP = next
 	return nil
 }
 
+// alu applies a register ALU instruction (mov, xor, add, sub, cmp, the
+// immediate ALU forms and shifts) to regs and returns the new ZF and CF;
+// any other instruction leaves both unchanged. Retirement and the wrong
+// path both compute through it, so a transient jcc steers by the flags
+// the same instructions set architecturally.
+func alu(in isa.Inst, regs *[isa.NumRegs]uint64, zf, cf bool) (bool, bool) {
+	switch in.Op {
+	case isa.OpMovImm:
+		regs[in.Reg] = uint64(in.Imm)
+	case isa.OpMovReg:
+		regs[in.Reg] = regs[in.Reg2]
+	case isa.OpXorReg:
+		regs[in.Reg] ^= regs[in.Reg2]
+		return regs[in.Reg] == 0, false
+	case isa.OpAddReg:
+		old := regs[in.Reg]
+		regs[in.Reg] += regs[in.Reg2]
+		return regs[in.Reg] == 0, regs[in.Reg] < old
+	case isa.OpSubReg:
+		old := regs[in.Reg]
+		regs[in.Reg] -= regs[in.Reg2]
+		return regs[in.Reg] == 0, old < regs[in.Reg2]
+	case isa.OpCmpReg:
+		return regs[in.Reg] == regs[in.Reg2], regs[in.Reg] < regs[in.Reg2]
+	case isa.OpAluImm:
+		regs[in.Reg], zf, cf = aluImm(in.Alu, regs[in.Reg], uint64(in.Imm), zf, cf)
+	case isa.OpShiftImm:
+		if in.Alu == 4 {
+			regs[in.Reg] <<= uint(in.Imm)
+		} else {
+			regs[in.Reg] >>= uint(in.Imm)
+		}
+		zf = regs[in.Reg] == 0
+	}
+	return zf, cf
+}
+
+// aluImm applies an OpAluImm operation, returning the new value and flags.
+func aluImm(op isa.AluOp, v, imm uint64, zf, cf bool) (uint64, bool, bool) {
+	switch op {
+	case isa.AluAdd:
+		r := v + imm
+		return r, r == 0, r < v
+	case isa.AluOr:
+		r := v | imm
+		return r, r == 0, false
+	case isa.AluAnd:
+		r := v & imm
+		return r, r == 0, false
+	case isa.AluSub:
+		r := v - imm
+		return r, r == 0, v < imm
+	case isa.AluCmp:
+		r := v - imm
+		return v, r == 0, v < imm
+	}
+	return v, zf, cf
+}
+
+// evalCond evaluates a condition code against the given flags: the
+// machine's on the architectural path, the transient copies on the wrong
+// path.
+func evalCond(c isa.Cond, zf, cf bool) bool {
+	switch c {
+	case isa.CondZ:
+		return zf
+	case isa.CondNZ:
+		return !zf
+	case isa.CondB:
+		return cf
+	case isa.CondAE:
+		return !cf
+	}
+	return false
+}
+
 // takeBranch retires a taken branch: trains the BTB with the branch class
 // (the property Phantom exploits — Section 5.2: "the training instruction
-// always determines the prediction semantics of the victim instruction"),
-// records the edge in the history, and redirects fetch.
+// always determines the prediction semantics of the victim instruction")
+// and redirects fetch.
 func (m *Machine) takeBranch(va uint64, class isa.BranchClass, target uint64) uint64 {
 	m.emit(EvBranch, va, target)
-	m.BTB.UpdateBHB(va, m.Kernel, class, target, m.BHB.Value())
-	m.BHB.Record(va, target)
+	m.BTB.Update(va, m.Kernel, class, target)
 	m.lastFetchLine = ^uint64(0)
 	m.lastUopLine = ^uint64(0)
 	return target

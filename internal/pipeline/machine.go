@@ -36,9 +36,6 @@ import (
 	"phantom/internal/uarch"
 )
 
-// lineSize is the cache line size shared by all modeled caches.
-const lineSize = 64
-
 // Machine is one simulated logical CPU plus its memory system.
 type Machine struct {
 	Prof *uarch.Profile
@@ -59,7 +56,6 @@ type Machine struct {
 	BTB *btb.BTB
 	RSB *btb.RSB
 	PHT *btb.PHT
-	BHB *btb.BHB
 
 	// Architectural state.
 	Regs   [isa.NumRegs]uint64
@@ -157,17 +153,16 @@ func New(p *uarch.Profile, physBytes uint64, seed int64) *Machine {
 		Phys:   phys,
 		UserAS: mem.NewAddrSpace(phys),
 		Hier: &cache.Hierarchy{
-			L1I: cache.New(p.L1I, rng),
-			L1D: cache.New(p.L1D, rng),
-			L2:  cache.New(p.L2, rng),
+			L1I: cache.New(p.L1I),
+			L1D: cache.New(p.L1D),
+			L2:  cache.New(p.L2),
 		},
-		Uop:   cache.New(p.UopCache, rng),
+		Uop:   cache.New(p.UopCache),
 		ITLB:  mem.NewTLB(64, 8),
 		DTLB:  mem.NewTLB(64, 8),
 		BTB:   btb.New(p.NewScheme(), p.BTBWays),
 		RSB:   btb.NewRSB(p.RSBDepth),
 		PHT:   btb.NewPHT(p.PHTBits),
-		BHB:   &btb.BHB{},
 		Noise: &NoiseSource{},
 		rng:   rng,
 		pre:   newPredecodeCache(),
@@ -198,7 +193,6 @@ func (m *Machine) Reset(seed int64) {
 	m.BTB.Reset()
 	m.RSB.Reset()
 	m.PHT.Reset()
-	m.BHB.Clear()
 	m.pre.reset()
 	m.rng.Seed(seed)
 	*m.Noise = NoiseSource{m: m, rng: m.rng, Level: 1}
@@ -215,7 +209,6 @@ func (m *Machine) Reset(seed int64) {
 		BTB:      m.BTB,
 		RSB:      m.RSB,
 		PHT:      m.PHT,
-		BHB:      m.BHB,
 		Noise:    m.Noise,
 		rng:      m.rng,
 		pre:      m.pre,
@@ -437,7 +430,6 @@ func (m *Machine) WriteMSRAutoIBRS(on bool) bool {
 func (m *Machine) IBPB() {
 	m.BTB.FlushAll()
 	m.RSB.Clear()
-	m.BHB.Clear()
 }
 
 func (m *Machine) String() string {

@@ -1,6 +1,10 @@
 package pipeline
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"phantom/internal/cache"
+)
 
 // NoiseSource injects the microarchitectural interference that makes the
 // paper's attacks statistical rather than single-shot: system calls
@@ -38,7 +42,7 @@ func (n *NoiseSource) SyscallThrash() {
 	const noiseBase = 1 << 44
 	touches := int(3 * n.Level)
 	for i := 0; i < touches; i++ {
-		pa := noiseBase + uint64(n.rng.Intn(1<<20))*lineSize
+		pa := noiseBase + uint64(n.rng.Intn(1<<20))*cache.LineSize
 		if n.rng.Intn(2) == 0 {
 			n.m.Hier.L1I.Access(pa)
 		} else {
@@ -58,14 +62,14 @@ func (n *NoiseSource) Tick() {
 	}
 	const noiseBase = 1 << 45
 	if n.rng.Float64() < 0.05*n.Level {
-		pa := noiseBase + uint64(n.rng.Intn(1<<18))*lineSize
+		pa := noiseBase + uint64(n.rng.Intn(1<<18))*cache.LineSize
 		n.m.Hier.L2.Access(pa)
 	}
 	// Sibling stress: the SMT partner's instruction working set leaks
 	// into the shared L1I at a rate proportional to its load — a few
 	// lines per hundred victim instructions at `stress -c 10`.
 	if n.SiblingStress > 0 && n.rng.Float64() < 0.003*float64(n.SiblingStress) {
-		pa := noiseBase + uint64(n.rng.Intn(1<<18))*lineSize
+		pa := noiseBase + uint64(n.rng.Intn(1<<18))*cache.LineSize
 		n.m.Hier.L1I.Access(pa)
 	}
 }

@@ -32,6 +32,7 @@ package pipeline
 // pin that both modes render byte-identical experiment output.
 
 import (
+	"phantom/internal/cache"
 	"phantom/internal/isa"
 	"phantom/internal/mem"
 )
@@ -42,7 +43,7 @@ import (
 // window's single frame) covers every byte a cached decode depended on.
 const decodeWindow = 16
 
-// lineShift is log2(lineSize).
+// lineShift is log2(cache.LineSize).
 const lineShift = 6
 
 // predecodeLine caches the decodes that start inside one 64-byte physical
@@ -50,7 +51,7 @@ const lineShift = 6
 type predecodeLine struct {
 	gen     uint64
 	decoded uint64 // bitmask over intra-line start offsets
-	insts   [lineSize]isa.Inst
+	insts   [cache.LineSize]isa.Inst
 }
 
 // predecodeCache maps physical line number (PA >> lineShift) to its
@@ -109,7 +110,7 @@ func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) (isa.Inst, bool) {
 		pl.gen = g
 		return isa.Inst{}, false
 	}
-	off := pa & (lineSize - 1)
+	off := pa & (cache.LineSize - 1)
 	if pl.decoded&(1<<off) == 0 {
 		return isa.Inst{}, false
 	}
@@ -130,7 +131,7 @@ func (c *predecodeCache) insert(pm *mem.PhysMem, pa uint64, in isa.Inst) {
 		pl.decoded = 0
 		pl.gen = gen
 	}
-	off := pa & (lineSize - 1)
+	off := pa & (cache.LineSize - 1)
 	pl.insts[off] = in
 	pl.decoded |= 1 << off
 }

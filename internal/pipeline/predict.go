@@ -37,7 +37,7 @@ func (m *Machine) reconcilePrediction(va uint64, in isa.Inst, pred btb.Predictio
 	if !ok {
 		return // e.g. ret-class prediction with an empty RSB
 	}
-	if pred.Class == isa.BrJcc && !m.PHT.Predict(va, m.BHB.Value()) {
+	if pred.Class == isa.BrJcc && !m.PHT.Predict(va) {
 		// Trained as a conditional that the direction predictor currently
 		// says is not taken: the frontend keeps fetching sequentially, so
 		// the phantom target is never steered to.
@@ -88,7 +88,7 @@ func (m *Machine) reconcileSameClass(va uint64, in isa.Inst, pred btb.Prediction
 			if m.MSR.WaitForDecode {
 				return
 			}
-			if m.PHT.Predict(va, m.BHB.Value()) {
+			if m.PHT.Predict(va) {
 				m.speculate(pred.Target, m.Prof.PhantomWindow, specPhantom)
 				m.resteer(true)
 			}
@@ -96,8 +96,8 @@ func (m *Machine) reconcileSameClass(va uint64, in isa.Inst, pred btb.Prediction
 		}
 		// Same target: only the direction can mispredict, and direction
 		// resolves at execute (classic Spectre-PHT window).
-		predTaken := m.PHT.Predict(va, m.BHB.Value())
-		actualTaken := m.evalCond(in.Cond)
+		predTaken := m.PHT.Predict(va)
+		actualTaken := evalCond(in.Cond, m.ZF, m.CF)
 		if predTaken != actualTaken {
 			wrong := va + uint64(in.Len)
 			if predTaken {
@@ -144,8 +144,8 @@ func (m *Machine) handleUnpredicted(va uint64, in isa.Inst) {
 	case isa.BrJcc:
 		// The decoder sees the branch and consults the direction
 		// predictor; a wrong direction resolves at execute.
-		predTaken := m.PHT.Predict(va, m.BHB.Value())
-		actualTaken := m.evalCond(in.Cond)
+		predTaken := m.PHT.Predict(va)
+		actualTaken := evalCond(in.Cond, m.ZF, m.CF)
 		if predTaken != actualTaken {
 			wrong := va + uint64(in.Len)
 			if predTaken {
@@ -218,19 +218,4 @@ func (m *Machine) transientFetchLine(va uint64) {
 		m.Hier.AccessFetch(pa)
 		m.Debug.TransientFetchLines++
 	}
-}
-
-// evalCond evaluates a condition code against current flags.
-func (m *Machine) evalCond(c isa.Cond) bool {
-	switch c {
-	case isa.CondZ:
-		return m.ZF
-	case isa.CondNZ:
-		return !m.ZF
-	case isa.CondB:
-		return m.CF
-	case isa.CondAE:
-		return !m.CF
-	}
-	return false
 }

@@ -32,7 +32,6 @@ var resetCovered = map[string]string{
 	"BTB":                "syscall and SMC runs; StateDigest",
 	"RSB":                "syscall runs; StateDigest",
 	"PHT":                "syscall runs; StateDigest",
-	"BHB":                "syscall runs; StateDigest",
 	"Regs":               "every run; compared after the probe",
 	"ZF":                 "every run; compared after Reset and after the probe",
 	"CF":                 "every run; compared after Reset and after the probe",
@@ -165,7 +164,7 @@ func (l *eventLog) Emit(e pipeline.Event) { *l = append(*l, e) }
 
 // dirty moves every part of k's machine away from its New state: MSRs,
 // noise with sibling stress, a traced KPTI syscall round trip (BTB, RSB,
-// PHT, BHB, caches, TLBs), a self-modifying store over predecoded code,
+// PHT, caches, TLBs), a self-modifying store over predecoded code,
 // the reference-fetch and speculation switches, and a cancelled bound
 // context.
 func dirty(t *testing.T, k *kernel.Kernel) {
@@ -226,8 +225,7 @@ type probeResult struct {
 	RIP, Cycle     uint64
 	Perf           pipeline.PerfCounters
 	Debug          pipeline.DebugCounters
-	BTB, RSB       uint64
-	PHT, BHB       uint64
+	BTB, RSB, PHT  uint64
 	Caches, TLBs   [][2]uint64 // hits, misses
 	Events         eventLog
 	Telemetry      map[string]uint64 // counter deltas over the probe
@@ -320,8 +318,7 @@ func runProbe(t *testing.T, m *pipeline.Machine) probeResult {
 
 	r.Regs, r.ZF, r.CF, r.Kernel, r.RIP, r.Cycle = m.Regs, m.ZF, m.CF, m.Kernel, m.RIP, m.Cycle
 	r.Perf, r.Debug = m.Perf, m.Debug
-	r.BTB, r.RSB = m.BTB.StateDigest(), m.RSB.StateDigest()
-	r.PHT, r.BHB = m.PHT.StateDigest(), m.BHB.StateDigest()
+	r.BTB, r.RSB, r.PHT = m.BTB.StateDigest(), m.RSB.StateDigest(), m.PHT.StateDigest()
 	r.Caches = [][2]uint64{
 		{m.Hier.L1I.Hits, m.Hier.L1I.Misses}, {m.Hier.L1D.Hits, m.Hier.L1D.Misses},
 		{m.Hier.L2.Hits, m.Hier.L2.Misses}, {m.Uop.Hits, m.Uop.Misses},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"phantom/internal/btb"
+	"phantom/internal/cache"
 	"phantom/internal/isa"
 	"phantom/internal/mem"
 	"phantom/internal/uarch"
@@ -111,7 +112,7 @@ func (m *Machine) step() *RunResult {
 	// the bytes at va are decoded (paper Section 1, "speculation before
 	// instruction decode"). The training instruction's class decides the
 	// prediction semantics.
-	pred, predHit := m.BTB.LookupBHB(va, m.Kernel, m.BHB.Value())
+	pred, predHit := m.BTB.Lookup(va, m.Kernel)
 	predUsable := predHit
 	if predHit {
 		m.emit(EvPredHit, va, pred.Target)
@@ -127,7 +128,7 @@ func (m *Machine) step() *RunResult {
 	}
 
 	// 2. Instruction fetch, charged per cache line.
-	if line := va &^ (lineSize - 1); line != m.lastFetchLine {
+	if line := va &^ (cache.LineSize - 1); line != m.lastFetchLine {
 		if _, f := m.fetchLatency(va); f != nil {
 			return m.fault(f)
 		}
@@ -142,7 +143,7 @@ func (m *Machine) step() *RunResult {
 		m.Debug.Faults++
 		return m.stop(RunResult{Reason: StopTrap})
 	}
-	if end := (va + uint64(in.Len) - 1) &^ (lineSize - 1); end != m.lastFetchLine {
+	if end := (va + uint64(in.Len) - 1) &^ (cache.LineSize - 1); end != m.lastFetchLine {
 		if _, f := m.fetchLatency(va + uint64(in.Len) - 1); f != nil {
 			return m.fault(f)
 		}
@@ -150,7 +151,7 @@ func (m *Machine) step() *RunResult {
 	}
 
 	// 3. Decode / µop cache, per line.
-	if uline := va &^ (lineSize - 1); uline != m.lastUopLine {
+	if uline := va &^ (cache.LineSize - 1); uline != m.lastUopLine {
 		if hit, _, _ := m.Uop.Access(va); hit {
 			m.Perf.UopCacheHits++
 			m.lastUopLineMissed = false

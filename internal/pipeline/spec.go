@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"phantom/internal/cache"
 	"phantom/internal/isa"
 	"phantom/internal/mem"
 	"phantom/internal/uarch"
@@ -42,7 +43,7 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 
 	for {
 		// --- transient fetch ---
-		line := pc &^ (lineSize - 1)
+		line := pc &^ (cache.LineSize - 1)
 		if line != lastLine {
 			if fetchLines >= win.FetchLines {
 				return
@@ -71,7 +72,7 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 		if in.Op == isa.OpInvalid || in.Op == isa.OpInt3 || in.Op == isa.OpHlt {
 			return
 		}
-		if uline := pc &^ (lineSize - 1); uline != lastULine {
+		if uline := pc &^ (cache.LineSize - 1); uline != lastULine {
 			if hit, _, _ := m.Uop.Access(pc); hit {
 				m.Perf.UopCacheHits++
 			} else {
@@ -106,33 +107,6 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 			case isa.OpStore:
 				// Stores sit in the store buffer and never drain on the
 				// wrong path; no cache footprint in this model.
-			case isa.OpMovImm:
-				regs[in.Reg] = uint64(in.Imm)
-			case isa.OpMovReg:
-				regs[in.Reg] = regs[in.Reg2]
-			case isa.OpXorReg:
-				regs[in.Reg] ^= regs[in.Reg2]
-				zf = regs[in.Reg] == 0
-			case isa.OpAddReg:
-				regs[in.Reg] += regs[in.Reg2]
-				zf = regs[in.Reg] == 0
-			case isa.OpSubReg:
-				old := regs[in.Reg]
-				regs[in.Reg] -= regs[in.Reg2]
-				zf = regs[in.Reg] == 0
-				cf = old < regs[in.Reg2]
-			case isa.OpCmpReg:
-				zf = regs[in.Reg] == regs[in.Reg2]
-				cf = regs[in.Reg] < regs[in.Reg2]
-			case isa.OpAluImm:
-				regs[in.Reg], zf, cf = aluImm(in.Alu, regs[in.Reg], uint64(in.Imm), zf, cf)
-			case isa.OpShiftImm:
-				if in.Alu == 4 {
-					regs[in.Reg] <<= uint(in.Imm)
-				} else {
-					regs[in.Reg] >>= uint(in.Imm)
-				}
-				zf = regs[in.Reg] == 0
 			case isa.OpPush:
 				// Store-buffer only.
 			case isa.OpPop:
@@ -152,6 +126,8 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 				// Privileged/serializing-ish operations do not execute
 				// transiently in this model.
 				return
+			default:
+				zf, cf = alu(in, &regs, zf, cf)
 			}
 		}
 
@@ -172,7 +148,7 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 func (m *Machine) specNextPC(pc uint64, in isa.Inst, regs [isa.NumRegs]uint64, zf, cf bool, canExec bool, execBudget *int, uops int) (uint64, bool) {
 	fallthrough_ := pc + uint64(in.Len)
 
-	pred, predHit := m.BTB.LookupBHB(pc, m.Kernel, m.BHB.Value())
+	pred, predHit := m.BTB.Lookup(pc, m.Kernel)
 	if predHit && m.MSR.AutoIBRS && pred.TrainedKernel != m.Kernel {
 		predHit = false
 	}
@@ -196,7 +172,7 @@ func (m *Machine) specNextPC(pc uint64, in isa.Inst, regs [isa.NumRegs]uint64, z
 		if !ok {
 			return 0, false
 		}
-		if pred.Class == isa.BrJcc && !m.PHT.Predict(pc, m.BHB.Value()) {
+		if pred.Class == isa.BrJcc && !m.PHT.Predict(pc) {
 			return fallthrough_, true
 		}
 		return target, true
@@ -212,9 +188,9 @@ func (m *Machine) specNextPC(pc uint64, in isa.Inst, regs [isa.NumRegs]uint64, z
 		// direction predictor.
 		var taken bool
 		if canExec {
-			taken = evalCondFlags(in.Cond, zf, cf)
+			taken = evalCond(in.Cond, zf, cf)
 		} else {
-			taken = m.PHT.Predict(pc, m.BHB.Value())
+			taken = m.PHT.Predict(pc)
 		}
 		if taken {
 			return in.Target(pc), true
@@ -238,41 +214,4 @@ func (m *Machine) specNextPC(pc uint64, in isa.Inst, regs [isa.NumRegs]uint64, z
 		return 0, false
 	}
 	return 0, false
-}
-
-// aluImm applies an OpAluImm operation, returning the new value and flags.
-func aluImm(op isa.AluOp, v, imm uint64, zf, cf bool) (uint64, bool, bool) {
-	switch op {
-	case isa.AluAdd:
-		r := v + imm
-		return r, r == 0, r < v
-	case isa.AluOr:
-		r := v | imm
-		return r, r == 0, false
-	case isa.AluAnd:
-		r := v & imm
-		return r, r == 0, false
-	case isa.AluSub:
-		r := v - imm
-		return r, r == 0, v < imm
-	case isa.AluCmp:
-		r := v - imm
-		return v, r == 0, v < imm
-	}
-	return v, zf, cf
-}
-
-// evalCondFlags evaluates a condition code against explicit flags.
-func evalCondFlags(c isa.Cond, zf, cf bool) bool {
-	switch c {
-	case isa.CondZ:
-		return zf
-	case isa.CondNZ:
-		return !zf
-	case isa.CondB:
-		return cf
-	case isa.CondAE:
-		return !cf
-	}
-	return false
 }

@@ -406,3 +406,42 @@ func TestIntelVictimJmpIndQuirks(t *testing.T) {
 		}
 	}
 }
+
+func TestWrongPathAddSetsCarry(t *testing.T) {
+	// The wrong path computes flags as retirement does: an add that
+	// wraps sets CF, so a transient jb after it steers to its target.
+	// Train a jz taken, then run it not taken: its Spectre-PHT wrong path
+	// executes the add with CF clear beforehand.
+	m := newTestMachine(t, uarch.Zen2())
+	farVA := uint64(0x7f0000)
+	a := isa.NewAssembler(0x400000)
+	a.CmpReg(isa.RDI, isa.RSI) // ZF = rdi == rsi, CF = rdi < rsi
+	a.Jcc(isa.CondZ, "gadget")
+	a.Hlt()
+	a.Label("gadget")
+	a.MovImm(isa.RAX, ^uint64(0))
+	a.MovImm(isa.RBX, 1)
+	a.AddReg(isa.RAX, isa.RBX) // wraps to 0: CF = 1
+	a.JccTo(isa.CondB, farVA)
+	a.Hlt()
+	installCode(t, m, a)
+	fa := isa.NewAssembler(farVA)
+	fa.Hlt()
+	installCode(t, m, fa)
+
+	for i := 0; i < 3; i++ {
+		m.Regs[isa.RDI], m.Regs[isa.RSI] = 0, 0
+		if res := m.RunAt(0x400000, 100); res.Reason != StopHalt || m.RIP != farVA {
+			t.Fatalf("training: %v at %#x, want a halt at far", res, m.RIP)
+		}
+	}
+	farPA := paOf(t, m, farVA)
+	m.Hier.FlushLine(farPA)
+	m.Regs[isa.RDI], m.Regs[isa.RSI] = 1, 0 // ZF and CF clear
+	if res := m.RunAt(0x400000, 100); res.Reason != StopHalt {
+		t.Fatalf("victim: %v", res)
+	}
+	if !m.Hier.L1I.Present(farPA) {
+		t.Fatal("the transient jb after a wrapping add did not steer to its target")
+	}
+}

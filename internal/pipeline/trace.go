@@ -101,21 +101,6 @@ func (r *RingTracer) Reset() {
 	r.next, r.count = 0, 0
 }
 
-// FilterEvents returns the subset of events matching any of the kinds.
-func FilterEvents(events []Event, kinds ...EventKind) []Event {
-	want := make(map[EventKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range events {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // emit is the guarded fast path used by the machine.
 func (m *Machine) emit(kind EventKind, va, aux uint64) {
 	if m.Tracer != nil {

@@ -79,19 +79,6 @@ func TestRingTracerWrapAround(t *testing.T) {
 	}
 }
 
-func TestFilterEvents(t *testing.T) {
-	events := []Event{
-		{Kind: EvPredHit}, {Kind: EvSpecLoad}, {Kind: EvBranch}, {Kind: EvSpecLoad},
-	}
-	got := FilterEvents(events, EvSpecLoad)
-	if len(got) != 2 {
-		t.Fatalf("filtered %d", len(got))
-	}
-	if len(FilterEvents(events)) != 0 {
-		t.Fatal("empty filter matched")
-	}
-}
-
 func TestEventStringers(t *testing.T) {
 	for k := EventKind(0); k <= EvFault; k++ {
 		if k.String() == "" {

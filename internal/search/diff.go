@@ -91,7 +91,7 @@ type ArchState struct {
 type Leg struct {
 	Arch       ArchState `json:"arch"`
 	Cycles     uint64    `json:"cycles"`     // victim-run cycles
-	PredDigest uint64    `json:"predDigest"` // BTB/RSB/PHT/BHB state
+	PredDigest uint64    `json:"predDigest"` // BTB/RSB/PHT state
 	Episodes   []Episode `json:"episodes"`
 }
 
@@ -182,13 +182,11 @@ func (l *lab) memDigest() uint64 {
 	return h
 }
 
-// predDigest folds the four predictor structures into one fingerprint.
+// predDigest folds the three predictor structures into one fingerprint.
 func (l *lab) predDigest() uint64 {
 	h := l.m.BTB.StateDigest()
 	h = h*fnvPrime ^ l.m.RSB.StateDigest()
-	h = h*fnvPrime ^ l.m.PHT.StateDigest()
-	h = h*fnvPrime ^ l.m.BHB.StateDigest()
-	return h
+	return h*fnvPrime ^ l.m.PHT.StateDigest()
 }
 
 // RunDiff executes p mispredict-on and mispredict-off and diffs the

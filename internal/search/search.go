@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"phantom/internal/sweep"
 	"phantom/internal/telemetry"
@@ -190,19 +189,4 @@ func (r *Result) Render(w io.Writer) error {
 			len(f.Program.Victim), len(f.Program.Gadget), flags)
 	}
 	return nil
-}
-
-// Categories returns the sorted distinct categories in the result
-// (reporting convenience).
-func (r *Result) Categories() []Category {
-	set := make(map[Category]bool)
-	for i := range r.Findings {
-		set[r.Findings[i].Category] = true
-	}
-	out := make([]Category, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

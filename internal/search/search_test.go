@@ -145,16 +145,6 @@ func TestRenderEmpty(t *testing.T) {
 	}
 }
 
-func TestResultCategories(t *testing.T) {
-	r := &Result{Findings: []Finding{
-		{Category: CatLeakChannel}, {Category: CatDeepWindow}, {Category: CatLeakChannel},
-	}}
-	got := r.Categories()
-	if len(got) != 2 || got[0] != CatDeepWindow || got[1] != CatLeakChannel {
-		t.Errorf("Categories() = %v, want [deep-window leak-channel]", got)
-	}
-}
-
 func TestCategoryInvariant(t *testing.T) {
 	for _, c := range categoryOrder {
 		want := c == CatUncoveredChannel || c == CatWindowExceeded || c == CatArchDivergence

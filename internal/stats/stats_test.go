@@ -46,32 +46,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almostEq(got, 5) {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := StdDev(xs); !almostEq(got, math.Sqrt(32.0/7)) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("StdDev singleton != 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	if got := Percentile(xs, 0); got != 10 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 40 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); !almostEq(got, 25) {
-		t.Errorf("P50 = %v", got)
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	var a Accuracy
 	for i := 0; i < 93; i++ {
@@ -88,27 +62,9 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestBitErrors(t *testing.T) {
-	if got := BitErrors([]byte{1, 0, 1, 1}, []byte{1, 1, 1, 0}); got != 2 {
-		t.Errorf("BitErrors = %d", got)
-	}
-	if got := BitErrors([]byte{1, 0}, []byte{1}); got != 1 {
-		t.Errorf("length-mismatch BitErrors = %d", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(15, -10, 10) != 10 || Clamp(-15, -10, 10) != -10 || Clamp(3, -10, 10) != 3 {
 		t.Fatal("Clamp broken")
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil)")
-	}
-	if ArgMax([]float64{1, 5, 5, 2}) != 1 {
-		t.Error("ArgMax tie-break not first")
 	}
 }
 

@@ -2,10 +2,10 @@
 // CPUs: AMD Zen 1 through Zen 4 and Intel 9th/11th/12th/13th generation
 // (P-cores), the eight parts the paper evaluates.
 //
-// A profile fixes pipeline geometry, cache geometry, latencies, the BTB
-// indexing scheme, and — crucially for Phantom — how far a wrong-path
-// control flow advances through the decoupled frontend before a resteer
-// takes effect, plus which mitigation MSRs the part supports. The
+// A profile fixes cache geometry, latencies, the BTB indexing scheme,
+// and — crucially for Phantom — how far a wrong-path control flow
+// advances through the decoupled frontend before a resteer takes effect,
+// plus which mitigation MSRs the part supports. The
 // experiments never read these capabilities directly; they rediscover them
 // through the same I-cache / µop-cache / D-cache observation channels the
 // paper uses, and the per-experiment tests assert that what the channels
@@ -68,10 +68,6 @@ type Profile struct {
 	Name   string
 	Vendor Vendor
 
-	// Frontend geometry.
-	FetchBlock  int // bytes fetched per cycle group (fetch-block size)
-	DecodeWidth int
-
 	// Cache configs.
 	L1I, L1D, L2 cache.Config
 	UopCache     cache.Config
@@ -103,19 +99,12 @@ type Profile struct {
 	// Mitigation support.
 	SupportsSuppressBPOnNonBr bool // MSR 0xC00110E3 bit (Zen 2+; not Zen 1, Section 8.1)
 	SupportsAutoIBRS          bool // Zen 4
-	SupportsEIBRS             bool // Intel 9th gen+
-
-	// SuppressBPOnNonBrOverheadPct approximates the frontend cost of the
-	// mitigation for the overhead experiment (paper: 0.69% single-core
-	// UnixBench geomean on Zen 2).
-	SuppressBPOnNonBrOverheadPct float64
 }
 
 // MSRState is the mutable mitigation configuration of one machine.
 type MSRState struct {
 	SuppressBPOnNonBr bool
 	AutoIBRS          bool
-	EIBRS             bool
 	// IBPBOnKernelEntry issues an IBPB (full predictor flush in this
 	// model) on every user-to-kernel transition — the heavyweight option
 	// of Section 8.2.
@@ -145,10 +134,10 @@ func (p *Profile) String() string {
 // sets, selected by the lower 12 bits of the instruction's virtual
 // address", Section 5.1).
 func caches(l2KiB, l1Lat, l2Lat int) (l1i, l1d, l2, uop cache.Config) {
-	l1i = cache.Config{Name: "L1I", Sets: 64, Ways: 8, LineSize: 64, HitLatency: l1Lat, Repl: cache.LRU, Index: cache.PhysIndex}
-	l1d = cache.Config{Name: "L1D", Sets: 64, Ways: 8, LineSize: 64, HitLatency: l1Lat, Repl: cache.LRU, Index: cache.PhysIndex}
-	l2 = cache.Config{Name: "L2", Sets: l2KiB * 1024 / 64 / 8, Ways: 8, LineSize: 64, HitLatency: l2Lat, Repl: cache.LRU, Index: cache.PhysIndex}
-	uop = cache.Config{Name: "uop", Sets: 64, Ways: 8, LineSize: 64, HitLatency: 1, Repl: cache.LRU, Index: cache.VirtIndex}
+	l1i = cache.Config{Name: "L1I", Sets: 64, Ways: 8, HitLatency: l1Lat}
+	l1d = cache.Config{Name: "L1D", Sets: 64, Ways: 8, HitLatency: l1Lat}
+	l2 = cache.Config{Name: "L2", Sets: l2KiB * 1024 / cache.LineSize / 8, Ways: 8, HitLatency: l2Lat}
+	uop = cache.Config{Name: "uop", Sets: 64, Ways: 8, HitLatency: 1}
 	return
 }
 
@@ -157,8 +146,6 @@ func zenBase(name string, scheme func() *btb.Scheme) *Profile {
 	return &Profile{
 		Name:                 name,
 		Vendor:               AMD,
-		FetchBlock:           32,
-		DecodeWidth:          4,
 		L1I:                  l1i,
 		L1D:                  l1d,
 		L2:                   l2,
@@ -191,7 +178,6 @@ func Zen2() *Profile {
 	p := zenBase("Zen 2", func() *btb.Scheme { return btb.NewZen12Scheme("zen2") })
 	p.PhantomWindow = Window{FetchLines: 2, DecodeInsts: 8, ExecUops: 6}
 	p.SupportsSuppressBPOnNonBr = true
-	p.SuppressBPOnNonBrOverheadPct = 0.69
 	return p
 }
 
@@ -202,7 +188,6 @@ func Zen3() *Profile {
 	p := zenBase("Zen 3", func() *btb.Scheme { return btb.NewZen34Scheme("zen3") })
 	p.PhantomWindow = Window{FetchLines: 2, DecodeInsts: 8, ExecUops: 0}
 	p.SupportsSuppressBPOnNonBr = true
-	p.SuppressBPOnNonBrOverheadPct = 0.55
 	return p
 }
 
@@ -215,7 +200,6 @@ func Zen4() *Profile {
 	p.PhantomWindow = Window{FetchLines: 2, DecodeInsts: 8, ExecUops: 0}
 	p.SupportsSuppressBPOnNonBr = true
 	p.SupportsAutoIBRS = true
-	p.SuppressBPOnNonBrOverheadPct = 0.5
 	return p
 }
 
@@ -224,8 +208,6 @@ func intelBase(name string, ivb IndirectVictimBehavior) *Profile {
 	return &Profile{
 		Name:                 name,
 		Vendor:               Intel,
-		FetchBlock:           32,
-		DecodeWidth:          5,
 		L1I:                  l1i,
 		L1D:                  l1d,
 		L2:                   l2,
@@ -240,7 +222,6 @@ func intelBase(name string, ivb IndirectVictimBehavior) *Profile {
 		PhantomWindow:        Window{FetchLines: 2, DecodeInsts: 6, ExecUops: 0},
 		SpectreWindow:        Window{FetchLines: 8, DecodeInsts: 64, ExecUops: 48},
 		IndirectVictim:       ivb,
-		SupportsEIBRS:        true,
 	}
 }
 

@@ -10,8 +10,8 @@ func TestAllProfilesWellFormed(t *testing.T) {
 		if p.NewScheme == nil || p.NewScheme() == nil {
 			t.Fatalf("%s: no BTB scheme", p)
 		}
-		if p.FetchBlock <= 0 || p.DecodeWidth <= 0 || p.MemLatency <= 0 {
-			t.Fatalf("%s: bad geometry", p)
+		if p.MemLatency <= 0 {
+			t.Fatalf("%s: bad memory latency", p)
 		}
 		// The paper's µop-cache finding: always 64 8-way sets, virtually
 		// indexed by the low 12 address bits (Section 5.1).
@@ -35,16 +35,15 @@ func TestCapabilityMatrix(t *testing.T) {
 		execWin   bool // Phantom reaches execute
 		suppress  bool
 		autoIBRS  bool
-		eIBRS     bool
 		straight  bool
 		vendorAMD bool
 	}{
-		{Zen1(), true, false, false, false, true, true},
-		{Zen2(), true, true, false, false, true, true},
-		{Zen3(), false, true, false, false, true, true},
-		{Zen4(), false, true, true, false, true, true},
-		{Intel9(), false, false, false, true, false, false},
-		{Intel13(), false, false, false, true, false, false},
+		{Zen1(), true, false, false, true, true},
+		{Zen2(), true, true, false, true, true},
+		{Zen3(), false, true, false, true, true},
+		{Zen4(), false, true, true, true, true},
+		{Intel9(), false, false, false, false, false},
+		{Intel13(), false, false, false, false, false},
 	}
 	for _, c := range cases {
 		if got := c.p.PhantomWindow.ExecUops > 0; got != c.execWin {
@@ -55,9 +54,6 @@ func TestCapabilityMatrix(t *testing.T) {
 		}
 		if c.p.SupportsAutoIBRS != c.autoIBRS {
 			t.Errorf("%s: AutoIBRS support %v", c.p, c.p.SupportsAutoIBRS)
-		}
-		if c.p.SupportsEIBRS != c.eIBRS {
-			t.Errorf("%s: eIBRS support %v", c.p, c.p.SupportsEIBRS)
 		}
 		if c.p.StraightLineSpec != c.straight {
 			t.Errorf("%s: SLS %v", c.p, c.p.StraightLineSpec)
