@@ -77,7 +77,6 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 	baseTimeout := fs.Duration("timeout", time.Minute, "base per-evaluation deadline; heavy experiments get a multiple of it")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight evaluations")
 	metricsPath := fs.String("metrics", "", "write a JSONL telemetry run log to this file")
-	metricsSample := fs.Int("metrics-sample", 1, "record every Nth sweep job in the run log and latency histogram")
 	storeDir := fs.String("store-dir", "", "durable result store directory (empty disables the store)")
 	storeBudget := fs.Int64("store-budget", 0, "store size budget in MiB before eviction + compaction (0 = unlimited)")
 	peersFlag := fs.String("peers", "", "static cluster peer list: comma-separated id=host:port, this node included")
@@ -118,7 +117,7 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 
 	// The telemetry hub is always on in the server — /metrics is part of
 	// the API — with the run log as an optional extra sink.
-	tcfg := telemetry.Config{Label: "serve", SampleEvery: *metricsSample}
+	tcfg := telemetry.Config{Label: "serve"}
 	var logFile *os.File
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
@@ -196,9 +195,9 @@ func realMain(ctx context.Context, args []string, stderr io.Writer) int {
 
 	httpSrv := &http.Server{
 		Handler: svc.Handler(),
-		// BaseContext ties request contexts to the process context, so a
-		// drain also cancels evaluations whose clients are still
-		// connected once the drain deadline passes.
+		// Request contexts are not tied to the process context: a drain
+		// lets admitted evaluations finish. Once the drain deadline
+		// passes, realMain returns and the process exits with them.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	serveErr := make(chan error, 1)

@@ -115,17 +115,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 func runFixtures(suite []*analysis.Analyzer, dirs []string, stdout, stderr io.Writer) int {
 	var total int
 	for _, dir := range dirs {
-		for _, a := range suite {
-			diags, _, err := analysis.AnalyzeDir(a, dir)
-			if err != nil {
-				fmt.Fprintf(stderr, "phantom-vet: %s: %v\n", dir, err)
-				return 1
-			}
-			for _, d := range diags {
-				fmt.Fprintln(stdout, d)
-			}
-			total += len(diags)
+		diags, err := analysis.AnalyzeDir(suite, dir)
+		if err != nil {
+			fmt.Fprintf(stderr, "phantom-vet: %s: %v\n", dir, err)
+			return 1
 		}
+		for _, d := range diags {
+			fmt.Fprintln(stdout, d)
+		}
+		total += len(diags)
 	}
 	if total > 0 {
 		fmt.Fprintf(stderr, "phantom-vet: %d finding(s)\n", total)

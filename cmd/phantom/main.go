@@ -31,8 +31,8 @@
 // summary; schema in DESIGN.md), -progress renders a live stderr status
 // line for the sweeps, and -debug-addr serves net/http/pprof and a
 // /metrics snapshot while the experiment runs. Telemetry observes the
-// harness only: experiment output stays byte-identical with it on, off,
-// or sampled (-metrics-sample N).
+// harness only: experiment output stays byte-identical with it on or
+// off.
 //
 // SIGINT/SIGTERM cancel the in-flight sweep jobs, flush the -metrics
 // run log (the summary record is written even for an interrupted run),
@@ -102,7 +102,6 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 	top.SetOutput(stderr)
 	top.Usage = func() { usage(stderr) }
 	metricsPath := top.String("metrics", "", "write a JSONL telemetry run log to this file")
-	metricsSample := top.Int("metrics-sample", 1, "record every Nth sweep job in the run log and latency histogram")
 	progress := top.Bool("progress", false, "render a live sweep progress line on stderr")
 	debugAddr := top.String("debug-addr", "", "serve net/http/pprof and /metrics on this address while running")
 	if err := top.Parse(args); err != nil {
@@ -131,7 +130,7 @@ func realMainCtx(ctx context.Context, args []string, stdout, stderr io.Writer) i
 
 	// Telemetry session: enabled by any of the observability flags,
 	// torn down (summary record, final progress line) before exit.
-	tcfg := telemetry.Config{Label: cmd, SampleEvery: *metricsSample, Progress: nil}
+	tcfg := telemetry.Config{Label: cmd, Progress: nil}
 	enable := false
 	var logFile *os.File
 	if *metricsPath != "" {

@@ -59,7 +59,7 @@ func TestMetricsRunLog(t *testing.T) {
 		t.Skip("CLI smoke run")
 	}
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	args := []string{"-metrics", path, "-metrics-sample", "2",
+	args := []string{"-metrics", path,
 		"kaslr", "-arch", "zen2", "-runs", "2", "-jobs", "2"}
 
 	// The experiment prints its table to stdout; silence it for the test.

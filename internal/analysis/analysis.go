@@ -44,9 +44,9 @@ type Analyzer struct {
 	Doc string
 
 	// Applies reports whether the analyzer's invariant covers the
-	// given package path and file. Run consults it for real
-	// packages; the fixture harness ignores it so testdata can
-	// exercise the raw rule. A nil Applies means "everywhere".
+	// given package path and file. Run consults it; the fixture
+	// harness runs a copy with a nil Applies so testdata exercises
+	// the raw rule. A nil Applies means "everywhere".
 	Applies func(pkgPath, filename string) bool
 
 	// Run inspects one package and reports findings via pass.Report.
@@ -55,8 +55,7 @@ type Analyzer struct {
 
 // A Pass carries one package's syntax and type information through an
 // Analyzer.Run invocation, plus the flow engine's shared state: lazy
-// per-function CFGs, the cross-package fact store, and the hot set Run
-// derived from the whole-repo call graph.
+// per-function CFGs and the state Run carries across packages.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -64,24 +63,21 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// Facts exposes the exported facts of already-analyzed packages
-	// (dependencies, under Run's ordering). Nil in isolated
-	// fixture runs.
-	Facts *FactStore
-
-	// OwnFacts is where this package's analyzers export facts for
-	// their importers. Nil in isolated fixture runs.
-	OwnFacts *PackageFacts
-
-	// Hot holds the FullNames of this package's functions that the
-	// whole-repo call graph marks reachable from the hot roots. Nil
-	// when no global graph exists (fixtures, single-package runs);
-	// hotalloc then falls back to intra-package reachability from
-	// annotated roots.
-	Hot map[string]bool
-
 	pkg   *Package
+	state *runState
 	diags []Diagnostic
+}
+
+// runState is what one Run carries from package to package.
+type runState struct {
+	// hot holds the FullNames of the functions reachable from the hot
+	// roots over the call edges of every loaded package (callgraph.go).
+	hot map[string]bool
+
+	// durable maps the FullName of every function errflow has found to
+	// report a durability outcome to the reason. Run analyzes packages
+	// in dependency order, so an importer sees its imports' entries.
+	durable map[string]string
 }
 
 // CFG returns the (lazily built) control-flow graph of fn, which must
@@ -89,9 +85,6 @@ type Pass struct {
 // so the suite builds each function's graph at most once per package
 // no matter how many analyzers consult it.
 func (p *Pass) CFG(fn ast.Node) *CFG {
-	if p.pkg == nil {
-		return BuildCFG(fn)
-	}
 	if p.pkg.cfgs == nil {
 		p.pkg.cfgs = make(map[ast.Node]*CFG)
 	}
@@ -135,7 +128,7 @@ type Package struct {
 	Info    *types.Info
 
 	// LoadTime is how long Load spent parsing and type-checking the
-	// package (zero for fixture packages).
+	// package.
 	LoadTime time.Duration
 
 	cfgs map[ast.Node]*CFG // shared lazy CFG cache (Pass.CFG)
@@ -251,38 +244,31 @@ func (ds *directiveSet) unusedDiags(ran map[string]bool) []Diagnostic {
 }
 
 // runOne applies a single analyzer to a package and returns its
-// diagnostics with phantomvet:ignore suppressions already removed
-// (marking the directives used) and positions sorted. When scoped is
-// true, diagnostics in files outside a.Applies are dropped
-// (package-level applicability is the caller's concern; file-level is
-// handled here because only the diagnostic knows its file).
-func runOne(a *Analyzer, pkg *Package, scoped bool, ds *directiveSet, facts *FactStore, own *PackageFacts, hot map[string]bool) []Diagnostic {
+// diagnostics with phantomvet:ignore suppressions removed (marking the
+// directives used). Diagnostics in files outside a.Applies are dropped:
+// package-level applicability is Run's concern, file-level is handled
+// here because only the diagnostic knows its file.
+func runOne(a *Analyzer, pkg *Package, ds *directiveSet, state *runState) []Diagnostic {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Facts:    facts,
-		OwnFacts: own,
-		Hot:      hot,
 		pkg:      pkg,
+		state:    state,
 	}
 	a.Run(pass)
-	if ds == nil {
-		ds = parseDirectives(pkg.Fset, pkg.Files)
-	}
 	var out []Diagnostic
 	for _, d := range pass.diags {
 		if ds.suppresses(d) {
 			continue
 		}
-		if scoped && a.Applies != nil && !a.Applies(pkg.PkgPath, d.Pos.Filename) {
+		if a.Applies != nil && !a.Applies(pkg.PkgPath, d.Pos.Filename) {
 			continue
 		}
 		out = append(out, d)
 	}
-	sortDiagnostics(out)
 	return out
 }
 
@@ -302,76 +288,45 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// Run applies every analyzer in the suite to every package with full
-// cross-package fact propagation and hot-set derivation, and returns
-// the combined findings sorted by position: summaries first (so the
-// whole-repo call graph and hot set exist before any checking analyzer
-// runs), then per-package analysis in dependency order (so facts only
-// ever flow along the import DAG). timing, when non-nil, receives each
-// analyzer's wall time on each package.
+// Run applies every analyzer in the suite to every package and returns
+// the combined findings sorted by position. It derives the hot set from
+// the call edges of every package first, because the hot set flows
+// against the import DAG: a function is hot when a hot root in some
+// importing package reaches it. It then analyzes the packages one at a
+// time in dependency order, so errflow's durable map holds every
+// import's durable functions before an importer is checked. When the
+// suite includes unusedignore, each package's directives that
+// suppressed nothing for an analyzer that ran are reported too.
+// timing, when non-nil, receives each analyzer's wall time on each
+// package.
 func Run(suite []*Analyzer, pkgs []*Package, timing func(pkgPath, analyzer string, d time.Duration)) []Diagnostic {
 	ordered := topoSort(pkgs)
-	facts := NewFactStore()
-	summaries := make(map[string]*PackageFacts, len(ordered))
-	for _, pkg := range ordered {
-		summaries[pkg.PkgPath] = summarizePackage(pkg)
-	}
-	hot := BuildCallGraph(summaries).Reachable(HotRoots)
-	var out []Diagnostic
-	for _, pkg := range ordered {
-		out = append(out, AnalyzePackage(suite, pkg, facts, summaries[pkg.PkgPath], hotIn(hot, summaries[pkg.PkgPath]), timing)...)
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// hotIn restricts the global hot set to the functions a package
-// declares (the keys of its call summary).
-func hotIn(hot map[string]bool, summary *PackageFacts) map[string]bool {
-	out := make(map[string]bool)
-	for name := range summary.Funcs {
-		if hot[name] {
-			out[name] = true
-		}
-	}
-	return out
-}
-
-// AnalyzePackage runs the suite over one loaded package: checking
-// analyzers (with dep facts and the package's hot set), suppression
-// filtering, and — when the suite includes unusedignore — the dead-
-// suppression check over everything that ran. The package's exported
-// facts land in facts (seeded with summary) for its importers. timing,
-// when non-nil, receives each analyzer's wall time on the package.
-func AnalyzePackage(suite []*Analyzer, pkg *Package, facts *FactStore, summary *PackageFacts, hot map[string]bool, timing func(pkgPath, analyzer string, d time.Duration)) []Diagnostic {
-	if summary == nil {
-		summary = summarizePackage(pkg)
-	}
-	own := summary // durable facts accrete onto the call summary
-	ds := parseDirectives(pkg.Fset, pkg.Files)
+	state := &runState{hot: hotSet(ordered), durable: make(map[string]string)}
 	ran := make(map[string]bool)
-	var out []Diagnostic
 	unusedCheck := false
 	for _, a := range suite {
-		if a == UnusedIgnore {
+		if a.Name == UnusedIgnore.Name {
 			unusedCheck = true
-			continue
-		}
-		ran[a.Name] = true
-		if a.Applies != nil && !packageInScope(a, pkg) {
-			continue
-		}
-		start := time.Now()
-		out = append(out, runOne(a, pkg, true, ds, facts, own, hot)...)
-		if timing != nil {
-			timing(pkg.PkgPath, a.Name, time.Since(start))
+		} else {
+			ran[a.Name] = true
 		}
 	}
-	if unusedCheck {
-		out = append(out, ds.unusedDiags(ran)...)
-	}
-	if facts != nil {
-		facts.Set(pkg.PkgPath, own)
+	var out []Diagnostic
+	for _, pkg := range ordered {
+		ds := parseDirectives(pkg.Fset, pkg.Files)
+		for _, a := range suite {
+			if a.Name == UnusedIgnore.Name || a.Applies != nil && !packageInScope(a, pkg) {
+				continue
+			}
+			start := time.Now()
+			out = append(out, runOne(a, pkg, ds, state)...)
+			if timing != nil {
+				timing(pkg.PkgPath, a.Name, time.Since(start))
+			}
+		}
+		if unusedCheck {
+			out = append(out, ds.unusedDiags(ran)...)
+		}
 	}
 	sortDiagnostics(out)
 	return out

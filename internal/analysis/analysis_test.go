@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -129,11 +130,7 @@ func f() {
 // TestSuppressionFiltersDiagnostics runs a real analyzer over source
 // with a directive and checks the finding is dropped end to end.
 func TestSuppressionFiltersDiagnostics(t *testing.T) {
-	diags, _, err := AnalyzeDir(MapOrder, fixture("maporder", "ok"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	for _, d := range analyzeFixture([]*Analyzer{MapOrder}, fixture(t, "maporder", "ok")) {
 		t.Errorf("suppressed fixture still produced: %s", d)
 	}
 }
@@ -217,14 +214,14 @@ func (r *failRecorder) Fatalf(format string, args ...any) {
 	panic(r)
 }
 
-func runFixtureRecovering(a *Analyzer, dir string) (rec *failRecorder) {
+func runFixtureRecovering(a *Analyzer, pkg *Package) (rec *failRecorder) {
 	rec = &failRecorder{}
 	defer func() {
 		if p := recover(); p != nil && p != any(rec) {
 			panic(p)
 		}
 	}()
-	RunFixture(rec, a, dir)
+	RunFixture(rec, a, pkg)
 	return rec
 }
 
@@ -233,7 +230,7 @@ func TestHarnessReportsMismatches(t *testing.T) {
 	// both ways: its want comments go unmatched, and (for a fixture
 	// that also violates the wrong analyzer's rule) diagnostics arrive
 	// unexpected.
-	rec := runFixtureRecovering(CtxFlow, fixture("determinism", "bad"))
+	rec := runFixtureRecovering(CtxFlow, fixture(t, "determinism", "bad"))
 	if len(rec.errors) == 0 {
 		t.Fatal("harness accepted a fixture whose want comments matched nothing")
 	}
@@ -243,7 +240,7 @@ func TestHarnessReportsMismatches(t *testing.T) {
 		}
 	}
 
-	rec = runFixtureRecovering(NoPerturb, fixture("maporder", "bad"))
+	rec = runFixtureRecovering(NoPerturb, fixture(t, "maporder", "bad"))
 	var unexpected bool
 	for _, e := range rec.errors {
 		if strings.Contains(e, "unexpected diagnostic") {
@@ -255,9 +252,17 @@ func TestHarnessReportsMismatches(t *testing.T) {
 	}
 }
 
+// TestHarnessRejectsBrokenFixture pins that a fixture the harness
+// cannot read fails instead of passing vacuously: a missing directory
+// is an AnalyzeDir error, and a malformed want comment is fatal to
+// RunFixture.
 func TestHarnessRejectsBrokenFixture(t *testing.T) {
-	rec := runFixtureRecovering(Determinism, fixture("does", "not", "exist"))
+	if _, err := AnalyzeDir([]*Analyzer{Determinism}, filepath.Join("testdata", "src", "does", "not", "exist")); err == nil {
+		t.Error("AnalyzeDir accepted a missing fixture directory")
+	}
+	fset, files := parseOne(t, "package p\n\nvar x = 1 // want unquoted\n")
+	rec := runFixtureRecovering(Determinism, &Package{PkgPath: "p", Fset: fset, Files: files})
 	if rec.fatal == "" {
-		t.Fatal("harness accepted a missing fixture directory")
+		t.Error("harness accepted a fixture whose want comment is malformed")
 	}
 }

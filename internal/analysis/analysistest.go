@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/importer"
-	"go/token"
-	"go/types"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -40,85 +38,94 @@ type expectation struct {
 	matched bool
 }
 
-// RunFixture loads the fixture package at dir (one package, no test
-// files), runs a on it with phantomvet:ignore suppression applied,
+// RunFixture runs a on the loaded fixture package pkg (see AnalyzeDir)
 // and compares the diagnostics against the fixture's want
 // annotations.
-func RunFixture(t TestingT, a *Analyzer, dir string) {
+func RunFixture(t TestingT, a *Analyzer, pkg *Package) {
 	t.Helper()
-	diags, fset, err := AnalyzeDir(a, dir)
+	expects, err := parseExpectations(pkg)
 	if err != nil {
-		t.Fatalf("fixture %s: %v", dir, err)
+		t.Fatalf("fixture %s: %v", pkg.PkgPath, err)
 	}
-	expects, err := parseExpectations(fset, dir)
-	if err != nil {
-		t.Fatalf("fixture %s: %v", dir, err)
-	}
-	for _, d := range diags {
+	name := path.Base(pkg.PkgPath)
+	for _, d := range analyzeFixture([]*Analyzer{a}, pkg) {
 		if !claimExpectation(expects, d) {
-			t.Errorf("%s: unexpected diagnostic: %s", filepath.Base(dir), d)
+			t.Errorf("%s: unexpected diagnostic: %s", name, d)
 		}
 	}
 	for _, e := range expects {
 		if !e.matched {
 			t.Errorf("%s: %s:%d: expected a diagnostic matching %q, got none",
-				filepath.Base(dir), filepath.Base(e.file), e.line, e.re)
+				name, filepath.Base(e.file), e.line, e.re)
 		}
 	}
 }
 
-// AnalyzeDir parses and type-checks the single package in dir and runs
-// a over it, ignoring a.Applies (fixtures exercise the raw rule) but
-// honouring phantomvet:ignore directives.
-func AnalyzeDir(a *Analyzer, dir string) ([]Diagnostic, *token.FileSet, error) {
-	fset := token.NewFileSet()
-	name, files, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(name, fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("type checking: %v", err)
-	}
-	pkg := &Package{PkgPath: name, Fset: fset, Files: files, Types: tpkg, Info: info}
-	if a == UnusedIgnore {
-		// The dead-suppression check is defined over a whole suite run:
-		// a directive is unused only if the analyzer it names ran and
-		// stayed silent. Its fixtures therefore run everything and
-		// report only the unusedignore findings.
-		all := AnalyzePackage(Suite(), pkg, nil, nil, nil, nil)
-		var out []Diagnostic
-		for _, d := range all {
-			if d.Analyzer == UnusedIgnore.Name {
-				out = append(out, d)
-			}
-		}
-		return out, fset, nil
-	}
-	return runOne(a, pkg, false, nil, nil, newPackageFacts(), nil), fset, nil
-}
-
-// parseExpectations re-reads the fixture's comments for want
-// annotations. It reuses the already-parsed comment lists via a fresh
-// parse of the directory, which keeps the harness independent of how
-// AnalyzeDir ran.
-func parseExpectations(fset *token.FileSet, dir string) ([]*expectation, error) {
-	efset := token.NewFileSet()
-	_, files, err := parseDir(efset, dir)
+// AnalyzeDir loads the single package in dir through Load and returns
+// the findings of the selected analyzers' raw rules on it, with
+// phantomvet:ignore directives honoured.
+func AnalyzeDir(selected []*Analyzer, dir string) ([]Diagnostic, error) {
+	// go list reads a pattern as a directory only when it is rooted or
+	// starts with . or ..; testdata is invisible to ./... on purpose,
+	// but an explicit directory loads like any other package.
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	pkgs, err := Load([]string{abs})
+	if err != nil {
+		return nil, err
+	}
+	if len(pkgs) != 1 {
+		// Load skips a directory whose only Go files are tests; as a
+		// fixture that is broken, not clean.
+		return nil, fmt.Errorf("%s: no non-test Go files", dir)
+	}
+	return analyzeFixture(selected, pkgs[0]), nil
+}
+
+// analyzeFixture runs copies of the selected analyzers with a nil
+// Applies over pkg, so fixtures exercise the raw rules, and keeps the
+// selected analyzers' findings. The dead-suppression check is defined
+// over a whole suite run: a directive is unused only if the analyzer it
+// names ran and stayed silent. Selecting unusedignore therefore runs
+// the whole suite.
+func analyzeFixture(selected []*Analyzer, pkg *Package) []Diagnostic {
+	suite := selected
+	keep := make(map[string]bool)
+	for _, a := range selected {
+		keep[a.Name] = true
+		if a.Name == UnusedIgnore.Name {
+			suite = Suite()
+		}
+	}
+	raw := make([]*Analyzer, len(suite))
+	for i, a := range suite {
+		c := *a
+		c.Applies = nil
+		raw[i] = &c
+	}
+	var out []Diagnostic
+	for _, d := range Run(raw, []*Package{pkg}, nil) {
+		if keep[d.Analyzer] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// parseExpectations reads the want annotations from the fixture's
+// comments.
+func parseExpectations(pkg *Package) ([]*expectation, error) {
 	var out []*expectation
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				pos := efset.Position(c.Pos())
+				pos := pkg.Fset.Position(c.Pos())
 				res, err := splitWantPatterns(m[1])
 				if err != nil {
 					return nil, fmt.Errorf("%s:%d: %v", pos.Filename, pos.Line, err)

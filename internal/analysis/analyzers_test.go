@@ -2,14 +2,53 @@ package analysis
 
 import (
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
 // Each analyzer gets a flagging (bad) and a non-flagging (ok) fixture
 // package. The bad fixtures annotate every expected diagnostic with a
 // // want "regexp" comment; the ok fixtures must produce none.
-func fixture(parts ...string) string {
-	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
+var fixtures struct {
+	once  sync.Once
+	byDir map[string]*Package // by path below testdata/src
+	err   error
+}
+
+// fixture returns the loaded fixture package testdata/src/<name>/<kind>.
+// The first call loads every fixture in one Load, so the shared source
+// importer type-checks each standard-library import once for all of
+// them instead of once per fixture.
+func fixture(t *testing.T, name, kind string) *Package {
+	t.Helper()
+	fixtures.once.Do(func() {
+		dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*", "*"))
+		if err != nil {
+			fixtures.err = err
+			return
+		}
+		for i, dir := range dirs {
+			dirs[i] = "./" + filepath.ToSlash(dir)
+		}
+		pkgs, err := Load(dirs)
+		if err != nil {
+			fixtures.err = err
+			return
+		}
+		fixtures.byDir = make(map[string]*Package, len(pkgs))
+		for _, p := range pkgs {
+			fixtures.byDir[strings.TrimPrefix(p.PkgPath, "phantom/internal/analysis/testdata/src/")] = p
+		}
+	})
+	if fixtures.err != nil {
+		t.Fatal(fixtures.err)
+	}
+	pkg := fixtures.byDir[name+"/"+kind]
+	if pkg == nil {
+		t.Fatalf("no fixture package testdata/src/%s/%s", name, kind)
+	}
+	return pkg
 }
 
 // TestAnalyzerFixtures runs every analyzer in the suite on its own
@@ -18,8 +57,8 @@ func fixture(parts ...string) string {
 func TestAnalyzerFixtures(t *testing.T) {
 	for _, a := range Suite() {
 		t.Run(a.Name, func(t *testing.T) {
-			RunFixture(t, a, fixture(a.Name, "bad"))
-			RunFixture(t, a, fixture(a.Name, "ok"))
+			RunFixture(t, a, fixture(t, a.Name, "bad"))
+			RunFixture(t, a, fixture(t, a.Name, "ok"))
 		})
 	}
 }
@@ -33,25 +72,21 @@ func TestCrossAnalyzerSilence(t *testing.T) {
 		a       *Analyzer
 		fixture string
 	}{
-		{Determinism, fixture("noperturb", "bad")},
-		{Determinism, fixture("ctxflow", "bad")},
-		{Determinism, fixture("faultalloc", "bad")},
-		{NoPerturb, fixture("determinism", "bad")},
-		{NoPerturb, fixture("ctxflow", "bad")},
-		{CtxFlow, fixture("determinism", "bad")},
-		{CtxFlow, fixture("faultalloc", "bad")},
-		{FaultAlloc, fixture("determinism", "bad")},
-		{FaultAlloc, fixture("maporder", "bad")},
-		{MapOrder, fixture("determinism", "bad")},
-		{MapOrder, fixture("faultalloc", "bad")},
+		{Determinism, "noperturb"},
+		{Determinism, "ctxflow"},
+		{Determinism, "faultalloc"},
+		{NoPerturb, "determinism"},
+		{NoPerturb, "ctxflow"},
+		{CtxFlow, "determinism"},
+		{CtxFlow, "faultalloc"},
+		{FaultAlloc, "determinism"},
+		{FaultAlloc, "maporder"},
+		{MapOrder, "determinism"},
+		{MapOrder, "faultalloc"},
 	}
 	for _, c := range cases {
-		diags, _, err := AnalyzeDir(c.a, c.fixture)
-		if err != nil {
-			t.Fatalf("%s on %s: %v", c.a.Name, c.fixture, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s fired on %s: %s", c.a.Name, c.fixture, d)
+		for _, d := range analyzeFixture([]*Analyzer{c.a}, fixture(t, c.fixture, "bad")) {
+			t.Errorf("%s fired on the %s bad fixture: %s", c.a.Name, c.fixture, d)
 		}
 	}
 }

@@ -2,15 +2,14 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"sort"
+	"strings"
 )
 
-// callgraph.go extracts per-package static call summaries and
-// assembles them into the whole-repo call graph. The summary is a
-// fact (facts.go): each package exports the out-edges of its
-// functions, and Run computes reachability over the union before any
-// checking analyzer runs. That order matters because the hot set flows
+// callgraph.go derives the hot set: every function the static call
+// graph of the loaded packages reaches from the hot roots. Run computes
+// it before any checking analyzer runs, because the hot set flows
 // against the import DAG: a function is hot when a hot root in some
 // importing package reaches it.
 //
@@ -22,43 +21,79 @@ import (
 // (the simulator's per-step path is direct calls throughout; an
 // indirect call on it would itself be a finding someday, not today).
 
-// summarizePackage computes pkg's call-summary facts: one entry per
-// declared function or method, closure bodies attributed to the
-// function whose body lexically contains them (a closure runs with
-// its creator's budget until it escapes, and the hot path creates
+// hotSet returns the FullNames of every function reachable from the
+// hot roots along the static call edges of pkgs. The roots are
+// HotRoots plus every function annotated `//phantomvet:hotroot` — the
+// escape hatch fixture packages and future subsystems use to opt a
+// function in without editing HotRoots. Closure bodies are attributed
+// to the function whose body lexically contains them (a closure runs
+// with its creator's budget until it escapes, and the hot path creates
 // none).
-func summarizePackage(pkg *Package) *PackageFacts {
-	pf := newPackageFacts()
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			callees := make(map[string]bool)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+func hotSet(pkgs []*Package) map[string]bool {
+	roots := append([]string(nil), HotRoots...)
+	edges := make(map[string][]string)
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			annotated := hotrootLines(pkg.Fset, file)
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
+					continue
+				}
+				name := obj.FullName()
+				if annotated[pkg.Fset.Position(fd.Pos()).Line] {
+					roots = append(roots, name)
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if callee := staticCallee(pkg.Info, call); callee != nil {
+							edges[name] = append(edges[name], callee.FullName())
+						}
+					}
 					return true
-				}
-				if callee := staticCallee(pkg.Info, call); callee != nil {
-					callees[callee.FullName()] = true
-				}
-				return true
-			})
-			names := make([]string, 0, len(callees))
-			for name := range callees {
-				names = append(names, name)
+				})
 			}
-			sort.Strings(names)
-			pf.fact(obj.FullName()).Callees = names
 		}
 	}
-	return pf
+	return reachable(edges, roots)
+}
+
+// hotrootLines returns the set of lines f's phantomvet:hotroot
+// directives apply to: the line after the directive comment (the
+// func declaration it documents).
+func hotrootLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	out := make(map[int]bool)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), "phantomvet:hotroot") {
+				out[fset.Position(c.Pos()).Line+1] = true
+			}
+		}
+	}
+	return out
+}
+
+// reachable returns every function reachable from the given roots
+// (inclusive) along edges, which maps a function's FullName to the
+// FullNames it calls. Callees with no entry (stdlib, packages not
+// loaded) simply have no out-edges.
+func reachable(edges map[string][]string, roots []string) map[string]bool {
+	seen := make(map[string]bool)
+	stack := append([]string(nil), roots...)
+	for len(stack) > 0 {
+		fn := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[fn] {
+			continue
+		}
+		seen[fn] = true
+		stack = append(stack, edges[fn]...)
+	}
+	return seen
 }
 
 // staticCallee resolves a call expression to the concrete function it
@@ -85,52 +120,4 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return fn
-}
-
-// A CallGraph is the union of every package's call-summary facts:
-// adjacency over function FullNames.
-type CallGraph struct {
-	Edges map[string][]string
-}
-
-// BuildCallGraph merges the Callees facts of the given packages into
-// one graph. Packages are keyed by path only for determinism of the
-// merge; edge targets may name functions in packages outside the set
-// (stdlib), which simply have no out-edges.
-func BuildCallGraph(facts map[string]*PackageFacts) *CallGraph {
-	g := &CallGraph{Edges: make(map[string][]string)}
-	paths := make([]string, 0, len(facts))
-	for path := range facts {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pf := facts[path]
-		if pf == nil {
-			continue
-		}
-		for _, name := range pf.names() {
-			if f := pf.Funcs[name]; len(f.Callees) > 0 {
-				g.Edges[name] = append(g.Edges[name], f.Callees...)
-			}
-		}
-	}
-	return g
-}
-
-// Reachable returns every function reachable from the given roots
-// (inclusive) along static call edges.
-func (g *CallGraph) Reachable(roots []string) map[string]bool {
-	seen := make(map[string]bool)
-	stack := append([]string(nil), roots...)
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		stack = append(stack, g.Edges[fn]...)
-	}
-	return seen
 }

@@ -23,10 +23,10 @@ import (
 // existed.
 //
 // Durability is interprocedural: a helper that wraps Sync is as
-// durable as Sync itself. ErrFlow therefore exports a Durable fact for
-// every function in scope whose body calls a durability op and returns
-// an error; callers in importing packages are checked against those
-// facts (facts.go).
+// durable as Sync itself. ErrFlow therefore records in the run's
+// durable map every function in scope whose body calls a durability op
+// and returns an error; Run analyzes packages in dependency order, so
+// callers in importing packages are checked against those entries.
 var ErrFlow = &Analyzer{
 	Name: "errflow",
 	Doc: "forbid discarding errors from durability operations (Sync/Close/Rename/Flock/Flush and in-repo functions marked durable) " +
@@ -61,7 +61,7 @@ var durablePrimitives = map[string]string{
 }
 
 func runErrFlow(pass *Pass) {
-	exportDurableFacts(pass)
+	markDurable(pass)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -84,7 +84,7 @@ func checkDiscardedCall(pass *Pass, e ast.Expr, how string) {
 	if !ok {
 		return
 	}
-	fn := calledFunc(pass, call)
+	fn := staticCallee(pass.Info, call)
 	if fn == nil || !returnsError(fn) {
 		return
 	}
@@ -94,21 +94,6 @@ func checkDiscardedCall(pass *Pass, e ast.Expr, how string) {
 	}
 	pass.Reportf(e.Pos(), "%s%s discards its error, which %s; bind it or make the drop explicit with `_ =`",
 		how, fn.Name(), reason)
-}
-
-// calledFunc resolves the concrete function a call invokes, or nil.
-func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.Info.Uses[id].(*types.Func)
-	return fn
 }
 
 // returnsError reports whether fn's last result is the error type.
@@ -122,33 +107,23 @@ func returnsError(fn *types.Func) bool {
 }
 
 // durableReason reports whether fn's error result carries a durability
-// outcome, either because fn is a known primitive, because it is
-// declared in this package and exported a Durable fact, or because an
-// already-analyzed imported package exported one for it.
+// outcome, either because fn is a known primitive or because the run's
+// durable map holds it: declared in this package, or in an import
+// analyzed before it.
 func durableReason(pass *Pass, fn *types.Func) (string, bool) {
 	if reason, ok := durablePrimitives[fn.FullName()]; ok {
 		return reason, true
 	}
-	if pass.OwnFacts != nil && fn.Pkg() == pass.Pkg {
-		if f := pass.OwnFacts.Funcs[fn.FullName()]; f != nil && f.Durable != "" {
-			return f.Durable, true
-		}
-	}
-	if reason, ok := pass.ImportedDurable(fn); ok {
-		return reason, true
-	}
-	return "", false
+	reason, ok := pass.state.durable[fn.FullName()]
+	return reason, ok
 }
 
-// exportDurableFacts walks the package's declared functions and marks
-// as Durable every one that returns an error and calls a durability
-// primitive (or an already-marked durable function) in its body.
+// markDurable walks the package's declared functions and records as
+// durable every one that returns an error and calls a durability
+// primitive (or an already-recorded durable function) in its body.
 // Iterating to a fixpoint handles helper-calls-helper chains within
 // the package regardless of declaration order.
-func exportDurableFacts(pass *Pass) {
-	if pass.OwnFacts == nil {
-		return
-	}
+func markDurable(pass *Pass) {
 	type candidate struct {
 		fn   *types.Func
 		body *ast.BlockStmt
@@ -170,7 +145,7 @@ func exportDurableFacts(pass *Pass) {
 	for changed := true; changed; {
 		changed = false
 		for _, c := range candidates {
-			if f := pass.OwnFacts.Funcs[c.fn.FullName()]; f != nil && f.Durable != "" {
+			if _, ok := pass.state.durable[c.fn.FullName()]; ok {
 				continue
 			}
 			ast.Inspect(c.body, func(n ast.Node) bool {
@@ -178,13 +153,12 @@ func exportDurableFacts(pass *Pass) {
 				if !ok {
 					return true
 				}
-				callee := calledFunc(pass, call)
+				callee := staticCallee(pass.Info, call)
 				if callee == nil || callee == c.fn {
 					return true
 				}
 				if _, ok := durableReason(pass, callee); ok {
-					reason := "calls " + displayName(callee)
-					pass.ExportDurable(c.fn, reason)
+					pass.state.durable[c.fn.FullName()] = "calls " + displayName(callee)
 					changed = true
 					return false
 				}

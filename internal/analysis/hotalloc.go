@@ -3,8 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // HotRoots are the entry points of the simulator's per-instruction
@@ -26,8 +24,8 @@ var HotRoots = []string{
 // faultalloc pins one shape (&Fault{}) in a fixed package list; it
 // misses the helper two calls away that builds a []Probe on every
 // step. HotAlloc closes that gap with the call graph: Run computes
-// the set of functions reachable from HotRoots across the
-// repo (callgraph.go facts) and this analyzer flags the allocating
+// the set of functions reachable from HotRoots across the loaded
+// packages (callgraph.go) and this analyzer flags the allocating
 // shapes inside them — address-of composite literal, new(T), map and
 // slice composite literals, and growing append. Plain `make` is
 // deliberately NOT flagged: the simulator's sanctioned amortization
@@ -47,16 +45,12 @@ var HotAlloc = &Analyzer{
 
 // hotAllocScope mirrors faultalloc's package list — the simulation
 // core. The call graph narrows further to actually-hot functions;
-// the scope only bounds which packages are worth summarizing.
+// the scope only bounds which packages are checked.
 func hotAllocScope(pkgPath, filename string) bool {
 	return faultAllocScope(pkgPath, filename)
 }
 
 func runHotAlloc(pass *Pass) {
-	hot := hotFuncs(pass)
-	if len(hot) == 0 {
-		return
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -64,75 +58,12 @@ func runHotAlloc(pass *Pass) {
 				continue
 			}
 			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !hot[fn.FullName()] {
+			if !ok || !pass.state.hot[fn.FullName()] {
 				continue
 			}
 			checkHotBody(pass, fd)
 		}
 	}
-}
-
-// hotFuncs returns the hot set for this package: Run's global
-// reachability (pass.Hot) unioned with intra-package reachability from
-// local roots. Local roots are HotRoots declared here plus any
-// function annotated `//phantomvet:hotroot` — the escape hatch fixture
-// packages and future subsystems use to opt a function in without
-// editing HotRoots.
-func hotFuncs(pass *Pass) map[string]bool {
-	roots := make(map[string]bool)
-	for name := range pass.Hot {
-		roots[name] = true
-	}
-	rootNames := make(map[string]bool, len(HotRoots))
-	for _, r := range HotRoots {
-		rootNames[r] = true
-	}
-	for _, file := range pass.Files {
-		annotated := hotrootLines(pass, file)
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			full := fn.FullName()
-			if rootNames[full] || annotated[pass.Fset.Position(fd.Pos()).Line] {
-				roots[full] = true
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return nil
-	}
-	// Close over intra-package (and any already-known) call edges so a
-	// helper called from a hot function is hot even when the global
-	// graph was not computed (fixture runs, single-package runs).
-	summary := summarizePackage(pass.pkg)
-	graph := BuildCallGraph(map[string]*PackageFacts{pass.Pkg.Path(): summary})
-	rootList := make([]string, 0, len(roots))
-	for name := range roots {
-		rootList = append(rootList, name)
-	}
-	sort.Strings(rootList)
-	return graph.Reachable(rootList)
-}
-
-// hotrootLines returns the set of lines f's phantomvet:hotroot
-// directives apply to: the line after the directive comment (the
-// func declaration it documents).
-func hotrootLines(pass *Pass, f *ast.File) map[int]bool {
-	out := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), "phantomvet:hotroot") {
-				out[pass.Fset.Position(c.Pos()).Line+1] = true
-			}
-		}
-	}
-	return out
 }
 
 // checkHotBody flags the allocating shapes in one hot function's body.

@@ -10,10 +10,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
@@ -104,53 +102,17 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 		}
 		files = append(files, f)
 	}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("%s: type checking: %v", pkgPath, err)
-	}
-	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-}
-
-// parseDir parses every non-test .go file of the single package in
-// dir, for the fixture harness (which bypasses `go list` because
-// testdata is invisible to ./... patterns on purpose).
-func parseDir(fset *token.FileSet, dir string) (name string, files []*ast.File, err error) {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !isTestFile(fi.Name())
-	}, parser.ParseComments)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
-		return "", nil, err
+		return nil, fmt.Errorf("%s: type checking: %v", pkgPath, err)
 	}
-	if len(pkgs) != 1 {
-		return "", nil, fmt.Errorf("%s: want exactly one package, got %d", dir, len(pkgs))
-	}
-	var astPkg *ast.Package
-	for n, p := range pkgs {
-		name, astPkg = n, p // single entry, checked above
-	}
-	fileNames := make([]string, 0, len(astPkg.Files))
-	for fn := range astPkg.Files {
-		fileNames = append(fileNames, fn)
-	}
-	sort.Strings(fileNames)
-	for _, fn := range fileNames {
-		files = append(files, astPkg.Files[fn])
-	}
-	return name, files, nil
-}
-
-func isTestFile(name string) bool {
-	return len(name) > len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
+	return &Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,8 +63,9 @@ func TestLoadBadPattern(t *testing.T) {
 }
 
 // writeLoadErrorModule lays out a module whose packages each trip one
-// loader error path: a syntax error, an unresolvable import, and a
-// directory with no Go files at all.
+// loader error path: a syntax error, an unresolvable import, a
+// directory with no Go files at all, one with two packages, and one
+// with only test files.
 func writeLoadErrorModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -83,6 +83,9 @@ func writeLoadErrorModule(t *testing.T) string {
 	write("syntax/syntax.go", "package syntax\n\nfunc broken( {}\n")
 	write("badimport/badimport.go", "package badimport\n\nimport \"no/such/module/anywhere\"\n\nvar _ = anywhere.X\n")
 	write("empty/README.txt", "no Go files here\n")
+	write("twopkg/a.go", "package a\n")
+	write("twopkg/b.go", "package b\n")
+	write("testonly/x_test.go", "package x\n")
 	return root
 }
 
@@ -125,19 +128,13 @@ func TestLoadEmptyPackage(t *testing.T) {
 }
 
 // TestParseDirRejectsMultiplePackages pins the fixture-harness loader
-// error path: a testdata directory holding two package clauses is a
-// broken fixture, not a choice.
+// error paths: a fixture directory holding two package clauses, or
+// only test files, is a broken fixture, not a clean one.
 func TestParseDirRejectsMultiplePackages(t *testing.T) {
-	dir := t.TempDir()
-	for name, content := range map[string]string{
-		"a.go": "package a\n",
-		"b.go": "package b\n",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+	inDir(t, writeLoadErrorModule(t))
+	for _, dir := range []string{"twopkg", "testonly"} {
+		if _, err := AnalyzeDir([]*Analyzer{Determinism}, dir); err == nil {
+			t.Errorf("AnalyzeDir(%s): expected an error for a broken fixture dir", dir)
 		}
-	}
-	if _, _, err := parseDir(token.NewFileSet(), dir); err == nil {
-		t.Fatal("expected an error for two packages in one fixture dir")
 	}
 }

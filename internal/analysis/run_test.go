@@ -96,3 +96,68 @@ func TestRunSortsFindingsAcrossPackages(t *testing.T) {
 		}
 	}
 }
+
+// writePhantomShadowModule lays out a throwaway module NAMED phantom,
+// so its package paths land inside the real analyzers' Applies scopes
+// — the only way to exercise the cross-package durable map end to end
+// without type-checking the actual repo in a unit test. errflow records
+// store's Persist as durable (it wraps f.Sync); cluster imports store
+// and discards Persist's error, which errflow sees only because store
+// was analyzed first.
+func writePhantomShadowModule(t *testing.T) string {
+	t.Helper()
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module phantom\n\ngo 1.21\n")
+	write("internal/store/store.go", `package store
+
+import "os"
+
+func Persist(f *os.File) error {
+	return f.Sync()
+}
+`)
+	write("internal/cluster/cluster.go", `package cluster
+
+import (
+	"os"
+
+	"phantom/internal/store"
+)
+
+func Checkpoint(f *os.File) {
+	store.Persist(f)
+}
+`)
+	return root
+}
+
+func TestCrossPackageDurableFacts(t *testing.T) {
+	inDir(t, writePhantomShadowModule(t))
+	pkgs, err := Load([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run(Suite(), pkgs, nil)
+	var found bool
+	for _, d := range diags {
+		if d.Analyzer == "errflow" && strings.Contains(d.Message, "Persist discards its error") {
+			found = true
+			if !strings.Contains(d.Pos.Filename, "cluster") {
+				t.Errorf("durable-discard finding landed in %s, want the cluster package", d.Pos.Filename)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no errflow finding for the cross-package durable discard; got: %v", diags)
+	}
+}

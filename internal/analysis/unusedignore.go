@@ -16,7 +16,7 @@ package analysis
 //
 // This is a pseudo-analyzer: the Run hook is empty because the check
 // is a property of a whole suite run, not of the syntax tree — the
-// engine (AnalyzePackage) computes the findings from the directive
+// engine (Run) computes the findings from the directive
 // usage it recorded and attributes them to this analyzer's name. It
 // lives in the suite so `-list` shows it, `-run unusedignore` selects
 // it, and phantomvet:ignore can — in the limit — suppress it.

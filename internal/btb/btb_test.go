@@ -198,25 +198,38 @@ func TestBTBNonBranchNeverTrains(t *testing.T) {
 	}
 }
 
+// TestBTBEvictionLRU fills a 2-way set and trains a third branch into
+// it: the way evicted must be the least recently used one, and a hit
+// counts as a use.
 func TestBTBEvictionLRU(t *testing.T) {
 	b := New(NewZen12Scheme("zen2"), 2)
-	base := uint64(0x400000)
-	// Three same-set addresses: base, base^mask and base^(other nullspace
-	// element). Build the third by combining two independent aliasing
-	// masks if available; otherwise synthesize via SamePrivAliasMask.
-	m1, ok := SamePrivAliasMask(b.Scheme())
-	if !ok {
-		t.Skip("no same-priv alias mask")
+	s := b.Scheme()
+	// On the Zen 1/2 scheme, flipping bit 12+i together with bit 24+i
+	// keeps index function i's parity and flips tag function i's: the
+	// same set under a different tag.
+	a1 := uint64(0x400000)
+	a2, a3 := a1^(1<<12|1<<24), a1^(1<<13|1<<25)
+	for _, va := range []uint64{a2, a3} {
+		if s.Index(va) != s.Index(a1) || s.Tag(va, false) == s.Tag(a1, false) {
+			t.Fatalf("%#x does not share %#x's set under another tag", va, a1)
+		}
 	}
-	a1, a2 := base, base^m1
 	b.Update(a1, false, isa.BrJmpInd, 0x111000)
 	b.Update(a2, false, isa.BrJmpInd, 0x222000)
-	// Both fit in the 2 ways.
+	// Refresh a1, so a2 is the least recently used way although a1 was
+	// trained first.
 	if _, ok := b.Lookup(a1, false); !ok {
-		t.Fatal("a1 evicted prematurely")
+		t.Fatal("a1 evicted before the set was full")
 	}
-	if _, ok := b.Lookup(a2, false); !ok {
-		t.Fatal("a2 missing")
+	b.Update(a3, false, isa.BrJmpInd, 0x333000)
+	for _, c := range []struct {
+		name string
+		va   uint64
+		want bool
+	}{{"a1", a1, true}, {"a2", a2, false}, {"a3", a3, true}} {
+		if _, ok := b.Lookup(c.va, false); ok != c.want {
+			t.Errorf("after training a3: %s present = %v, want %v", c.name, ok, c.want)
+		}
 	}
 	b.FlushAll()
 	if b.Occupancy() != 0 {

@@ -24,17 +24,6 @@ type Config struct {
 	HitLatency int // cycles for a hit at this level
 }
 
-// Lines returns the capacity in lines.
-func (c Config) Lines() int { return c.Sets * c.Ways }
-
-// SizeBytes returns the capacity in bytes.
-func (c Config) SizeBytes() int { return c.Lines() * LineSize }
-
-func (c Config) String() string {
-	return fmt.Sprintf("%s: %d KiB, %d sets x %d ways x %dB",
-		c.Name, c.SizeBytes()/1024, c.Sets, c.Ways, LineSize)
-}
-
 type line struct {
 	// epoch stamps the FlushAll generation the line was filled under; a
 	// line is live iff its epoch matches the cache's. 0 means invalid,
@@ -91,9 +80,6 @@ func (c *Cache) Reset() {
 	c.useCounter = 0
 	c.ResetStats()
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // SetIndex returns the set index for an address.
 func (c *Cache) SetIndex(addr uint64) int {

@@ -26,8 +26,6 @@ type Config struct {
 	Self string
 	// Peers is the full static node set, this node included.
 	Peers []Peer
-	// VNodes is the per-peer virtual-node count; 0 = DefaultVNodes.
-	VNodes int
 	// Client issues the proxy requests; nil = a plain http.Client.
 	// Deadlines come from the request context, not the client.
 	Client *http.Client
@@ -75,7 +73,7 @@ type Router struct {
 
 // NewRouter validates cfg and builds the ring.
 func NewRouter(cfg Config) (*Router, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}

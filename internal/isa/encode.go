@@ -243,8 +243,8 @@ func EncPop(reg int) []byte {
 // the canonical re-encoding would not reproduce in.Len bytes, or the
 // instruction is OpInvalid, EncodeInst reports an error instead of
 // silently changing the byte stream. The round-trip property
-// encode→decode→re-encode == identity is pinned by TestEncodeDecodeRoundTrip
-// and exercised over generated programs by internal/search.
+// encode→decode→re-encode == identity is pinned by the tests in
+// roundtrip_test.go, its only callers.
 func EncodeInst(in Inst) ([]byte, error) {
 	var b []byte
 	switch in.Op {

@@ -202,8 +202,7 @@ func (s *Server) do(ctx context.Context, req Request) (*Result, *apiError) {
 // store, then — when clustered and not forwarded — fan-out or proxy,
 // and finally local evaluation.
 func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Result, *apiError) {
-	s.stats.Requests.Add(1)
-	counter("serve_requests").Inc(0)
+	s.count(&s.stats.Requests, "serve_requests", 1)
 	norm, err := req.Normalize()
 	if err != nil {
 		return nil, &apiError{status: http.StatusBadRequest, msg: err.Error()}
@@ -217,8 +216,7 @@ func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Re
 		if byName[norm.Experiment].perArch != nil && len(norm.Archs) > 1 {
 			res, shared, err := s.flights.Do(ctx, key, s.assemble(norm, key))
 			if shared {
-				s.stats.Coalesced.Add(1)
-				counter("serve_coalesced").Inc(0)
+				s.count(&s.stats.Coalesced, "serve_coalesced", 1)
 			}
 			if err != nil {
 				return nil, s.mapError(err)
@@ -231,15 +229,13 @@ func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Re
 			if res, ok := s.proxy(ctx, norm, owner); ok {
 				return res, nil
 			}
-			s.stats.DegradedLocal.Add(1)
-			counter("serve_degraded_local").Inc(0)
+			s.count(&s.stats.DegradedLocal, "serve_degraded_local", 1)
 		}
 	}
 
 	res, shared, err := s.flights.Do(ctx, key, s.evaluate(norm, key, forwarded))
 	if shared {
-		s.stats.Coalesced.Add(1)
-		counter("serve_coalesced").Inc(0)
+		s.count(&s.stats.Coalesced, "serve_coalesced", 1)
 	}
 	if err != nil {
 		return nil, s.mapError(err)
@@ -255,14 +251,12 @@ func (s *Server) doRouted(ctx context.Context, req Request, forwarded bool) (*Re
 // tiers are "previously computed".
 func (s *Server) lookup(key string) (*Result, bool) {
 	if res, ok := s.cache.Get(key); ok {
-		s.stats.CacheHits.Add(1)
-		counter("serve_cache_hits").Inc(0)
+		s.count(&s.stats.CacheHits, "serve_cache_hits", 1)
 		out := *res
 		out.Cached = true
 		return &out, true
 	}
-	s.stats.CacheMisses.Add(1)
-	counter("serve_cache_misses").Inc(0)
+	s.count(&s.stats.CacheMisses, "serve_cache_misses", 1)
 	return s.storeLookup(key)
 }
 
@@ -300,8 +294,7 @@ func (s *Server) storeLookup(key string) (*Result, bool) {
 		counter("serve_store_errors").Inc(0)
 		return nil, false
 	}
-	s.stats.StoreHits.Add(1)
-	counter("serve_store_hits").Inc(0)
+	s.count(&s.stats.StoreHits, "serve_store_hits", 1)
 	s.cache.Put(key, res)
 	out := *res
 	out.Cached = true
@@ -329,18 +322,15 @@ func (s *Server) proxy(ctx context.Context, norm Request, owner cluster.Peer) (*
 	defer cancel()
 	data, err := s.rtr.Forward(fctx, owner, body)
 	if err != nil {
-		s.stats.ProxyFailures.Add(1)
-		counter("serve_peer_failures").Inc(0)
+		s.count(&s.stats.ProxyFailures, "serve_peer_failures", 1)
 		return nil, false
 	}
 	res := new(Result)
 	if err := json.Unmarshal(data, res); err != nil {
-		s.stats.ProxyFailures.Add(1)
-		counter("serve_peer_failures").Inc(0)
+		s.count(&s.stats.ProxyFailures, "serve_peer_failures", 1)
 		return nil, false
 	}
-	s.stats.Proxied.Add(1)
-	counter("serve_proxied").Inc(0)
+	s.count(&s.stats.Proxied, "serve_proxied", 1)
 	res.Proxied = true
 	return res, true
 }
@@ -355,8 +345,7 @@ func (s *Server) proxy(ctx context.Context, norm Request, owner cluster.Peer) (*
 func (s *Server) assemble(norm Request, key string) func(context.Context) (*Result, error) {
 	return func(fctx context.Context) (*Result, error) {
 		n := len(norm.Archs)
-		s.stats.FanoutJobs.Add(uint64(n))
-		counter("serve_fanout_jobs").Add(0, uint64(n))
+		s.count(&s.stats.FanoutJobs, "serve_fanout_jobs", uint64(n))
 		subs := make([]*Result, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
@@ -406,8 +395,7 @@ func (s *Server) resolve(ctx context.Context, sub Request) (*Result, error) {
 		if res, ok := s.proxy(ctx, sub, owner); ok {
 			return res, nil
 		}
-		s.stats.DegradedLocal.Add(1)
-		counter("serve_degraded_local").Inc(0)
+		s.count(&s.stats.DegradedLocal, "serve_degraded_local", 1)
 	}
 	res, _, err := s.flights.Do(ctx, key, s.evaluate(sub, key, true))
 	if err != nil {
@@ -430,8 +418,7 @@ func (s *Server) storePut(key string, res *Result) {
 		counter("serve_store_errors").Inc(0)
 		return
 	}
-	s.stats.StoreFills.Add(1)
-	counter("serve_store_fills").Inc(0)
+	s.count(&s.stats.StoreFills, "serve_store_fills", 1)
 	st := s.store.Stats()
 	gauge("store_records").Set(int64(st.Records))
 	gauge("store_live_bytes").Set(st.LiveBytes)
@@ -466,8 +453,7 @@ func (s *Server) evaluate(req Request, key string, internal bool) func(context.C
 
 		ctx, cancel := context.WithTimeout(fctx, req.Timeout(s.cfg.BaseTimeout))
 		defer cancel()
-		s.stats.Simulations.Add(1)
-		counter("serve_simulations").Inc(0)
+		s.count(&s.stats.Simulations, "serve_simulations", 1)
 		start := time.Now()
 		var buf bytes.Buffer
 		if err := s.exec(ctx, &buf, req, s.cfg.Jobs); err != nil {
@@ -498,23 +484,19 @@ func (s *Server) mapError(err error) *apiError {
 	var busy *BusyError
 	switch {
 	case errors.As(err, &busy):
-		s.stats.RejectedBusy.Add(1)
-		counter("serve_rejected_busy").Inc(0)
+		s.count(&s.stats.RejectedBusy, "serve_rejected_busy", 1)
 		return &apiError{status: http.StatusTooManyRequests, msg: err.Error(), retryAfter: busy.RetryAfter}
 	case errors.Is(err, ErrDraining):
-		s.stats.RejectedDraining.Add(1)
-		counter("serve_rejected_draining").Inc(0)
+		s.count(&s.stats.RejectedDraining, "serve_rejected_draining", 1)
 		return &apiError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: time.Second}
 	case errors.Is(err, context.DeadlineExceeded):
-		s.stats.Errors.Add(1)
-		counter("serve_errors").Inc(0)
+		s.count(&s.stats.Errors, "serve_errors", 1)
 		return &apiError{status: http.StatusGatewayTimeout, msg: "evaluation deadline exceeded"}
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status is for the log, not the client.
 		return &apiError{status: 499, msg: "request canceled"}
 	default:
-		s.stats.Errors.Add(1)
-		counter("serve_errors").Inc(0)
+		s.count(&s.stats.Errors, "serve_errors", 1)
 		return &apiError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
 }
@@ -577,9 +559,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	if s.sched.Draining() {
 		// Reject before decoding: a draining server should not accept
 		// new work it would only 503 one layer down.
-		s.stats.Requests.Add(1)
-		s.stats.RejectedDraining.Add(1)
-		counter("serve_rejected_draining").Inc(0)
+		s.count(&s.stats.Requests, "serve_requests", 1)
+		s.count(&s.stats.RejectedDraining, "serve_rejected_draining", 1)
 		writeError(w, &apiError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error(), retryAfter: time.Second})
 		return
 	}
@@ -642,7 +623,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusNotFound, msg: "unknown or evicted result id"})
 		return
 	}
-	counter("serve_cache_hits").Inc(0)
+	s.count(&s.stats.CacheHits, "serve_cache_hits", 1)
 	out := *res
 	out.Cached = true
 	writeJSON(w, http.StatusOK, &out)
@@ -688,6 +669,14 @@ func writeError(w http.ResponseWriter, e *apiError) {
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	writeJSON(w, e.status, map[string]any{"error": e.msg, "status": e.status})
+}
+
+// count records n events of one kind in both places they are read: the
+// always-on Stats field and its serve_* telemetry counter. Every event
+// Stats counts goes through here, so the two never disagree.
+func (s *Server) count(field *atomic.Uint64, name string, n uint64) {
+	field.Add(n)
+	counter(name).Add(0, n)
 }
 
 // counter / gauge / histogram look up a metric on the process hub.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"phantom/internal/store"
+	"phantom/internal/telemetry"
 )
 
 // stubExec is a controllable evaluation engine: deterministic output
@@ -409,6 +410,66 @@ func TestResultsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStatsMatchMetrics pins that Stats and the serve_* counters on
+// /metrics count the same events: a request refused while draining is
+// a request in both, and a /v1/results hit is a cache hit in both.
+func TestStatsMatchMetrics(t *testing.T) {
+	telemetry.Enable(telemetry.Config{})
+	defer func() {
+		if err := telemetry.Disable(); err != nil {
+			t.Error(err)
+		}
+	}()
+	s := newTestServer(Config{Workers: 1}, &stubExec{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, data := postJSON(t, ts.URL, `{"experiment":"fig6"}`)
+	var res Result
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/results/" + res.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result: %d", resp.StatusCode)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postJSON(t, ts.URL, `{"experiment":"physmap"}`); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request while draining = %d, want 503", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := s.Stats()
+	for _, c := range []struct {
+		counter string
+		stat    uint64
+		want    uint64
+	}{
+		{"serve_requests", stats.Requests.Load(), 2},
+		{"serve_cache_hits", stats.CacheHits.Load(), 1},
+		{"serve_rejected_draining", stats.RejectedDraining.Load(), 1},
+	} {
+		if c.stat != c.want || snap.Counters[c.counter] != c.want {
+			t.Errorf("%s: Stats %d, /metrics %d, want %d in both", c.counter, c.stat, snap.Counters[c.counter], c.want)
+		}
 	}
 }
 

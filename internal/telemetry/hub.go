@@ -16,11 +16,6 @@ type Config struct {
 	// Progress, when non-nil, receives the live one-line sweep progress
 	// rendering (the CLI passes stderr).
 	Progress io.Writer
-	// SampleEvery thins the per-job latency records: only every Nth
-	// completed job is observed into the latency histogram and written
-	// to the run log. 0 or 1 records every job. Counters and gauges are
-	// cheap and are never sampled.
-	SampleEvery int
 	// Label names the run in the summary record (the CLI uses the
 	// experiment name).
 	Label string
@@ -45,9 +40,6 @@ var active atomic.Pointer[Hub]
 // replacing any previous one without flushing it (call Disable first
 // for an orderly handover). It returns the new hub.
 func Enable(cfg Config) *Hub {
-	if cfg.SampleEvery < 1 {
-		cfg.SampleEvery = 1
-	}
 	h := &Hub{cfg: cfg, reg: NewRegistry(), start: time.Now()}
 	if cfg.RunLog != nil {
 		h.log = newRunLog(cfg.RunLog)

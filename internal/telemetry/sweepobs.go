@@ -22,7 +22,6 @@ type SweepScope struct {
 
 	done atomic.Int64
 	errs atomic.Int64
-	seq  atomic.Int64 // completion order, drives sampling
 
 	jobsDone   *Counter
 	jobErrors  *Counter
@@ -76,9 +75,8 @@ func (s *SweepScope) JobStart(job, worker int) {
 	s.busy.Add(1)
 }
 
-// JobDone records one finished job: counters and gauges always, the
-// latency histogram and per-job run-log record subject to the hub's
-// SampleEvery thinning.
+// JobDone records one finished job: counters, gauges, the latency
+// histogram and the per-job run-log record.
 func (s *SweepScope) JobDone(job, worker int, d time.Duration, err error) {
 	if s == nil {
 		return
@@ -90,17 +88,15 @@ func (s *SweepScope) JobDone(job, worker int, d time.Duration, err error) {
 		s.errs.Add(1)
 		s.jobErrors.Inc(worker)
 	}
-	if n := s.seq.Add(1); (n-1)%int64(s.hub.cfg.SampleEvery) == 0 {
-		s.jobLatency.Observe(worker, uint64(d))
-		r := record{
-			Type: "job", Sweep: s.name, Job: job, Worker: worker,
-			MS: float64(d) / float64(time.Millisecond),
-		}
-		if err != nil {
-			r.Err = err.Error()
-		}
-		s.hub.log.record(r)
+	s.jobLatency.Observe(worker, uint64(d))
+	r := record{
+		Type: "job", Sweep: s.name, Job: job, Worker: worker,
+		MS: float64(d) / float64(time.Millisecond),
 	}
+	if err != nil {
+		r.Err = err.Error()
+	}
+	s.hub.log.record(r)
 	s.hub.prog.update(s.progressLine(), false)
 }
 

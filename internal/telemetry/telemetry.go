@@ -10,7 +10,7 @@
 // observe, never perturb): nothing in this package charges modeled
 // cycles, touches a modeled structure, or consumes the simulation's
 // RNG, so every experiment renders byte-identical output with telemetry
-// enabled, disabled, or sampled. Test*TelemetryParity pins that.
+// enabled or disabled. Test*TelemetryParity pins that.
 //
 // Usage: the process opts in with Enable (the phantom CLI does this for
 // -metrics / -progress / -debug-addr) and instrumented code asks the

@@ -212,42 +212,6 @@ func TestRunLogSchema(t *testing.T) {
 	}
 }
 
-// TestRunLogSampling pins the SampleEvery contract: counters see every
-// job, but only every Nth job lands in the log and the histogram.
-func TestRunLogSampling(t *testing.T) {
-	var buf bytes.Buffer
-	Enable(Config{RunLog: &buf, SampleEvery: 3})
-	s := Sweep("sampled", 7)
-	s.SweepStart(7, 1)
-	for job := 0; job < 7; job++ {
-		s.JobStart(job, 0)
-		s.JobDone(job, 0, time.Millisecond, nil)
-	}
-	s.SweepEnd()
-	if err := Disable(); err != nil {
-		t.Fatal(err)
-	}
-	jobs := 0
-	var sum *Snapshot
-	for _, r := range decodeLines(t, buf.Bytes()) {
-		switch r.Type {
-		case "job":
-			jobs++
-		case "summary":
-			sum = r.Snap
-		}
-	}
-	if jobs != 3 { // completions 1, 4, 7
-		t.Errorf("%d job records with SampleEvery=3, want 3", jobs)
-	}
-	if got := sum.Counters["sweep_jobs_done"]; got != 7 {
-		t.Errorf("counters sampled: sweep_jobs_done = %d, want 7", got)
-	}
-	if got := sum.Histograms["sweep_job_latency_ns"].Count; got != 3 {
-		t.Errorf("histogram count = %d, want 3", got)
-	}
-}
-
 func TestProgressRendering(t *testing.T) {
 	var buf bytes.Buffer
 	p := newProgress(&buf)

@@ -178,9 +178,6 @@ func (s *System) SecretAddr() (uint64, []byte) {
 // Cycles returns the simulated cycle counter.
 func (s *System) Cycles() uint64 { return s.k.M.Cycle }
 
-// SimSeconds converts simulated cycles to seconds at the nominal 3 GHz.
-func SimSeconds(cycles uint64) float64 { return core.CyclesToSeconds(cycles) }
-
 // KASLRResult is the outcome of a derandomization attack.
 type KASLRResult struct {
 	Guess   uint64
