@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,7 @@ perfbench-test:
 # lockcheck, errflow, goleak, hotalloc, unusedignore. Exits 1 on any
 # finding, so a stray time.Now or unsorted map range fails the gate
 # before a parity test has to bisect it. Every run type-checks the
-# whole tree from source (about 9 s on a 2-core box); CI runs this
+# whole tree from source (about 5 s on a 2-core box); CI runs this
 # target as its own job.
 phantom-vet:
 	$(GO) run ./cmd/phantom-vet -v ./...
@@ -87,6 +87,23 @@ bench-boot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSubstrate_Boot$$|BenchmarkSweepTable3' -benchmem -json . \
 		>> BENCH_$$(date +%Y%m%d)_boot.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_boot.json || true
+
+# The headline end-to-end number and the layers under it: the whole
+# report at Seed 7 and Runs 2 on the default pool (BenchmarkReport,
+# perfbench's report unit), Table 1 on a fresh machine per combo
+# (serve's cold fill), and the BTB's lookup, index and tag benchmarks.
+# Archived as a dated JSON log like `make bench-boot`, with the core
+# count on its first line.
+bench-report:
+	printf '{"Action":"output","Package":"phantom","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
+		> BENCH_$$(date +%Y%m%d)_report.json
+	$(GO) test -run '^$$' -bench 'BenchmarkReport$$' -benchtime=3x -benchmem -json . \
+		>> BENCH_$$(date +%Y%m%d)_report.json
+	$(GO) test -run '^$$' -bench 'BenchmarkTable1_(Zen2|Intel13)$$' -count=3 -benchmem -json . \
+		>> BENCH_$$(date +%Y%m%d)_report.json
+	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/btb \
+		>> BENCH_$$(date +%Y%m%d)_report.json
+	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_report.json || true
 
 # The search-throughput number: one search.Run on zen2 (seed 3, budget
 # 2000), where a leg is about ten instructions and machine setup, not

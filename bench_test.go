@@ -12,6 +12,7 @@ package phantom
 //	BenchmarkTable5_*       — physical-address derandomization
 //	BenchmarkSec74_MDSLeak  — the MDS-gadget kernel memory leak
 //	BenchmarkSec63_*        — the mitigation experiments
+//	BenchmarkReport         — the whole report, end to end
 //
 // Each benchmark reports the paper-relevant quality metric alongside the
 // wall time: accuracy (accuracy_pct), simulated attack time (sim_ms), and
@@ -269,6 +270,19 @@ func BenchmarkSweepTable3_1Worker(b *testing.B) { benchTable3Sweep(b, 1) }
 func BenchmarkSweepTable3_NWorkers(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	benchTable3Sweep(b, runtime.GOMAXPROCS(0))
+}
+
+// BenchmarkReport is the headline end-to-end number: GenerateReport,
+// every section on every modeled part, at Seed 7 and Runs 2 on the
+// default pool — the shape of one perfbench report unit. `make
+// bench-report` archives it.
+func BenchmarkReport(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := GenerateReport(io.Discard, ReportOptions{Seed: 7, Runs: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // Telemetry overhead benchmarks: the same Table 1 workload with the hub

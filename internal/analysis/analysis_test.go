@@ -175,6 +175,10 @@ func TestScopes(t *testing.T) {
 		{FaultAlloc, "phantom/internal/mem", "mem.go", true},
 		{FaultAlloc, "phantom/internal/pipeline", "predecode.go", true},
 		{FaultAlloc, "phantom/internal/service", "server.go", false},
+
+		{HotAlloc, "phantom/internal/btb", "btb.go", true},
+		{HotAlloc, "phantom/internal/pipeline", "run.go", true},
+		{HotAlloc, "phantom/internal/search", "diff.go", false},
 	}
 	for _, c := range cases {
 		if got := c.a.Applies(c.pkgPath, c.filename); got != c.want {

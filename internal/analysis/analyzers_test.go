@@ -17,9 +17,8 @@ var fixtures struct {
 }
 
 // fixture returns the loaded fixture package testdata/src/<name>/<kind>.
-// The first call loads every fixture in one Load, so the shared source
-// importer type-checks each standard-library import once for all of
-// them instead of once per fixture.
+// The first call loads every fixture in one Load, so one `go list`
+// serves all of them.
 func fixture(t *testing.T, name, kind string) *Package {
 	t.Helper()
 	fixtures.once.Do(func() {

@@ -26,11 +26,11 @@ var FaultAlloc = &Analyzer{
 }
 
 // faultAllocScope: the packages on (or feeding) the per-instruction
-// fetch/translate/probe path.
+// fetch/translate/probe path, the BTB that every step consults included.
 func faultAllocScope(pkgPath, filename string) bool {
 	switch pkgPath {
 	case "phantom/internal/mem", "phantom/internal/pipeline", "phantom/internal/cache",
-		"phantom/internal/uarch", "phantom/internal/core", "phantom/internal/kernel":
+		"phantom/internal/btb", "phantom/internal/uarch", "phantom/internal/core", "phantom/internal/kernel":
 		return true
 	}
 	return false

@@ -29,7 +29,7 @@ var HotRoots = []string{
 // shapes inside them — address-of composite literal, new(T), map and
 // slice composite literals, and growing append. Plain `make` is
 // deliberately NOT flagged: the simulator's sanctioned amortization
-// idiom is a make'd arena reused across steps (btb.set), and append
+// idiom is a make'd arena reused across steps (btb's set store), and append
 // into a 3-arg-make'd slice in the same function is recognized as that
 // idiom too.
 //

@@ -12,6 +12,7 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"time"
 )
 
@@ -21,6 +22,38 @@ type listedPackage struct {
 	Dir        string
 	ImportPath string
 	GoFiles    []string
+	Standard   bool // in the standard library
+	DepOnly    bool // listed only as a dependency of a matched package
+}
+
+// stdlib is the one file set and source importer every Load in the
+// process shares. The importer caches each standard-library package it
+// type-checks, and the standard library does not change within a
+// process, so a later Load (a test binary's next fixture, say)
+// type-checks none of it again. Module packages never go through it:
+// Load checks them itself, so two modules that reuse a path (throwaway
+// test modules named phantom) never see each other's packages. mu
+// serializes Loads, because the importer is not safe for concurrent
+// use.
+var stdlib struct {
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.ImporterFrom
+}
+
+// loadImporter resolves a Load's module packages to the ones it checked
+// and everything else, the standard library, through stdlib.
+type loadImporter map[string]*types.Package
+
+func (li loadImporter) Import(path string) (*types.Package, error) {
+	return li.ImportFrom(path, "", 0)
+}
+
+func (li loadImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p := li[path]; p != nil {
+		return p, nil
+	}
+	return stdlib.imp.ImportFrom(path, dir, mode)
 }
 
 // Load expands the given `go list` patterns (./..., package paths, or
@@ -30,35 +63,42 @@ type listedPackage struct {
 // tests legitimately use time.Now, os.Stdout capture, etc. Each
 // package's LoadTime records how long its parse and type-check took.
 //
-// Type information is resolved with the standard library's "source"
-// importer, so the loader needs no compiled export data and no
-// third-party machinery — only the go toolchain for pattern
-// expansion. Cgo is disabled for the build context: the net/os
-// packages type-check via their pure-Go fallbacks, which is all the
-// analyzers need.
+// `go list -deps` orders the packages dependencies first, so each
+// module package is checked once, against the already-checked packages
+// it imports. The standard library is resolved with the standard
+// library's "source" importer, shared by every Load (stdlib), so the
+// loader needs no compiled export data and no third-party machinery —
+// only the go toolchain for pattern expansion. Cgo is disabled for the
+// build context: the net/os packages type-check via their pure-Go
+// fallbacks, which is all the analyzers need.
 func Load(patterns []string) ([]*Package, error) {
 	listed, err := goList(patterns)
 	if err != nil {
 		return nil, err
 	}
-	// One file set and one importer across all packages: the source
-	// importer caches each stdlib package it type-checks, which is
-	// what keeps a ./... run to seconds rather than minutes.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	stdlib.mu.Lock()
+	defer stdlib.mu.Unlock()
+	if stdlib.imp == nil {
+		build.Default.CgoEnabled = false
+		stdlib.fset = token.NewFileSet()
+		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
+	}
+	imp := make(loadImporter)
 	var pkgs []*Package
 	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		start := time.Now()
-		pkg, err := checkPackage(fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
+		pkg, err := checkPackage(stdlib.fset, imp, lp.ImportPath, lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
 		pkg.LoadTime = time.Since(start)
-		pkgs = append(pkgs, pkg)
+		imp[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
@@ -68,7 +108,7 @@ func Load(patterns []string) ([]*Package, error) {
 // constraints, module resolution, and pattern syntax all live in the
 // go command.
 func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,GoFiles", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=Dir,ImportPath,GoFiles,Standard,DepOnly", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout

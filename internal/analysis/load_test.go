@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -44,7 +42,7 @@ func TestLoadTypeChecksModulePackage(t *testing.T) {
 
 // TestLoadRunsSuiteOnIntraModuleImports loads a package that imports
 // other module packages (sweep imports telemetry), exercising the
-// source importer's module resolution.
+// loader's checking of dependencies it was not asked for.
 func TestLoadRunsSuiteOnIntraModuleImports(t *testing.T) {
 	pkgs, err := Load([]string{"phantom/internal/sweep"})
 	if err != nil {
@@ -67,26 +65,15 @@ func TestLoadBadPattern(t *testing.T) {
 // directory with no Go files at all, one with two packages, and one
 // with only test files.
 func writeLoadErrorModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module loaderr.test\n\ngo 1.21\n")
-	write("syntax/syntax.go", "package syntax\n\nfunc broken( {}\n")
-	write("badimport/badimport.go", "package badimport\n\nimport \"no/such/module/anywhere\"\n\nvar _ = anywhere.X\n")
-	write("empty/README.txt", "no Go files here\n")
-	write("twopkg/a.go", "package a\n")
-	write("twopkg/b.go", "package b\n")
-	write("testonly/x_test.go", "package x\n")
-	return root
+	return writeModule(t, map[string]string{
+		"go.mod":                 "module loaderr.test\n\ngo 1.21\n",
+		"syntax/syntax.go":       "package syntax\n\nfunc broken( {}\n",
+		"badimport/badimport.go": "package badimport\n\nimport \"no/such/module/anywhere\"\n\nvar _ = anywhere.X\n",
+		"empty/README.txt":       "no Go files here\n",
+		"twopkg/a.go":            "package a\n",
+		"twopkg/b.go":            "package b\n",
+		"testonly/x_test.go":     "package x\n",
+	})
 }
 
 // TestLoadUnparsableFile pins that a syntax error surfaces as a Load
@@ -102,15 +89,15 @@ func TestLoadUnparsableFile(t *testing.T) {
 	}
 }
 
-// TestLoadMissingImport pins the type-check error path: an import the
-// source importer cannot resolve fails the load with a type-checking
-// error rather than producing a half-typed package the analyzers
-// would mis-judge.
+// TestLoadMissingImport pins the unresolvable-import path: an import
+// nothing can resolve (`go list -deps` reports it) fails the load with
+// an error naming the package rather than producing a half-typed
+// package the analyzers would mis-judge.
 func TestLoadMissingImport(t *testing.T) {
 	inDir(t, writeLoadErrorModule(t))
 	_, err := Load([]string{"./badimport"})
 	if err == nil {
-		t.Fatal("expected a type-check error")
+		t.Fatal("expected an unresolved-import error")
 	}
 	if !strings.Contains(err.Error(), "badimport") {
 		t.Errorf("error does not name the package: %v", err)

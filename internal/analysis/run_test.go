@@ -12,20 +12,9 @@ import (
 // per package (maporder applies everywhere, so its findings survive
 // scope filtering on a non-phantom module path). Package b imports a.
 func writeTwoPackageModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module twopkg.test\n\ngo 1.21\n")
-	write("a/a.go", `package a
+	return writeModule(t, map[string]string{
+		"go.mod": "module twopkg.test\n\ngo 1.21\n",
+		"a/a.go": `package a
 
 func Keys(m map[string]int) []string {
 	var keys []string
@@ -34,8 +23,8 @@ func Keys(m map[string]int) []string {
 	}
 	return keys
 }
-`)
-	write("b/b.go", `package b
+`,
+		"b/b.go": `package b
 
 import "twopkg.test/a"
 
@@ -45,8 +34,8 @@ func First(m map[string]int) string {
 	}
 	return a.Keys(m)[0]
 }
-`)
-	return root
+`,
+	})
 }
 
 // inDir chdirs into dir for the duration of the test. Tests that load
@@ -105,28 +94,17 @@ func TestRunSortsFindingsAcrossPackages(t *testing.T) {
 // and discards Persist's error, which errflow sees only because store
 // was analyzed first.
 func writePhantomShadowModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		path := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module phantom\n\ngo 1.21\n")
-	write("internal/store/store.go", `package store
+	return writeModule(t, map[string]string{
+		"go.mod": "module phantom\n\ngo 1.21\n",
+		"internal/store/store.go": `package store
 
 import "os"
 
 func Persist(f *os.File) error {
 	return f.Sync()
 }
-`)
-	write("internal/cluster/cluster.go", `package cluster
+`,
+		"internal/cluster/cluster.go": `package cluster
 
 import (
 	"os"
@@ -137,8 +115,8 @@ import (
 func Checkpoint(f *os.File) {
 	store.Persist(f)
 }
-`)
-	return root
+`,
+	})
 }
 
 func TestCrossPackageDurableFacts(t *testing.T) {
@@ -159,5 +137,72 @@ func TestCrossPackageDurableFacts(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no errflow finding for the cross-package durable discard; got: %v", diags)
+	}
+}
+
+// writeModule lays out a throwaway module from relative paths to file
+// contents and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for rel, content := range files {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// TestHotAllocChecksBTB drives hotalloc end to end over a shadow module
+// named phantom: the hot root (*Machine).Run calls a BTB lookup that
+// allocates a set on a miss, and the finding lands in the btb package,
+// so both hotalloc's scope and the call graph reach the BTB.
+func TestHotAllocChecksBTB(t *testing.T) {
+	inDir(t, writeModule(t, map[string]string{
+		"go.mod": "module phantom\n\ngo 1.21\n",
+		"internal/btb/btb.go": `package btb
+
+type set struct{ tag uint64 }
+
+type BTB struct{ sets map[uint32]*set }
+
+func (b *BTB) Lookup(idx uint32) bool {
+	s := b.sets[idx]
+	if s == nil {
+		s = new(set)
+		b.sets[idx] = s
+	}
+	return s.tag != 0
+}
+`,
+		"internal/pipeline/machine.go": `package pipeline
+
+import "phantom/internal/btb"
+
+type Machine struct{ BTB *btb.BTB }
+
+func (m *Machine) Run(limit int) int {
+	hits := 0
+	for i := 0; i < limit; i++ {
+		if m.BTB.Lookup(uint32(i)) {
+			hits++
+		}
+	}
+	return hits
+}
+`,
+	}))
+	pkgs, err := Load([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run([]*Analyzer{HotAlloc}, pkgs, nil)
+	if len(diags) != 1 || !strings.HasSuffix(diags[0].Pos.Filename, filepath.Join("internal", "btb", "btb.go")) ||
+		!strings.Contains(diags[0].Message, "new(...)") {
+		t.Fatalf("got %v, want one hotalloc finding for the new(set) in internal/btb/btb.go", diags)
 	}
 }

@@ -26,8 +26,14 @@ func constraintMatrix(s *Scheme) *gf2.Matrix {
 // ok is false when the scheme admits no such mask.
 //
 // Attackers use this to lay out the training snippet A and victim snippet
-// B of the observation-channel experiments (Figure 4: h(A) = h(B)).
+// B of the observation-channel experiments (Figure 4: h(A) = h(B)). The
+// mask is solved once per scheme definition (derive); this returns it.
 func SamePrivAliasMask(s *Scheme) (uint64, bool) {
+	return s.derived.samePriv, s.derived.samePrivOK
+}
+
+// samePrivAliasMask solves SamePrivAliasMask by Gaussian elimination.
+func samePrivAliasMask(s *Scheme) (uint64, bool) {
 	m := constraintMatrix(s)
 	m.AddRow(gf2.Vec(1) << 47) // forbid flipping the privilege half
 	for _, v := range m.Nullspace() {
@@ -46,8 +52,14 @@ func SamePrivAliasMask(s *Scheme) (uint64, bool) {
 // predictions are not reused in kernel mode on Intel parts (Section 6).
 //
 // On the Zen 3/4 scheme this returns a 12-bit-flip mask equivalent to the
-// published 0xffffbff800000000 / 0xffff8003ff800000 patterns.
+// published 0xffffbff800000000 / 0xffff8003ff800000 patterns. Like
+// SamePrivAliasMask, it is solved once per scheme definition.
 func CrossPrivAliasMask(s *Scheme) (uint64, bool) {
+	return s.derived.crossPriv, s.derived.crossPrivOK
+}
+
+// crossPrivAliasMask solves CrossPrivAliasMask from the nullspace.
+func crossPrivAliasMask(s *Scheme) (uint64, bool) {
 	if s.PrivilegeInTag {
 		return 0, false
 	}

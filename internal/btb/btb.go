@@ -24,13 +24,13 @@ type Prediction struct {
 }
 
 type entry struct {
-	valid  bool
 	tag    uint64
-	class  isa.BranchClass
 	delta  int64  // direct classes: target - source
 	target uint64 // indirect classes: absolute target
-	kernel bool   // privilege at training time
 	lru    uint64
+	class  isa.BranchClass
+	valid  bool
+	kernel bool // privilege at training time
 }
 
 // BTB is the branch target buffer: Sets() × ways entries addressed through
@@ -38,16 +38,17 @@ type entry struct {
 type BTB struct {
 	scheme *Scheme
 	ways   int
-	// sets allocate lazily: the index space is large (function bits plus
-	// low PC bits) and sparsely used. Set slices are carved from arena in
-	// ways-sized runs so that populating thousands of sets (KASLR sweeps
-	// touch a new index per probe slot) costs one allocation per chunk
-	// instead of one per set. The first arenaUsed entries of the current
-	// chunk are handed out; FlushAll rewinds it.
-	sets      map[uint32][]entry
-	arena     []entry
-	arenaUsed int
-	tick      uint64
+	// Sets exist only once an Update created them: the index space is
+	// large (function bits plus low PC bits) and sparsely used, and a
+	// Lookup miss creates nothing. Sets are numbered in creation order:
+	// set n is entries[n*ways:(n+1)*ways] and indexes[n] its index.
+	// slots maps an index to its set number (sets.go). FlushAll
+	// empties all three, keeping their capacity.
+	slots   []uint64
+	shift   uint8 // 32 - log2(len(slots))
+	indexes []uint32
+	entries []entry
+	tick    uint64
 
 	// Lookups and Hits count queries for diagnostics.
 	Lookups uint64
@@ -56,7 +57,14 @@ type BTB struct {
 
 // New returns an empty BTB with the given scheme and associativity.
 func New(s *Scheme, ways int) *BTB {
-	b := &BTB{scheme: s, ways: ways, sets: make(map[uint32][]entry)}
+	b := &BTB{
+		scheme:  s,
+		ways:    ways,
+		slots:   make([]uint64, initialSlots),
+		shift:   32 - initialSlotBits,
+		indexes: make([]uint32, 0, initialSets),
+		entries: make([]entry, 0, initialSets*ways),
+	}
 	b.Reset()
 	return b
 }
@@ -68,25 +76,6 @@ func (b *BTB) Reset() {
 	b.tick, b.Lookups, b.Hits = 0, 0, 0
 }
 
-// arenaChunkSets is how many sets one arena allocation backs.
-const arenaChunkSets = 8
-
-// set returns the (lazily created) entry group for an index.
-func (b *BTB) set(idx uint32) []entry {
-	s := b.sets[idx]
-	if s == nil {
-		if b.arenaUsed+b.ways > len(b.arena) {
-			b.arena = make([]entry, b.ways*arenaChunkSets)
-			b.arenaUsed = 0
-		}
-		next := b.arenaUsed + b.ways
-		s = b.arena[b.arenaUsed:next:next]
-		b.arenaUsed = next
-		b.sets[idx] = s
-	}
-	return s
-}
-
 // Scheme returns the indexing scheme.
 func (b *BTB) Scheme() *Scheme { return b.scheme }
 
@@ -95,8 +84,12 @@ func (b *BTB) Scheme() *Scheme { return b.scheme }
 // the bytes at va are decoded.
 func (b *BTB) Lookup(va uint64, kernel bool) (Prediction, bool) {
 	b.Lookups++
-	set := b.set(b.scheme.Index(va))
-	tag := b.scheme.Tag(va, kernel)
+	idx, tag := b.scheme.key(va, kernel)
+	n := b.find(idx)
+	if n < 0 {
+		return Prediction{}, false
+	}
+	set := b.set(n)
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.tag == tag {
@@ -125,8 +118,12 @@ func (b *BTB) Update(va uint64, kernel bool, class isa.BranchClass, target uint6
 	if class == isa.BrNone {
 		return
 	}
-	set := b.set(b.scheme.Index(va))
-	tag := b.scheme.Tag(va, kernel)
+	idx, tag := b.scheme.key(va, kernel)
+	n := b.find(idx)
+	if n < 0 {
+		n = b.create(idx)
+	}
+	set := b.set(n)
 	b.tick++
 	victim := 0
 	for i := range set {
@@ -163,21 +160,22 @@ func (b *BTB) Update(va uint64, kernel bool, class isa.BranchClass, target uint6
 // IBPB, which on the modeled parts flushes all prediction types
 // (Section 8.2: "if IBPB flushes all types of predictions, it mitigates
 // all our exploitation primitives").
+//
+// It costs what was used: each created set's slot and entries, not the
+// index space or the table.
 func (b *BTB) FlushAll() {
-	clear(b.sets)
-	// The current chunk's sets are gone from the map: zero and reuse it.
-	clear(b.arena[:b.arenaUsed])
-	b.arenaUsed = 0
+	b.clearSlots()
+	clear(b.entries)
+	b.entries = b.entries[:0]
+	b.indexes = b.indexes[:0]
 }
 
 // Occupancy returns the number of valid entries (diagnostics).
 func (b *BTB) Occupancy() int {
 	n := 0
-	for _, set := range b.sets {
-		for _, e := range set {
-			if e.valid {
-				n++
-			}
+	for _, e := range b.entries {
+		if e.valid {
+			n++
 		}
 	}
 	return n

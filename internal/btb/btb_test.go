@@ -295,7 +295,7 @@ func TestResetMatchesNew(t *testing.T) {
 			b.Lookup(va, false)
 		}
 	}
-	train(used, 200, rng) // sets from several arena chunks
+	train(used, 200, rng) // enough sets to grow the slot table and entries
 	used.Reset()
 	if used.Occupancy() != 0 || used.StateDigest() != fresh.StateDigest() ||
 		used.Lookups != 0 || used.Hits != 0 || used.tick != 0 {

@@ -35,21 +35,22 @@ func fnv1a(h, v uint64) uint64 {
 }
 
 // StateDigest hashes every valid BTB entry with its set index, fields,
-// and LRU rank. Iteration is sorted by set index so the map's range
-// order never leaks into the digest.
+// and LRU rank. Sets are visited in index order, so neither creation
+// order nor the set store's layout leaks into the digest.
 func (b *BTB) StateDigest() uint64 {
-	idxs := make([]uint32, 0, len(b.sets))
-	for idx := range b.sets {
-		idxs = append(idxs, idx)
+	sets := make([]int, len(b.indexes))
+	for n := range sets {
+		sets[n] = n
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	sort.Slice(sets, func(i, j int) bool { return b.indexes[sets[i]] < b.indexes[sets[j]] })
 
 	h := uint64(fnvOffset)
-	for _, idx := range idxs {
-		set := b.sets[idx]
+	order := make([]int, 0, b.ways)
+	for _, n := range sets {
+		set := b.set(n)
 		// Rank the ways of this set by recency (ties broken by way
 		// number, which is deterministic because ticks are unique).
-		order := make([]int, 0, len(set))
+		order = order[:0]
 		for w := range set {
 			if set[w].valid {
 				order = append(order, w)
@@ -61,7 +62,7 @@ func (b *BTB) StateDigest() uint64 {
 		sort.Slice(order, func(i, j int) bool {
 			return set[order[i]].lru > set[order[j]].lru
 		})
-		h = fnv1a(h, uint64(idx))
+		h = fnv1a(h, uint64(b.indexes[n]))
 		for rank, w := range order {
 			e := &set[w]
 			h = fnv1a(h, uint64(rank))

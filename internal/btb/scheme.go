@@ -14,12 +14,19 @@ package btb
 
 import (
 	"math/bits"
+	"sync"
 
 	"phantom/internal/gf2"
 )
 
 // Scheme computes the BTB set index and tag for a branch-source virtual
 // address. kernel reports the privilege mode of the executing context.
+//
+// A Scheme comes from one of the constructors and is never modified:
+// the lane tables behind Index and Tag and the alias masks are derived
+// from its forms once per scheme definition (lanes.go) and shared
+// read-only by every Scheme, machine and sweep worker of that
+// definition.
 type Scheme struct {
 	// SchemeName identifies the scheme in diagnostics.
 	SchemeName string
@@ -34,6 +41,8 @@ type Scheme struct {
 	// parts ("the Intel processors we tested do not re-use a user-injected
 	// prediction in kernel mode", Section 6).
 	PrivilegeInTag bool
+
+	derived *derived
 }
 
 // verbatimTagBits is how many low VA bits every scheme includes verbatim
@@ -47,8 +56,30 @@ const verbatimTagBits = 12
 // [11:4], so that dense code spreads across sets as on real parts. The
 // extra bits lie inside the low-12 window that every aliasing experiment
 // pins (and that the tag also contains verbatim), so they never change
-// whether two aliasing-candidate addresses collide.
-func (s *Scheme) Index(va uint64) uint32 {
+// whether two aliasing-candidate addresses collide. It equals
+// parityIndex, read from the lane tables.
+func (s *Scheme) Index(va uint64) uint32 { return uint32(s.derived.fold(va)) }
+
+// Tag returns the BTB tag of va in the given privilege mode. It equals
+// parityTag, read from the lane tables.
+func (s *Scheme) Tag(va uint64, kernel bool) uint64 {
+	_, tag := s.key(va, kernel)
+	return tag
+}
+
+// key returns Index and Tag of one branch source from one lane fold.
+func (s *Scheme) key(va uint64, kernel bool) (uint32, uint64) {
+	x := s.derived.fold(va)
+	tag := x >> 32
+	if s.PrivilegeInTag && kernel {
+		tag |= 1 << 63
+	}
+	return uint32(x), tag
+}
+
+// parityIndex is Index evaluated form by form: the reference the lane
+// tables are built from and tested against.
+func (s *Scheme) parityIndex(va uint64) uint32 {
 	var idx uint32
 	for i, f := range s.IndexForms {
 		idx |= uint32(parity(va&uint64(f))) << uint(i)
@@ -56,8 +87,8 @@ func (s *Scheme) Index(va uint64) uint32 {
 	return idx | uint32((va>>4)&0xff)<<uint(len(s.IndexForms))
 }
 
-// Tag returns the BTB tag of va in the given privilege mode.
-func (s *Scheme) Tag(va uint64, kernel bool) uint64 {
+// parityTag is Tag evaluated form by form (see parityIndex).
+func (s *Scheme) parityTag(va uint64, kernel bool) uint64 {
 	tag := va & (1<<verbatimTagBits - 1)
 	for i, f := range s.TagForms {
 		tag |= uint64(parity(va&uint64(f))) << uint(verbatimTagBits+i)
@@ -75,9 +106,9 @@ func (s *Scheme) Sets() int { return 1 << uint(len(s.IndexForms)+8) }
 // Collides reports whether two (address, privilege) branch sources share a
 // BTB entry slot under this scheme. This is the ground truth the reverse
 // engineering experiments rediscover through the microarchitectural
-// channel.
+// channel, so it reads the forms themselves, not the tables.
 func (s *Scheme) Collides(va1 uint64, k1 bool, va2 uint64, k2 bool) bool {
-	return s.Index(va1) == s.Index(va2) && s.Tag(va1, k1) == s.Tag(va2, k2)
+	return s.parityIndex(va1) == s.parityIndex(va2) && s.parityTag(va1, k1) == s.parityTag(va2, k2)
 }
 
 func parity(x uint64) uint {
@@ -145,13 +176,11 @@ func Zen34TagOverlap() []gf2.Vec {
 //
 //	K ⊕ 0xffffbff800000000  (flips b47 and b35..b45)
 //	K ⊕ 0xffff8003ff800000  (flips b47 and b23..b33)
-func NewZen34Scheme(name string) *Scheme {
-	return &Scheme{
-		SchemeName: name,
-		IndexForms: Zen34Functions(),
-		TagForms:   Zen34TagOverlap(),
-	}
-}
+func NewZen34Scheme(name string) *Scheme { return zen34().named(name) }
+
+var zen34 = sync.OnceValue(func() *Scheme {
+	return derive(&Scheme{IndexForms: Zen34Functions(), TagForms: Zen34TagOverlap()})
+})
 
 // NewZen12Scheme returns the Zen 1 / Zen 2 BTB scheme used by this
 // simulator: a three-way XOR fold for the index,
@@ -167,19 +196,17 @@ func NewZen34Scheme(name string) *Scheme {
 // flips: K ⊕ 0x800820020000 (flips b47, b35, b29, b17) collides, which a
 // brute-force search over <=6 flipped bits finds quickly — unlike Zen 3/4,
 // whose masks flip 12 bits and defeat that search (Section 6.2).
-func NewZen12Scheme(name string) *Scheme {
+func NewZen12Scheme(name string) *Scheme { return zen12().named(name) }
+
+var zen12 = sync.OnceValue(func() *Scheme {
 	idx := make([]gf2.Vec, 12)
 	tag := make([]gf2.Vec, 12)
 	for i := 0; i < 12; i++ {
 		idx[i] = form(12+i, 24+i, 36+i)
 		tag[i] = form(12+i, 30+i)
 	}
-	return &Scheme{
-		SchemeName: name,
-		IndexForms: idx,
-		TagForms:   tag,
-	}
-}
+	return derive(&Scheme{IndexForms: idx, TagForms: tag})
+})
 
 // Zen12CollisionMask is a user/kernel aliasing mask for the Zen 1/2 scheme
 // (see NewZen12Scheme).
@@ -197,7 +224,9 @@ const (
 // user-mode training can never hit a kernel-mode lookup regardless of
 // eIBRS — matching the paper's observation that exploitation on Intel is
 // complicated by privilege-dependent BTB addressing.
-func NewIntelScheme(name string) *Scheme {
+func NewIntelScheme(name string) *Scheme { return intel().named(name) }
+
+var intel = sync.OnceValue(func() *Scheme {
 	idx := make([]gf2.Vec, 12)
 	for i := 0; i < 12; i++ {
 		idx[i] = form(12+i, 25+i)
@@ -206,10 +235,5 @@ func NewIntelScheme(name string) *Scheme {
 	for j := 0; j < 8; j++ {
 		tag[j] = form(12+j, 21+j, 38+j)
 	}
-	return &Scheme{
-		SchemeName:     name,
-		IndexForms:     idx,
-		TagForms:       tag,
-		PrivilegeInTag: true,
-	}
-}
+	return derive(&Scheme{IndexForms: idx, TagForms: tag, PrivilegeInTag: true})
+})

@@ -110,6 +110,10 @@ type PhysMem struct {
 	// any write that changes bytes in that frame. Frames outside the
 	// map — data, stacks — write at full speed.
 	codeGens map[uint64]uint64
+	// codeWrites counts code-generation bumps across all frames, Reset
+	// included, and never rewinds: a memo of a line validated against
+	// its frame's generation stays valid while this count stands still.
+	codeWrites uint64
 
 	// arena backs lazily-touched frames in page-sized runs carved from
 	// chunk allocations, so experiments that touch thousands of fresh
@@ -146,6 +150,7 @@ func NewPhysMem(size uint64) *PhysMem {
 func (pm *PhysMem) Reset() {
 	clear(pm.frames)
 	clear(pm.codeGens)
+	pm.codeWrites++
 	clear(pm.arena[:pm.arenaUsed])
 	pm.arenaUsed = 0
 	pm.int3Lo, pm.int3Hi = 0, 0
@@ -248,6 +253,7 @@ func (pm *PhysMem) WriteBytes(pa uint64, b []byte) {
 		// predecode cache registered.
 		if pm.isCodeFrame(pa) && !bytes.Equal(dst[:n], b[:n]) {
 			pm.codeGens[pa>>PageShift]++
+			pm.codeWrites++
 		}
 		copy(dst, b[:n])
 		b = b[n:]
@@ -287,6 +293,11 @@ func (pm *PhysMem) MarkCodeFrame(pa uint64) uint64 {
 // has moved past the value snapshotted at insert time.
 func (pm *PhysMem) CodeGen(pa uint64) uint64 { return pm.codeGens[pa>>PageShift] }
 
+// CodeWrites returns how many times any frame's code generation has
+// moved (Reset counts as a move of all of them). While it stands still,
+// every CodeGen value read earlier still holds.
+func (pm *PhysMem) CodeWrites() uint64 { return pm.codeWrites }
+
 func (pm *PhysMem) isCodeFrame(pa uint64) bool {
 	if len(pm.codeGens) == 0 {
 		return false
@@ -306,6 +317,7 @@ func (pm *PhysMem) noteCodeChange(pa uint64) {
 	key := pa >> PageShift
 	if _, ok := pm.codeGens[key]; ok {
 		pm.codeGens[key]++
+		pm.codeWrites++
 	}
 }
 

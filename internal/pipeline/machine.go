@@ -299,10 +299,11 @@ func (m *Machine) xlate(va uint64, kind mem.AccessKind) (uint64, *mem.Fault) {
 	return pa, nil
 }
 
-// fetchLatency translates va for execution and charges I-TLB + I-cache
-// hierarchy timing for its line. It returns the physical address.
+// fetchLatency translates va for execution, through the same page memo
+// as decodeAt, and charges I-TLB + I-cache hierarchy timing for its
+// line. It returns the physical address.
 func (m *Machine) fetchLatency(va uint64) (uint64, *mem.Fault) {
-	pa, f := m.xlate(va, mem.AccessFetch)
+	pa, f := m.translateFetch(va)
 	if f != nil {
 		return 0, f
 	}

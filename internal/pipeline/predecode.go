@@ -5,7 +5,8 @@ package pipeline
 // times while training predictors, and before this cache every simulated
 // instruction — architectural and wrong-path — paid 16 per-byte address
 // translations, a fresh 16-byte buffer and a full isa.Decode. Steady-state
-// execution now does one page-translation memo probe plus one map lookup.
+// execution now does one page-translation memo probe, plus one map lookup
+// when the fetch moves to another line (a one-line memo serves the rest).
 //
 // Correctness rests on two invalidation mechanisms, neither of which can
 // perturb modeled timings (no cycles are charged anywhere in this file):
@@ -61,6 +62,14 @@ type predecodeLine struct {
 // not a microarchitectural structure, so sharing is free and safe.
 type predecodeCache struct {
 	lines map[uint64]*predecodeLine
+	// last is the line lookup or insert used most recently, lastKey its
+	// key. It was current (its gen equal to its frame's CodeGen) when
+	// the PhysMem code-write count read lastWrites, and stays current
+	// until that count moves, so a probe of the same line skips both
+	// map lookups.
+	last       *predecodeLine
+	lastKey    uint64
+	lastWrites uint64
 	// arena carves predecodeLine values from chunk allocations: KASLR
 	// sweeps decode training code at a fresh physical line per probe
 	// slot, and a per-line allocation showed up in experiment profiles.
@@ -80,6 +89,7 @@ func newPredecodeCache() predecodeCache {
 // reset empties the cache, keeping its map and its current chunk.
 func (c *predecodeCache) reset() {
 	clear(c.lines)
+	c.last = nil
 	c.arenaUsed = 0
 }
 
@@ -99,16 +109,19 @@ func (c *predecodeCache) newLine() *predecodeLine {
 
 // lookup returns the cached decode starting at pa, if still valid.
 func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) (isa.Inst, bool) {
-	pl := c.lines[pa>>lineShift]
-	if pl == nil {
-		return isa.Inst{}, false
-	}
-	if g := pm.CodeGen(pa); pl.gen != g {
-		// A write changed bytes in this frame since the line was filled;
-		// drop its decodes and refill lazily.
-		pl.decoded = 0
-		pl.gen = g
-		return isa.Inst{}, false
+	key := pa >> lineShift
+	pl := c.last
+	if pl == nil || key != c.lastKey || pm.CodeWrites() != c.lastWrites {
+		if pl = c.lines[key]; pl == nil {
+			return isa.Inst{}, false
+		}
+		if g := pm.CodeGen(pa); pl.gen != g {
+			// A write changed bytes in this frame since the line was
+			// filled; drop its decodes and refill lazily.
+			pl.decoded = 0
+			pl.gen = g
+		}
+		c.last, c.lastKey, c.lastWrites = pl, key, pm.CodeWrites()
 	}
 	off := pa & (cache.LineSize - 1)
 	if pl.decoded&(1<<off) == 0 {
@@ -118,18 +131,23 @@ func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) (isa.Inst, bool) {
 }
 
 // insert caches the decode starting at pa and registers its frame for
-// write tracking.
+// write tracking. A current memo of pa's line needs neither: its frame
+// was registered when the line was made.
 func (c *predecodeCache) insert(pm *mem.PhysMem, pa uint64, in isa.Inst) {
-	gen := pm.MarkCodeFrame(pa)
 	key := pa >> lineShift
-	pl := c.lines[key]
-	if pl == nil {
-		pl = c.newLine()
-		pl.gen = gen
-		c.lines[key] = pl
-	} else if pl.gen != gen {
-		pl.decoded = 0
-		pl.gen = gen
+	pl := c.last
+	if pl == nil || key != c.lastKey || pm.CodeWrites() != c.lastWrites {
+		gen := pm.MarkCodeFrame(pa)
+		pl = c.lines[key]
+		if pl == nil {
+			pl = c.newLine()
+			pl.gen = gen
+			c.lines[key] = pl
+		} else if pl.gen != gen {
+			pl.decoded = 0
+			pl.gen = gen
+		}
+		c.last, c.lastKey, c.lastWrites = pl, key, pm.CodeWrites()
 	}
 	off := pa & (cache.LineSize - 1)
 	pl.insts[off] = in

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"phantom/internal/store"
+	"phantom/internal/sweep"
 )
 
 // TestExecuteAllExperiments smoke-runs every servable experiment at
@@ -64,6 +67,22 @@ func TestExecuteCancellationPropagates(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("test bug: deadline never fired")
+	}
+}
+
+// TestExecuteSurvivesJobPanic: a request whose sweep job panics fails
+// with an error, the server's one-line 500, and the process goes on.
+// The bit count here is one no slice can hold, so the job's make panics
+// before it allocates anything.
+func TestExecuteSurvivesJobPanic(t *testing.T) {
+	req := Request{Experiment: "covert", Archs: []string{"zen1"}, Bits: 1 << 62, Runs: 1}
+	var pe *sweep.PanicError
+	if err := Execute(context.Background(), io.Discard, req, 0); !errors.As(err, &pe) {
+		t.Fatalf("Execute returned %v, want a sweep job's *PanicError", err)
+	}
+	_, aerr := NewServer(Config{Workers: 1}).do(context.Background(), req)
+	if aerr == nil || aerr.status != http.StatusInternalServerError || strings.Contains(aerr.msg, "\n") {
+		t.Fatalf("served: got %+v, want a one-line 500", aerr)
 	}
 }
 

@@ -10,13 +10,17 @@
 // Run executes a job function over n indexes on a bounded worker pool.
 // Jobs selects the pool size (default runtime.GOMAXPROCS(0)); Jobs == 1
 // reproduces the sequential path exactly, including its execution
-// order. The first job failure cancels the remaining jobs via context.
+// order. The first job failure cancels the remaining jobs via context;
+// a job that panics fails with a *PanicError instead of ending the
+// process.
 package sweep
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -106,7 +110,7 @@ func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 				err := ctx.Err()
 				if err == nil {
 					var v T
-					if v, err = fn(ctx, i); err == nil {
+					if v, err = call(ctx, i, fn); err == nil {
 						results[i] = v
 					} else {
 						cancel()
@@ -129,6 +133,31 @@ func Run[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		return nil, err
 	}
 	return results, nil
+}
+
+// PanicError is the error of a sweep job that panicked: Run recovers
+// the panic in the worker, so one bad job fails its sweep (and cancels
+// the rest) like any other error instead of ending the process.
+type PanicError struct {
+	Job   int
+	Value any
+	// Stack is the panicking goroutine's stack, for a log. Error leaves
+	// it out, so the message stays one line.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sweep job %d panicked: %v", e.Job, e.Value)
+}
+
+// call runs job i, turning a panic into its *PanicError.
+func call[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Job: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn(ctx, i)
 }
 
 // firstError picks the error Run reports: the lowest-index failure that

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,41 @@ func TestRunFirstErrorWinsAndCancels(t *testing.T) {
 	}
 	if ran.Load() == 200 {
 		t.Error("cancellation did not skip any queued job")
+	}
+}
+
+// TestRunRecoversJobPanic: a panicking job fails its sweep with a
+// *PanicError naming the job and the panic value, cancels the queued
+// jobs like any other failure, and leaves the process running.
+func TestRunRecoversJobPanic(t *testing.T) {
+	for _, jobs := range []int{1, 4} {
+		var ran atomic.Int64
+		_, err := Run(context.Background(), 200, Options{Jobs: jobs},
+			func(ctx context.Context, i int) (int, error) {
+				ran.Add(1)
+				if i == 5 {
+					var none []int
+					return none[i], nil // index out of range
+				}
+				if i > 5 {
+					<-ctx.Done() // parked until the panic cancels the sweep
+				}
+				return i, nil
+			})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Job != 5 {
+			t.Fatalf("Jobs=%d: err = %v, want job 5's *PanicError", jobs, err)
+		}
+		if msg := err.Error(); strings.Contains(msg, "\n") || !strings.Contains(msg, "job 5") ||
+			!strings.Contains(msg, "index out of range") {
+			t.Errorf("Jobs=%d: Error() = %q, want one line naming the job and the panic value", jobs, msg)
+		}
+		if !strings.Contains(string(pe.Stack), "TestRunRecoversJobPanic") {
+			t.Errorf("Jobs=%d: the stack does not show the panicking job:\n%s", jobs, pe.Stack)
+		}
+		if ran.Load() == 200 {
+			t.Errorf("Jobs=%d: the panic did not cancel any queued job", jobs)
+		}
 	}
 }
 
