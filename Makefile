@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-request search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,12 @@ bench-sweep:
 # which CI persists across runs.
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/isa
+
+# The request-boundary fuzzer (decodeStrict, Normalize, Key) on the same
+# budget: no body panics, a normalized request is a fixed point with a
+# stable key, and every accepted count is within its ceiling.
+fuzz-request:
+	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime 30s ./internal/service
 
 # A slice of the attack-variant search (differential fuzzing of the
 # speculation model), about 0.06 s of search on a 2-core box once built:

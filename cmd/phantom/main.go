@@ -40,8 +40,8 @@
 // truncated one.
 //
 // Exit codes: 0 on success, 1 on runtime errors (including values the
-// server would reject with 400, such as a negative -runs or an unknown
-// -arch), 2 on usage errors.
+// server would reject with 400, such as a negative -runs, a -runs over
+// its ceiling, or an unknown -arch), 2 on usage errors.
 package main
 
 import (
@@ -244,25 +244,28 @@ func emitJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// runExperiment parses args with the flag set generated from e's catalog
-// entry, normalizes the request exactly as the server does, and renders
-// it as text or, under -json, as e's JSON documents.
-func runExperiment(ctx context.Context, stdout, stderr io.Writer, e *service.Experiment, args []string) error {
+// parseExperiment parses args with the flag set generated from e's
+// catalog entry and normalizes the request exactly as the server does.
+func parseExperiment(stderr io.Writer, e *service.Experiment, args []string) (req service.Request, jobs int, asJSON bool, err error) {
 	fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	request := e.Flags(fs)
-	var jobs int
 	if e.Jobs {
 		fs.IntVar(&jobs, "jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
 	}
-	var asJSON bool
 	if e.JSON {
 		fs.BoolVar(&asJSON, "json", false, "emit JSON instead of text")
 	}
-	if err := parseFlags(fs, args); err != nil {
-		return err
+	if err = parseFlags(fs, args); err == nil {
+		req, err = request().Normalize()
 	}
-	req, err := request().Normalize()
+	return req, jobs, asJSON, err
+}
+
+// runExperiment renders the request args spell as text or, under -json,
+// as e's JSON documents.
+func runExperiment(ctx context.Context, stdout, stderr io.Writer, e *service.Experiment, args []string) error {
+	req, jobs, asJSON, err := parseExperiment(stderr, e, args)
 	if err != nil {
 		return err
 	}
@@ -327,7 +330,16 @@ func cmdAll(ctx context.Context, stdout, stderr io.Writer, args []string) error 
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	for _, s := range allSteps(*seed, *runs, *jobs) {
+	steps := allSteps(*seed, *runs, *jobs)
+	// Every step is normalized before the first one runs, so a -runs one
+	// step refuses fails `all` before any simulation starts.
+	for _, s := range steps {
+		e, _ := service.Lookup(s[0])
+		if _, _, _, err := parseExperiment(stderr, e, s[1:]); err != nil {
+			return fmt.Errorf("%s: %w", s[0], err)
+		}
+	}
+	for _, s := range steps {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

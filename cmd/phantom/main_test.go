@@ -42,6 +42,7 @@ func TestExitCodes(t *testing.T) {
 		{"negative mds bytes", []string{"mds", "-bytes", "-5"}, 1},
 		{"negative mds runs", []string{"mds", "-runs", "-1"}, 1},
 		{"negative fig7 samples", []string{"fig7", "-samples", "-1"}, 1},
+		{"negative table1 trials", []string{"table1", "-trials", "-1"}, 1},
 		{"negative search budget", []string{"search", "-budget", "-5"}, 1},
 		{"zero search budget", []string{"search", "-budget", "0"}, 0},
 	}
@@ -50,7 +51,34 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s: realMain(%v) = %d, want %d", c.name, c.args, got, c.want)
 		}
 	}
+	// A count over its ceiling exits 1 the same way, before the run
+	// starts: under an already-cancelled context, a refusal that came
+	// after the run started would report the interrupt, not the ceiling.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"table1", "-trials", over(phantom.Table1Trials)},
+		{"fig7", "-samples", over(phantom.Fig7Samples)},
+		{"covert", "-bits", over(phantom.Table2Bits)},
+		{"covert", "-runs", over(phantom.Table2Runs)},
+		{"kaslr", "-runs", over(phantom.Table3Runs)},
+		{"physmap", "-runs", over(phantom.Table4Runs)},
+		{"physaddr", "-runs", over(phantom.Table5Runs)},
+		{"mds", "-runs", over(phantom.MDSRuns)},
+		{"mds", "-bytes", over(phantom.MDSBytes)},
+		{"report", "-runs", over(phantom.ReportRuns)},
+		{"report", "-bits", over(phantom.ReportBits)},
+		{"all", "-runs", over(phantom.Table4Runs)},
+	} {
+		var stderr bytes.Buffer
+		if got := realMainCtx(done, args, io.Discard, &stderr); got != 1 || !strings.Contains(stderr.String(), "ceiling") {
+			t.Errorf("realMain(%v) = %d, %q; want 1 naming the ceiling", args, got, stderr.String())
+		}
+	}
 }
+
+// over spells the smallest count c refuses as a flag value.
+func over(c phantom.Count) string { return fmt.Sprint(c.Max + 1) }
 
 // TestMetricsRunLog runs a small experiment with -metrics and checks the
 // produced run log is valid JSONL ending in a summary record.

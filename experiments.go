@@ -13,24 +13,6 @@ import (
 	"phantom/internal/uarch"
 )
 
-// count is one named scale option of an experiment (Runs, Bits, ...).
-type count struct {
-	name string
-	n    int
-}
-
-// checkCounts is the shared guard every multi-run experiment applies to
-// its scale options: zero means the documented default, and a negative
-// value is a clean error rather than a panic deep inside a sweep.
-func checkCounts(cs ...count) error {
-	for _, c := range cs {
-		if c.n < 0 {
-			return fmt.Errorf("phantom: negative %s (%d)", c.name, c.n)
-		}
-	}
-	return nil
-}
-
 // sweepJobs runs job for every index in [0, n) on the named sweep's pool
 // of jobs workers (0 = GOMAXPROCS) and returns the results in index
 // order (see sweep.Run). Each job gets the sweep's context and binds it
@@ -96,7 +78,7 @@ type Table1Options struct {
 	// machine run. Nil means unbounded.
 	Context context.Context
 	Seed    int64
-	Trials  int     // per-cell trials; 0 = 6
+	Trials  int     // see Table1Trials
 	Noise   float64 // 0 = noiseless (lab conditions, as in Section 5)
 }
 
@@ -105,11 +87,15 @@ type Table1Options struct {
 // IF (I-cache timing), ID (µop-cache counters) and EX (D-cache timing)
 // observation channels.
 func RunTable1(arch Microarch, opts Table1Options) (*Table1, error) {
+	trials, err := Table1Trials.Resolve(opts.Trials)
+	if err != nil {
+		return nil, err
+	}
 	p, err := arch.profile()
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunMatrix(opts.Context, p, core.MatrixConfig{Seed: opts.Seed, Trials: opts.Trials, Noise: opts.Noise})
+	res, err := core.RunMatrix(opts.Context, p, core.MatrixConfig{Seed: opts.Seed, Trials: trials, Noise: opts.Noise})
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +230,7 @@ type Fig7Options struct {
 	// bind to it. Nil means unbounded.
 	Context     context.Context
 	Seed        int64
-	Samples     int // independent collisions to gather; 0 = 22 (full rank)
+	Samples     int // see Fig7Samples
 	MaxBatches  int
 	BruteBudget int // candidate limit for the brute-force stage; 0 = 20000
 	Jobs        int // worker pool for RunFig7Sweep; 0 = GOMAXPROCS
@@ -253,6 +239,10 @@ type Fig7Options struct {
 // RunFig7Sweep runs the Figure 7 recovery on several microarchitectures
 // in parallel (opts.Jobs workers), returning results in archs order.
 func RunFig7Sweep(archs []Microarch, opts Fig7Options) ([]*Fig7, error) {
+	var err error
+	if opts.Samples, err = Fig7Samples.Resolve(opts.Samples); err != nil {
+		return nil, err
+	}
 	return sweepJobs(opts.Context, "fig7", len(archs), opts.Jobs, func(ctx context.Context, i int) (*Fig7, error) {
 		o := opts
 		o.Context = ctx
@@ -264,7 +254,8 @@ func RunFig7Sweep(archs []Microarch, opts Fig7Options) ([]*Fig7, error) {
 // brute force first, then batched random-collision sampling plus GF(2)
 // recovery of the index functions (the paper's Z3 step, solved exactly).
 func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
-	if err := checkCounts(count{"Samples", opts.Samples}); err != nil {
+	samples, err := Fig7Samples.Resolve(opts.Samples)
+	if err != nil {
 		return nil, err
 	}
 	p, err := arch.profile()
@@ -274,14 +265,11 @@ func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
 	if opts.BruteBudget == 0 {
 		opts.BruteBudget = 20000
 	}
-	if opts.Samples == 0 {
-		opts.Samples = 22
-	}
 	bf, err := core.BruteForceCollisions(opts.Context, p, opts.Seed, bruteForceFlips, opts.BruteBudget)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := core.RecoverBTBFunctions(opts.Context, p, opts.Seed, opts.Samples, opts.MaxBatches)
+	rec, err := core.RecoverBTBFunctions(opts.Context, p, opts.Seed, samples, opts.MaxBatches)
 	if err != nil {
 		return nil, err
 	}
@@ -343,8 +331,8 @@ type Table2Options struct {
 	// jobs too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
-	Bits    int // per run; 0 = 4096 (the paper's message size)
-	Runs    int // 0 = 10 (the paper reports the median of 10)
+	Bits    int // see Table2Bits
+	Runs    int // see Table2Runs
 	Jobs    int // parallel (arch, run) workers; 0 = GOMAXPROCS, 1 = sequential
 }
 
@@ -362,11 +350,12 @@ func RunTable2Execute(archs []Microarch, opts Table2Options) ([]Table2Row, error
 
 func runTable2(archs []Microarch, opts Table2Options,
 	run func(ctx context.Context, p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
-	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bits", opts.Bits}); err != nil {
+	var err error
+	if opts.Runs, err = Table2Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
 	}
-	if opts.Runs == 0 {
-		opts.Runs = 10
+	if opts.Bits, err = Table2Bits.Resolve(opts.Bits); err != nil {
+		return nil, err
 	}
 	// Fan the (arch, run) grid over the worker pool. Each job boots an
 	// independent channel with an arithmetically derived seed, so results
@@ -442,7 +431,7 @@ type DerandOptions struct {
 	// mid-attack too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
-	Runs    int // reboots; 0 = 20 (paper: 100 for Table 3/5, 10 for Table 4)
+	Runs    int // reboots; see Table3Runs, Table4Runs and Table5Runs
 	Jobs    int // parallel (arch, reboot) workers; 0 = GOMAXPROCS, 1 = sequential
 }
 
@@ -471,11 +460,9 @@ func foldDerand(arch Microarch, outcomes []derandRun) DerandRow {
 // RunTable3 reproduces Table 3: kernel-image KASLR derandomization with
 // P1, rebooting (re-randomizing) before each run.
 func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
-	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+	var err error
+	if opts.Runs, err = Table3Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
-	}
-	if opts.Runs == 0 {
-		opts.Runs = 20
 	}
 	grouped, err := sweepGrid(opts.Context, "table3", len(archs), opts.Runs, opts.Jobs,
 		func(ctx context.Context, ai, r int) (derandRun, error) {
@@ -502,11 +489,9 @@ func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 // RunTable4 reproduces Table 4: physmap KASLR derandomization with P2 on
 // AMD Zen 1/2. Each run chains from a fresh image-KASLR break.
 func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
-	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+	var err error
+	if opts.Runs, err = Table4Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
-	}
-	if opts.Runs == 0 {
-		opts.Runs = 10
 	}
 	grouped, err := sweepGrid(opts.Context, "table4", len(archs), opts.Runs, opts.Jobs,
 		func(ctx context.Context, ai, r int) (derandRun, error) {
@@ -538,11 +523,9 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 // attacker page, on the paper's memory configurations (8 GB Zen 1, 64 GB
 // Zen 2).
 func RunTable5(opts DerandOptions) ([]DerandRow, error) {
-	if err := checkCounts(count{"Runs", opts.Runs}); err != nil {
+	var err error
+	if opts.Runs, err = Table5Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
-	}
-	if opts.Runs == 0 {
-		opts.Runs = 20
 	}
 	configs := []struct {
 		arch Microarch
@@ -620,8 +603,8 @@ type MDSOptions struct {
 	// mid-leak too. Nil means unbounded.
 	Context context.Context
 	Seed    int64
-	Runs    int // 0 = 10 (the paper's count)
-	Bytes   int // 0 = 4096 (the paper leaks 4096 bytes)
+	Runs    int // see MDSRuns
+	Bytes   int // see MDSBytes
 	Jobs    int // parallel reboot workers; 0 = GOMAXPROCS, 1 = sequential
 }
 
@@ -632,14 +615,12 @@ type MDSOptions struct {
 // sweep, so any seed yields a report. A cancelled reboot is not a run:
 // its error fails the experiment.
 func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
-	if err := checkCounts(count{"Runs", opts.Runs}, count{"Bytes", opts.Bytes}); err != nil {
+	var err error
+	if opts.Runs, err = MDSRuns.Resolve(opts.Runs); err != nil {
 		return nil, err
 	}
-	if opts.Runs == 0 {
-		opts.Runs = 10
-	}
-	if opts.Bytes == 0 {
-		opts.Bytes = 4096
+	if opts.Bytes, err = MDSBytes.Resolve(opts.Bytes); err != nil {
+		return nil, err
 	}
 	rep := &MDSReport{Arch: arch, Runs: opts.Runs}
 	type leakRun struct {

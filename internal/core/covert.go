@@ -23,7 +23,7 @@ type CovertResult struct {
 // CovertConfig tunes a covert-channel run.
 type CovertConfig struct {
 	Seed  int64
-	Bits  int     // message length (Table 2 uses 4096)
+	Bits  int     // message length; see phantom.Table2Bits
 	Noise float64 // defaults to 1 (calibrated)
 	// SiblingStress models `stress -c N` on the SMT sibling thread, which
 	// the paper runs during the fetch channel ("we furthermore stress the
@@ -34,9 +34,6 @@ type CovertConfig struct {
 }
 
 func (c CovertConfig) withDefaults() CovertConfig {
-	if c.Bits == 0 {
-		c.Bits = 4096
-	}
 	if c.Noise == 0 {
 		c.Noise = 1
 	}

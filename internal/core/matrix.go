@@ -39,7 +39,7 @@ type MatrixResult struct {
 // MatrixConfig tunes the Table 1 experiment.
 type MatrixConfig struct {
 	Seed   int64
-	Trials int     // per-cell trials (positive and negative each)
+	Trials int     // per-cell trials (positive and negative each); see phantom.Table1Trials
 	Noise  float64 // machine noise level; 0 = deterministic
 }
 

@@ -19,8 +19,7 @@ type MDSLeakConfig struct {
 	// (the stage-3 result). HugeVA is its user mapping.
 	ReloadPhys uint64
 	HugeVA     uint64
-	// Bytes is how much kernel memory to leak (the paper leaks 4096
-	// bytes of randomized data).
+	// Bytes is how much kernel memory to leak; see phantom.MDSBytes.
 	Bytes int
 }
 
@@ -70,9 +69,6 @@ func leakKernelMemory(k *kernel.Kernel, startVA uint64, cfg MDSLeakConfig, injec
 	}
 	if cfg.ImageBase == 0 || cfg.PhysmapBase == 0 || cfg.HugeVA == 0 {
 		return nil, fmt.Errorf("core: MDS leak needs image base, physmap base and a reload buffer")
-	}
-	if cfg.Bytes == 0 {
-		cfg.Bytes = 4096
 	}
 
 	// Attacker-known addresses, all derived from the recovered image base

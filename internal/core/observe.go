@@ -425,9 +425,6 @@ func (lab *comboLab) runTrial(positive bool) (Reach, error) {
 // negative test do we conclude that the mispredicted target advanced to
 // ID" — Section 5.1; applied to all three channels here).
 func runCombo(ctx context.Context, p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
-	if trials <= 0 {
-		trials = 6
-	}
 	lab, err := buildComboLab(ctx, p, seed, train, victim)
 	if err != nil {
 		return Reach{}, err

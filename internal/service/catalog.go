@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -34,10 +35,10 @@ type Experiment struct {
 	// or a comma list); "" means the experiment takes no arch list.
 	// archHelp completes the -arch help text.
 	archs, archHelp string
-	seed            int64 // default seed
-	noise           bool  // takes Table 1's noise level
-	params          []param
-	weight          int // timeout weight, see Request.Timeout
+	seed            int64           // default seed
+	noise           bool            // takes Table 1's noise level
+	counts          []phantom.Count // the Request count fields it takes
+	weight          int             // timeout weight, see Request.Timeout
 
 	// Exactly one of perArch and whole is set. A perArch run renders one
 	// arch with the request's options and returns that arch's JSON
@@ -56,15 +57,7 @@ type (
 	wholeRun   func(ctx context.Context, w io.Writer, archs []phantom.Microarch, r Request, jobs int) ([]any, error)
 )
 
-// param is one count field of Request an experiment takes: its flag and
-// JSON name, its default (what 0 means), and its -h text.
-type param struct {
-	name string
-	def  int
-	help string
-}
-
-// count returns the Request field a param names.
+// count returns the Request field a Count names.
 func (r *Request) count(name string) *int {
 	switch name {
 	case "trials":
@@ -86,35 +79,35 @@ func (r *Request) count(name string) *int {
 var experiments = []*Experiment{
 	{Name: "table1", Usage: "training×victim misprediction matrix", Paper: "Table 1",
 		archs: "all", archHelp: ": name, comma list, amd, or all", seed: 1, noise: true,
-		params: []param{{"trials", 6, "per-cell trials"}},
+		counts: []phantom.Count{phantom.Table1Trials},
 		weight: 2, JSON: true, perArch: runTable1},
 	{Name: "fig6", Usage: "speculative decode vs page offset", Paper: "Figure 6",
 		archs: "zen2,zen4", archHelp: "; the paper plots zen2 and zen4", seed: 1,
 		weight: 1, Jobs: true, JSON: true, whole: runFig6},
 	{Name: "fig7", Usage: "BTB index-function recovery", Paper: "Figure 7",
 		archs: "zen3", archHelp: "; the paper reverse engineers zen3", seed: 9,
-		params: []param{{"samples", 22, "independent collisions to gather"}},
+		counts: []phantom.Count{phantom.Fig7Samples},
 		weight: 4, Jobs: true, JSON: true, whole: runFig7,
 		Hint: "recovering BTB functions (sampling may take ~10s)..."},
 	{Name: "covert", Usage: "fetch/execute covert channels", Paper: "Table 2",
 		archs: "amd", seed: 1,
-		params: []param{{"bits", 4096, "message bits per run"}, {"runs", 10, "runs (median reported)"}},
+		counts: []phantom.Count{phantom.Table2Bits, phantom.Table2Runs},
 		weight: 3, Jobs: true, JSON: true, whole: runCovert},
 	{Name: "kaslr", Usage: "kernel image KASLR break", Paper: "Table 3",
 		archs: "zen2,zen3,zen4", archHelp: "; Table 3 uses zen2, zen3, zen4", seed: 1,
-		params: []param{{"runs", 20, "reboots (the paper uses 100)"}},
+		counts: []phantom.Count{phantom.Table3Runs},
 		weight: 3, Jobs: true, JSON: true, whole: derand("Table 3 — kernel image KASLR via P1", phantom.RunTable3)},
 	{Name: "physmap", Usage: "physmap KASLR break", Paper: "Table 4",
 		archs: "zen1,zen2", archHelp: "; P2 works on zen1, zen2", seed: 1,
-		params: []param{{"runs", 10, "reboots"}},
+		counts: []phantom.Count{phantom.Table4Runs},
 		weight: 3, Jobs: true, JSON: true, whole: derand("Table 4 — physmap KASLR via P2", phantom.RunTable4)},
 	{Name: "physaddr", Usage: "physical address derandomization", Paper: "Table 5",
 		seed:   1,
-		params: []param{{"runs", 20, "reboots (the paper uses 100)"}},
+		counts: []phantom.Count{phantom.Table5Runs},
 		weight: 4, Jobs: true, JSON: true, whole: derand("Table 5 — physical address of a user page", table5)},
 	{Name: "mds", Usage: "MDS-gadget kernel memory leak", Paper: "Section 7.4",
 		archs: "zen2", archHelp: "; the paper's PoC runs on zen2", seed: 1,
-		params: []param{{"runs", 10, "reboots"}, {"bytes", 4096, "bytes to leak per run"}},
+		counts: []phantom.Count{phantom.MDSRuns, phantom.MDSBytes},
 		weight: 4, Jobs: true, JSON: true, perArch: runMDS},
 	{Name: "mitigations", Usage: "mitigation evaluation", Paper: "Sections 6.3, 8",
 		archs: "amd", seed: 1,
@@ -124,7 +117,7 @@ var experiments = []*Experiment{
 		weight: 2, whole: runSLS},
 	{Name: "report", Usage: "full paper-vs-measured Markdown report",
 		seed:   1,
-		params: []param{{"bits", 1024, "bits per covert-channel run"}, {"runs", 10, "runs per derandomization experiment"}},
+		counts: []phantom.Count{phantom.ReportBits, phantom.ReportRuns},
 		weight: 10, Jobs: true, whole: runReport},
 	{Name: "chain", Usage: "full Section 7 exploit chain",
 		archs: "zen2", seed: 1,
@@ -169,9 +162,9 @@ func Experiments() []string {
 }
 
 // Flags registers the request fields e takes on fs: -arch, -seed, and
-// each parameter, with the catalog's defaults and help. The returned
-// function reads the parsed flags back as a Request, still to be
-// normalized.
+// each count, with its declared default and help, the paper's scale and
+// the ceiling. The returned function reads the parsed flags back as a
+// Request, still to be normalized.
 func (e *Experiment) Flags(fs *flag.FlagSet) func() Request {
 	r := Request{Experiment: e.Name}
 	var arch string
@@ -182,8 +175,12 @@ func (e *Experiment) Flags(fs *flag.FlagSet) func() Request {
 	if e.noise {
 		fs.Float64Var(&r.Noise, "noise", 0, "noise level (0 = lab conditions)")
 	}
-	for _, p := range e.params {
-		fs.IntVar(r.count(p.name), p.name, p.def, p.help)
+	for _, c := range e.counts {
+		help := fmt.Sprintf("%s; at most %d", c.Help, c.Max)
+		if c.Paper != 0 {
+			help = fmt.Sprintf("%s; the paper uses %d, at most %d", c.Help, c.Paper, c.Max)
+		}
+		fs.IntVar(r.count(c.Name), c.Name, c.Default, help)
 	}
 	return func() Request {
 		out := r

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 
 	"phantom/internal/store"
 	"phantom/internal/sweep"
+	"phantom/internal/telemetry"
 )
 
 // TestExecuteAllExperiments smoke-runs every servable experiment at
@@ -70,17 +70,31 @@ func TestExecuteCancellationPropagates(t *testing.T) {
 	}
 }
 
-// TestExecuteSurvivesJobPanic: a request whose sweep job panics fails
-// with an error, the server's one-line 500, and the process goes on.
-// The bit count here is one no slice can hold, so the job's make panics
-// before it allocates anything.
+// TestExecuteSurvivesJobPanic: a bit count no slice can hold is
+// refused with a 400 before any sweep job starts, and a request whose
+// sweep job panics anyway fails with the server's one-line 500 while
+// the process goes on.
 func TestExecuteSurvivesJobPanic(t *testing.T) {
-	req := Request{Experiment: "covert", Archs: []string{"zen1"}, Bits: 1 << 62, Runs: 1}
-	var pe *sweep.PanicError
-	if err := Execute(context.Background(), io.Discard, req, 0); !errors.As(err, &pe) {
-		t.Fatalf("Execute returned %v, want a sweep job's *PanicError", err)
+	jobs := telemetry.Enable(telemetry.Config{}).Registry().Counter("sweep_jobs_done")
+	defer telemetry.Disable() //nolint:errcheck // no sinks to flush
+	huge := Request{Experiment: "covert", Archs: []string{"zen1"}, Bits: 1 << 62, Runs: 1}
+	if err := Execute(context.Background(), io.Discard, huge, 0); err == nil || !strings.Contains(err.Error(), "ceiling") {
+		t.Fatalf("Execute returned %v, want the bits ceiling", err)
 	}
-	_, aerr := NewServer(Config{Workers: 1}).do(context.Background(), req)
+	_, aerr := NewServer(Config{Workers: 1}).do(context.Background(), huge)
+	if aerr == nil || aerr.status != http.StatusBadRequest {
+		t.Fatalf("served: got %+v, want a 400", aerr)
+	}
+	if n := jobs.Value(); n != 0 {
+		t.Fatalf("%d sweep jobs ran for a refused request", n)
+	}
+
+	s := NewServer(Config{Workers: 1})
+	s.exec = func(ctx context.Context, _ io.Writer, _ Request, _ int) error {
+		_, err := sweep.Run(ctx, 1, sweep.Options{}, func(context.Context, int) (int, error) { panic("job panic") })
+		return err
+	}
+	_, aerr = s.do(context.Background(), Request{Experiment: "kaslr"})
 	if aerr == nil || aerr.status != http.StatusInternalServerError || strings.Contains(aerr.msg, "\n") {
 		t.Fatalf("served: got %+v, want a one-line 500", aerr)
 	}

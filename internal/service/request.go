@@ -41,10 +41,11 @@ import (
 )
 
 // Request names one experiment evaluation. Which fields an experiment
-// takes, and what each one's zero value defaults to, is declared once in
-// its catalog entry (see experiments); Normalize fills the defaults and
-// zeroes every field the experiment does not take, so semantically equal
-// requests normalize, and therefore hash, identically.
+// takes is declared once in its catalog entry (see experiments), and
+// each count's default and ceiling once in the root package (see
+// phantom.Count). Normalize resolves the counts and zeroes every field
+// the experiment does not take, so semantically equal requests
+// normalize, and therefore hash, identically.
 type Request struct {
 	// Experiment is a catalog name, exactly as the CLI spells it.
 	Experiment string `json:"experiment"`
@@ -93,11 +94,12 @@ func archNames(archs []phantom.Microarch) []string {
 }
 
 // Normalize validates req and returns its canonical form: aliases
-// expanded, duplicates dropped, archs in paper order, every field the
-// experiment takes with its zero replaced by the catalog default, and
-// every other field forced to zero. Two requests that would render the
-// same output normalize to the same value, so Key — and the content
-// address of the result — is well defined.
+// expanded, duplicates dropped, archs in paper order, every count the
+// experiment takes resolved (0 is its default; a negative count or one
+// over its ceiling is an error), and every other field forced to zero.
+// Two requests that would render the same output normalize to the same
+// value, so Key — and the content address of the result — is well
+// defined.
 func (r Request) Normalize() (Request, error) {
 	e, ok := byName[r.Experiment]
 	if !ok {
@@ -120,21 +122,20 @@ func (r Request) Normalize() (Request, error) {
 	if n.Seed == 0 {
 		n.Seed = e.seed
 	}
-	for _, p := range e.params {
-		v := *r.count(p.name)
-		if v < 0 {
-			return Request{}, fmt.Errorf("negative %s", p.name)
+	for _, c := range e.counts {
+		v, err := c.Resolve(*r.count(c.Name))
+		if err != nil {
+			return Request{}, err
 		}
-		if v == 0 {
-			v = p.def
-		}
-		*n.count(p.name) = v
+		*n.count(c.Name) = v
 	}
 	if e.noise {
 		if r.Noise < 0 {
 			return Request{}, errors.New("negative noise")
 		}
-		n.Noise = r.Noise
+		if r.Noise != 0 { // -0 is lab conditions too, and must hash as 0 does
+			n.Noise = r.Noise
+		}
 	}
 	return n, nil
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"phantom"
 )
 
 // mustNormalize is the test helper for requests that must be valid.
@@ -104,6 +106,17 @@ func TestNormalizeErrors(t *testing.T) {
 		{"negative runs", Request{Experiment: "kaslr", Runs: -1}, "negative runs"},
 		{"negative trials", Request{Experiment: "table1", Trials: -2}, "negative trials"},
 		{"negative noise", Request{Experiment: "table1", Noise: -0.5}, "negative noise"},
+		{"table1 trials over ceiling", Request{Experiment: "table1", Trials: phantom.Table1Trials.Max + 1}, "ceiling"},
+		{"fig7 samples over ceiling", Request{Experiment: "fig7", Samples: phantom.Fig7Samples.Max + 1}, "ceiling"},
+		{"covert bits over ceiling", Request{Experiment: "covert", Bits: phantom.Table2Bits.Max + 1}, "ceiling"},
+		{"covert runs over ceiling", Request{Experiment: "covert", Runs: phantom.Table2Runs.Max + 1}, "ceiling"},
+		{"kaslr runs over ceiling", Request{Experiment: "kaslr", Runs: phantom.Table3Runs.Max + 1}, "ceiling"},
+		{"physmap runs over ceiling", Request{Experiment: "physmap", Runs: phantom.Table4Runs.Max + 1}, "ceiling"},
+		{"physaddr runs over ceiling", Request{Experiment: "physaddr", Runs: phantom.Table5Runs.Max + 1}, "ceiling"},
+		{"mds runs over ceiling", Request{Experiment: "mds", Runs: phantom.MDSRuns.Max + 1}, "ceiling"},
+		{"mds bytes over ceiling", Request{Experiment: "mds", Bytes: phantom.MDSBytes.Max + 1}, "ceiling"},
+		{"report runs over ceiling", Request{Experiment: "report", Runs: phantom.ReportRuns.Max + 1}, "ceiling"},
+		{"report bits over ceiling", Request{Experiment: "report", Bits: phantom.ReportBits.Max + 1}, "ceiling"},
 	}
 	for _, c := range cases {
 		_, err := c.req.Normalize()

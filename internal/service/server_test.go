@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"phantom"
 	"phantom/internal/store"
 	"phantom/internal/telemetry"
 )
@@ -502,17 +503,19 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 	cases := []struct {
 		name, body string
+		want       string // in the error message
 	}{
-		{"malformed", `{"experiment":`},
-		{"unknown field", `{"experiment":"kaslr","sed":3}`},
-		{"unknown experiment", `{"experiment":"tablet1"}`},
-		{"empty batch", `[]`},
-		{"trailing garbage", `{"experiment":"kaslr"} extra`},
+		{"malformed", `{"experiment":`, ""},
+		{"unknown field", `{"experiment":"kaslr","sed":3}`, ""},
+		{"unknown experiment", `{"experiment":"tablet1"}`, ""},
+		{"empty batch", `[]`, ""},
+		{"trailing garbage", `{"experiment":"kaslr"} extra`, ""},
+		{"bits no slice can hold", `{"experiment":"covert","archs":["zen1"],"bits":4611686018427387904,"runs":1}`, fmt.Sprintf("ceiling of %d", phantom.Table2Bits.Max)},
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, ts.URL, c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, data)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: status %d, want 400 naming %q (%s)", c.name, resp.StatusCode, c.want, data)
 		}
 	}
 }

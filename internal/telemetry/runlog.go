@@ -23,11 +23,13 @@ type record struct {
 	Workers int `json:"workers,omitempty"`
 
 	// job fields: the job index, the worker that ran it, its harness
-	// wall-clock latency, and the error text for failed jobs.
+	// wall-clock latency, the error text for failed jobs, and the
+	// goroutine stack for jobs that panicked.
 	Job    int     `json:"job,omitempty"`
 	Worker int     `json:"worker,omitempty"`
 	MS     float64 `json:"ms,omitempty"`
 	Err    string  `json:"err,omitempty"`
+	Stack  string  `json:"stack,omitempty"`
 
 	// sweep_end fields.
 	Done   int `json:"done,omitempty"`

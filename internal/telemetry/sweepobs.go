@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"phantom/internal/sweep"
 )
 
 // SweepScope observes one sweep.Run on behalf of the active hub: it
@@ -76,7 +79,8 @@ func (s *SweepScope) JobStart(job, worker int) {
 }
 
 // JobDone records one finished job: counters, gauges, the latency
-// histogram and the per-job run-log record.
+// histogram and the per-job run-log record, which carries a panicked
+// job's stack.
 func (s *SweepScope) JobDone(job, worker int, d time.Duration, err error) {
 	if s == nil {
 		return
@@ -95,6 +99,10 @@ func (s *SweepScope) JobDone(job, worker int, d time.Duration, err error) {
 	}
 	if err != nil {
 		r.Err = err.Error()
+		var pe *sweep.PanicError
+		if errors.As(err, &pe) {
+			r.Stack = string(pe.Stack)
+		}
 	}
 	s.hub.log.record(r)
 	s.hub.prog.update(s.progressLine(), false)

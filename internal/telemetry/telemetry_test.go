@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phantom/internal/sweep"
 )
 
 func TestCounterShardedConcurrency(t *testing.T) {
@@ -209,6 +212,36 @@ func TestRunLogSchema(t *testing.T) {
 	}
 	if got := sum.Snap.Gauges["sweep_jobs_queued"]; got != 0 {
 		t.Errorf("queued gauge did not drain: %d", got)
+	}
+}
+
+// TestRunLogPanicStack: a sweep job that panics leaves its stack in its
+// job record, and no other record carries one.
+func TestRunLogPanicStack(t *testing.T) {
+	var buf bytes.Buffer
+	Enable(Config{RunLog: &buf})
+	_, err := sweep.Run(context.Background(), 2, sweep.Options{Jobs: 1, Observer: Sweep("demo", 2)},
+		func(_ context.Context, i int) (int, error) {
+			if i == 1 {
+				panic("boom")
+			}
+			return i, nil
+		})
+	if derr := Disable(); derr != nil {
+		t.Fatal(derr)
+	}
+	var pe *sweep.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("sweep returned %v, want a *sweep.PanicError", err)
+	}
+	for _, r := range decodeLines(t, buf.Bytes()) {
+		panicked := r.Type == "job" && r.Job == 1
+		if got := r.Stack != ""; got != panicked {
+			t.Errorf("%s record for job %d has a stack: %v, want %v", r.Type, r.Job, got, panicked)
+		}
+		if panicked && !strings.Contains(r.Stack, "TestRunLogPanicStack") {
+			t.Errorf("job 1's stack does not reach the panicking job:\n%s", r.Stack)
+		}
 	}
 }
 

