@@ -90,7 +90,7 @@ bench-boot:
 
 # The headline end-to-end number and the layers under it: the whole
 # report at Seed 7 and Runs 2 on the default pool (BenchmarkReport,
-# perfbench's report unit), Table 1 on a fresh machine per combo
+# perfbench's report unit), Table 1 on one machine reset per combo
 # (serve's cold fill), and the BTB's lookup, index and tag benchmarks.
 # Archived as a dated JSON log like `make bench-boot`, with the core
 # count on its first line.
@@ -171,10 +171,13 @@ cluster-smoke:
 
 # The serving headline numbers: cold miss vs content-addressed cache
 # hit vs 8-way coalesced, archived as a dated test2json log like the
-# other bench targets. The acceptance bar is warm >= 50x cold.
+# other bench targets, with the core count on its first line. The
+# acceptance bar is warm >= 50x cold.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServeTable1' -benchmem -json ./internal/service \
+	printf '{"Action":"output","Package":"phantom/internal/service","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
 		> BENCH_$$(date +%Y%m%d)_serve.json
+	$(GO) test -run '^$$' -bench 'BenchmarkServeTable1' -benchmem -json ./internal/service \
+		>> BENCH_$$(date +%Y%m%d)_serve.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_serve.json || true
 
 # The distributed-tier numbers: durable-store put/get throughput and

@@ -43,6 +43,9 @@ func TestExitCodes(t *testing.T) {
 		{"negative mds runs", []string{"mds", "-runs", "-1"}, 1},
 		{"negative fig7 samples", []string{"fig7", "-samples", "-1"}, 1},
 		{"negative table1 trials", []string{"table1", "-trials", "-1"}, 1},
+		{"NaN table1 noise", []string{"table1", "-arch", "zen2", "-trials", "2", "-noise", "NaN"}, 1},
+		{"infinite table1 noise", []string{"table1", "-arch", "zen2", "-trials", "2", "-noise", "Inf"}, 1},
+		{"negative infinite table1 noise", []string{"table1", "-arch", "zen2", "-trials", "2", "-noise", "-Inf"}, 1},
 		{"negative search budget", []string{"search", "-budget", "-5"}, 1},
 		{"zero search budget", []string{"search", "-budget", "0"}, 0},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"phantom/internal/core"
@@ -82,6 +83,17 @@ type Table1Options struct {
 	Noise   float64 // 0 = noiseless (lab conditions, as in Section 5)
 }
 
+// CheckTable1Noise rejects a Table 1 noise level that is not a number a
+// machine can run at: NaN, +Inf or -Inf. RunTable1 and the served
+// request's Normalize, which the CLI shares, both refuse through it, so
+// they refuse with one message.
+func CheckTable1Noise(noise float64) error {
+	if math.IsNaN(noise) || math.IsInf(noise, 0) {
+		return fmt.Errorf("noise %v is not a finite number", noise)
+	}
+	return nil
+}
+
 // RunTable1 reproduces Table 1 for one microarchitecture: all asymmetric
 // training/victim branch-type combinations, measured through the
 // IF (I-cache timing), ID (µop-cache counters) and EX (D-cache timing)
@@ -89,6 +101,9 @@ type Table1Options struct {
 func RunTable1(arch Microarch, opts Table1Options) (*Table1, error) {
 	trials, err := Table1Trials.Resolve(opts.Trials)
 	if err != nil {
+		return nil, err
+	}
+	if err := CheckTable1Noise(opts.Noise); err != nil {
 		return nil, err
 	}
 	p, err := arch.profile()

@@ -280,10 +280,16 @@ func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
 }
 
 func TestSuppressOverheadBand(t *testing.T) {
-	pct, err := suppressOverhead(context.Background(), uarch.Zen2(), 16)
+	ctx, zen2 := context.Background(), uarch.Zen2()
+	base, err := workloadSuite(ctx, zen2, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	on, err := workloadSuite(ctx, zen2, 16, enableSuppressBPOnNonBr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pct := overheadPct(base, on)
 	// The paper measures 0.69% (single core); the model should land in
 	// the same sub-2% band and must not be zero or negative.
 	if pct <= 0 || pct > 2 {

@@ -16,10 +16,10 @@
 // fields, pipeline.DebugCounters) is used strictly to *verify* what the
 // attacks claim, never to produce it.
 //
-// Every entry point that builds a machine takes the run's context first
-// and binds it to that machine (pipeline.Machine.Bind), or boots the
-// kernel with it; attacks on an already-booted kernel inherit the
-// kernel's. Once the context is done, the attack fails with its error at
+// Every entry point that builds or resets a machine takes the run's
+// context first and binds it to that machine (pipeline.Machine.Bind), or
+// boots the kernel with it; attacks on an already-booted kernel inherit
+// the kernel's. Once the context is done, the attack fails with its error at
 // the next machine run, so cancellation reaches inside every attack
 // loop. A nil context leaves the machines unbound.
 package core
@@ -42,8 +42,26 @@ type userEnv struct {
 	nextPA uint64
 }
 
-func newUserEnv(ctx context.Context, p *uarch.Profile, seed int64) *userEnv {
-	m := pipeline.New(p, 1<<30, seed)
+// userPhysBytes is the physical memory a user-space machine advertises.
+const userPhysBytes = 1 << 30
+
+// userMachine returns a machine in the state pipeline.New(p,
+// userPhysBytes, seed) gives: a new one when m is nil, else m reset.
+// An experiment that lays out one cell or point after another passes
+// back the machine it got, so it builds one machine and resets it for
+// the rest. A reset counts one pipeline_boots as New does, so telemetry
+// counts do not depend on the reuse.
+func userMachine(m *pipeline.Machine, p *uarch.Profile, seed int64) *pipeline.Machine {
+	if m == nil {
+		return pipeline.New(p, userPhysBytes, seed)
+	}
+	m.Reset(seed)
+	return m
+}
+
+// newUserEnv lays out user-space mappings on m, which must be in the
+// state userMachine returns, and binds ctx to it.
+func newUserEnv(ctx context.Context, m *pipeline.Machine) *userEnv {
 	m.Bind(ctx)
 	return &userEnv{m: m, nextPA: 0x1000000}
 }

@@ -6,6 +6,7 @@ import (
 
 	"phantom/internal/btb"
 	"phantom/internal/isa"
+	"phantom/internal/pipeline"
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
 )
@@ -45,15 +46,18 @@ const seriesLen = 8
 // RunFig6 reproduces Figure 6: detecting speculative decode via the
 // µop cache. A non-branch victim is confused with a jmp* prediction to C;
 // C's page offset sweeps across the page, and only when it matches the
-// jmp-series' µop-cache set do re-runs of the series show misses.
+// jmp-series' µop-cache set do re-runs of the series show misses. The
+// points run one after another on one machine, reset before each.
 func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point, error) {
 	telemetry.CountExperiment("fig6")
 	if cfg.SeriesOffset == 0 {
 		cfg.SeriesOffset = Fig6SeriesOffset
 	}
 	var points []Fig6Point
+	var m *pipeline.Machine
 	for off := uint64(0); off < 0x1000; off += fig6Step {
-		pt, err := fig6Point(ctx, p, cfg, off)
+		m = userMachine(m, p, cfg.Seed)
+		pt, err := fig6Point(ctx, m, cfg, off)
 		if err != nil {
 			return nil, fmt.Errorf("offset %#x: %w", off, err)
 		}
@@ -62,9 +66,11 @@ func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point
 	return points, nil
 }
 
-func fig6Point(ctx context.Context, p *uarch.Profile, cfg Fig6Config, off uint64) (Fig6Point, error) {
-	env := newUserEnv(ctx, p, cfg.Seed)
-	m := env.m
+// fig6Point measures the point at C's page offset off on m, which must be
+// in the state userMachine returns.
+func fig6Point(ctx context.Context, m *pipeline.Machine, cfg Fig6Config, off uint64) (Fig6Point, error) {
+	env := newUserEnv(ctx, m)
+	p := m.Prof
 	maskVal, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
 	if !ok {
 		return Fig6Point{}, fmt.Errorf("core: no alias mask for %s", p)

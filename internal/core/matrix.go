@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"phantom/internal/pipeline"
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
 )
@@ -43,6 +44,11 @@ type MatrixConfig struct {
 	Noise  float64 // machine noise level; 0 = deterministic
 }
 
+// cellSeed is the machine seed of the cell (train, victim).
+func (cfg MatrixConfig) cellSeed(train, victim BranchKind) int64 {
+	return cfg.Seed + int64(train)*31 + int64(victim)
+}
+
 // symmetricCell reports cells excluded from Phantom evaluation.
 func symmetricCell(train, victim BranchKind) (bool, string) {
 	if train != victim {
@@ -60,10 +66,12 @@ func symmetricCell(train, victim BranchKind) (bool, string) {
 }
 
 // RunMatrix reproduces Table 1 for one profile: every training/victim
-// combination, measured through the IF/ID/EX observation channels.
+// combination, measured through the IF/ID/EX observation channels. The
+// cells run one after another on one machine, reset to each cell's seed.
 func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*MatrixResult, error) {
 	telemetry.CountExperiment("matrix")
 	res := &MatrixResult{}
+	var m *pipeline.Machine
 	for tr := BranchKind(0); tr < NumKinds; tr++ {
 		for vi := BranchKind(0); vi < NumKinds; vi++ {
 			cell := MatrixCell{Training: tr, Victim: vi}
@@ -71,7 +79,8 @@ func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*Matrix
 				cell.Status = CellSymmetric
 				cell.Note = note
 			} else {
-				reach, err := runCombo(ctx, p, cfg.Seed+int64(tr)*31+int64(vi), tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{})
+				m = userMachine(m, p, cfg.cellSeed(tr, vi))
+				reach, err := runCombo(ctx, m, tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{})
 				if err != nil {
 					return nil, fmt.Errorf("cell (%v, %v): %w", tr, vi, err)
 				}

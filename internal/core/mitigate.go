@@ -52,33 +52,45 @@ type MitigationReport struct {
 }
 
 // EvaluateMitigations runs the mitigation experiments on one profile.
+// Its observation-channel combos run one after another on one machine,
+// reset before each, and both workload-suite costs compare against one
+// unmitigated run of the suite.
 func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*MitigationReport, error) {
 	telemetry.CountExperiment("mitigations")
 	rep := &MitigationReport{
 		SuppressSupported: p.SupportsSuppressBPOnNonBr,
 		AutoIBRSSupported: p.SupportsAutoIBRS,
 	}
+	var m *pipeline.Machine
+	combo := func(victim BranchKind, msr uarch.MSRState) (Reach, error) {
+		m = userMachine(m, p, seed)
+		return runCombo(ctx, m, KindJmpInd, victim, 4, 0, msr)
+	}
+	base, err := workloadSuite(ctx, p, seed, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// --- SuppressBPOnNonBr: observation channels --------------------------
-	var err error
-	rep.BaselineReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0, uarch.MSRState{})
+	rep.BaselineReach, err = combo(KindNonBranch, uarch.MSRState{})
 	if err != nil {
 		return nil, err
 	}
 	if p.SupportsSuppressBPOnNonBr {
 		msr := uarch.MSRState{SuppressBPOnNonBr: true}
-		rep.SuppressReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0, msr)
+		rep.SuppressReach, err = combo(KindNonBranch, msr)
 		if err != nil {
 			return nil, err
 		}
-		rep.BranchVictimReachWithMSR, err = runCombo(ctx, p, seed, KindJmpInd, KindJmp, 4, 0, msr)
+		rep.BranchVictimReachWithMSR, err = combo(KindJmp, msr)
 		if err != nil {
 			return nil, err
 		}
-		rep.OverheadPct, err = suppressOverhead(ctx, p, seed)
+		on, err := workloadSuite(ctx, p, seed, enableSuppressBPOnNonBr)
 		if err != nil {
 			return nil, err
 		}
+		rep.OverheadPct = overheadPct(base, on)
 	}
 
 	// --- AutoIBRS: cross-privilege IF persists ----------------------------
@@ -100,20 +112,20 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	rep.IBPBOverheadPct = overhead
 
 	// --- The hypothetical wait-for-decode frontend (Section 8.1) ----------
-	rep.WaitForDecodeReach, err = runCombo(ctx, p, seed, KindJmpInd, KindNonBranch, 4, 0,
-		uarch.MSRState{WaitForDecode: true})
+	rep.WaitForDecodeReach, err = combo(KindNonBranch, uarch.MSRState{WaitForDecode: true})
 	if err != nil {
 		return nil, err
 	}
 	// Its cost: every prediction validated against the decoded branch
 	// source before steering.
-	rep.WaitForDecodeOverheadPct, err = workloadOverhead(ctx, p, seed, func(m *pipeline.Machine) error {
+	on, err := workloadSuite(ctx, p, seed, func(m *pipeline.Machine) error {
 		m.MSR.WaitForDecode = true
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	rep.WaitForDecodeOverheadPct = overheadPct(base, on)
 	return rep, nil
 }
 
@@ -137,59 +149,47 @@ func overheadPct(off, on map[string]float64) float64 {
 	return (stats.GeoMean(ratios) - 1) * 100
 }
 
-// suppressOverhead measures the SuppressBPOnNonBr performance cost on
-// the workload suite (see workloadOverhead).
-func suppressOverhead(ctx context.Context, p *uarch.Profile, seed int64) (float64, error) {
-	return workloadOverhead(ctx, p, seed, func(m *pipeline.Machine) error {
-		if !m.WriteMSRSuppressBPOnNonBr(true) {
-			return fmt.Errorf("core: MSR write failed on %s", p)
-		}
-		return nil
-	})
+// enableSuppressBPOnNonBr sets the SuppressBPOnNonBr bit through its
+// MSR write, which fails on parts without it.
+func enableSuppressBPOnNonBr(m *pipeline.Machine) error {
+	if !m.WriteMSRSuppressBPOnNonBr(true) {
+		return fmt.Errorf("core: MSR write failed on %s", m.Prof)
+	}
+	return nil
 }
 
-// workloadOverhead measures a mitigation's cost: each workload runs 5
-// times (median) on a fresh boot without it and on one where enable
-// turned it on, and the geometric mean of the slowdowns is reported as
-// a percentage — the UnixBench methodology of Section 6.3.
-func workloadOverhead(ctx context.Context, p *uarch.Profile, seed int64, enable func(*pipeline.Machine) error) (float64, error) {
-	measure := func(on bool) (map[string]float64, error) {
-		k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
-		if err != nil {
+// workloadSuite runs each workload 5 times on a fresh noiseless boot at
+// seed, after enable (when not nil) turned a mitigation on, and returns
+// each one's median cycles. A mitigation's cost is the geometric mean of
+// the slowdowns against the suite without it (overheadPct): the
+// UnixBench methodology of Section 6.3.
+func workloadSuite(ctx context.Context, p *uarch.Profile, seed int64, enable func(*pipeline.Machine) error) (map[string]float64, error) {
+	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
+	if err != nil {
+		return nil, err
+	}
+	if enable != nil {
+		if err := enable(k.M); err != nil {
 			return nil, err
 		}
-		if on {
-			if err := enable(k.M); err != nil {
+	}
+	ws, err := k.InstallWorkloads()
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64)
+	for _, w := range ws {
+		var runs []float64
+		for r := 0; r < 5; r++ {
+			c, err := k.RunWorkload(w)
+			if err != nil {
 				return nil, err
 			}
+			runs = append(runs, float64(c))
 		}
-		ws, err := k.InstallWorkloads()
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[string]float64)
-		for _, w := range ws {
-			var runs []float64
-			for r := 0; r < 5; r++ {
-				c, err := k.RunWorkload(w)
-				if err != nil {
-					return nil, err
-				}
-				runs = append(runs, float64(c))
-			}
-			out[w.Name] = stats.Median(runs)
-		}
-		return out, nil
+		out[w.Name] = stats.Median(runs)
 	}
-	off, err := measure(false)
-	if err != nil {
-		return 0, err
-	}
-	on, err := measure(true)
-	if err != nil {
-		return 0, err
-	}
-	return overheadPct(off, on), nil
+	return out, nil
 }
 
 // getpidRound is the cross-privilege P1 round the AutoIBRS and IBPB

@@ -89,10 +89,12 @@ const (
 	labStack   = uint64(0x5100200000)
 )
 
-// buildComboLab lays out one cell of the matrix.
-func buildComboLab(ctx context.Context, p *uarch.Profile, seed int64, train, victim BranchKind) (*comboLab, error) {
-	env := newUserEnv(ctx, p, seed)
-	maskVal, ok := btb.SamePrivAliasMask(env.m.BTB.Scheme())
+// buildComboLab lays out one cell of the matrix on m, which must be in
+// the state userMachine returns.
+func buildComboLab(ctx context.Context, m *pipeline.Machine, train, victim BranchKind) (*comboLab, error) {
+	env := newUserEnv(ctx, m)
+	p := m.Prof
+	maskVal, ok := btb.SamePrivAliasMask(m.BTB.Scheme())
 	if !ok {
 		return nil, fmt.Errorf("core: no same-privilege alias mask for %s", p)
 	}
@@ -423,14 +425,15 @@ func (lab *comboLab) runTrial(positive bool) (Reach, error) {
 // msr, using repeated trials with complementary negative testing ("only
 // when we measure significantly more µop-cache misses compared to the
 // negative test do we conclude that the mispredicted target advanced to
-// ID" — Section 5.1; applied to all three channels here).
-func runCombo(ctx context.Context, p *uarch.Profile, seed int64, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
-	lab, err := buildComboLab(ctx, p, seed, train, victim)
+// ID" — Section 5.1; applied to all three channels here). It runs on m,
+// which must be in the state userMachine returns.
+func runCombo(ctx context.Context, m *pipeline.Machine, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
+	lab, err := buildComboLab(ctx, m, train, victim)
 	if err != nil {
 		return Reach{}, err
 	}
-	lab.env.m.MSR = msr
-	lab.env.m.Noise.Level = noise
+	m.MSR = msr
+	m.Noise.Level = noise
 
 	// Training with non-branch means "no prediction exists"; there is no
 	// aliasing to control for, so the negative test is skipped and the

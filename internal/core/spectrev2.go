@@ -45,8 +45,8 @@ func (r *SpectreV2Result) String() string {
 // backend.
 func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int) (*SpectreV2Result, error) {
 	telemetry.CountExperiment("spectre_v2")
-	env := newUserEnv(ctx, p, seed)
-	m := env.m
+	m := userMachine(nil, p, seed)
+	env := newUserEnv(ctx, m)
 	if nbytes <= 0 {
 		nbytes = 16
 	}

@@ -101,7 +101,8 @@ type PTE struct {
 }
 
 // PhysMem is sparse physical memory, allocated in 4 KiB frames on first
-// touch. The zero value is not usable; call NewPhysMem.
+// write; a read of a frame nothing wrote allocates nothing. The zero
+// value is not usable; call NewPhysMem.
 type PhysMem struct {
 	frames map[uint64][]byte // keyed by PA >> PageShift
 
@@ -169,12 +170,38 @@ func (pm *PhysMem) FillInt3(pa, n uint64) {
 	pm.int3Lo, pm.int3Hi = pa, pa+n
 }
 
-// int3Page is the source a fresh frame's int3 bytes are copied from.
-var int3Page = bytes.Repeat([]byte{0xcc}, PageSize)
+// int3Page is the source a fresh frame's int3 bytes are copied from, and
+// zeroPage what a read of a frame nothing wrote sees outside the int3
+// range. Both are shared by every PhysMem and never written.
+var (
+	int3Page = bytes.Repeat([]byte{0xcc}, PageSize)
+	zeroPage = make([]byte, PageSize)
+)
 
 // frameArenaPages is how many frames one arena chunk backs.
 const frameArenaPages = 16
 
+// readFrame returns the bytes of the frame containing pa for reading.
+// A frame nothing wrote stays unmaterialized: it reads as int3Page when
+// the int3 range covers all of it and as zeroPage when the range misses
+// it. Only a frame the range covers in part materializes, as on a write.
+func (pm *PhysMem) readFrame(pa uint64) []byte {
+	key := pa >> PageShift
+	if f := pm.frames[key]; f != nil {
+		return f
+	}
+	base := key << PageShift
+	switch lo, hi := max(pm.int3Lo, base), min(pm.int3Hi, base+PageSize); {
+	case lo >= hi:
+		return zeroPage
+	case hi-lo == PageSize:
+		return int3Page
+	}
+	return pm.frame(pa)
+}
+
+// frame returns the frame containing pa for writing, materializing it
+// from the arena on first touch.
 func (pm *PhysMem) frame(pa uint64) []byte {
 	key := pa >> PageShift
 	f := pm.frames[key]
@@ -197,7 +224,7 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 
 // Read8 reads one byte of physical memory.
 func (pm *PhysMem) Read8(pa uint64) byte {
-	return pm.frame(pa)[pa&(PageSize-1)]
+	return pm.readFrame(pa)[pa&(PageSize-1)]
 }
 
 // Write8 writes one byte of physical memory.
@@ -213,7 +240,7 @@ func (pm *PhysMem) Write8(pa uint64, v byte) {
 // Read64 reads a little-endian 64-bit word (may straddle frames).
 func (pm *PhysMem) Read64(pa uint64) uint64 {
 	if off := pa & (PageSize - 1); off+8 <= PageSize {
-		return binary.LittleEndian.Uint64(pm.frame(pa)[off:])
+		return binary.LittleEndian.Uint64(pm.readFrame(pa)[off:])
 	}
 	var v uint64
 	for i := uint(0); i < 8; i++ {
@@ -262,16 +289,17 @@ func (pm *PhysMem) WriteBytes(pa uint64, b []byte) {
 }
 
 // Window returns a slice aliasing the physical frame that contains pa,
-// covering [pa, pa+n). It reports false when the window would straddle a
-// frame boundary. The slice must be treated as read-only: writing through
-// it would bypass the code-generation tracking that Write8/Write64/
-// WriteBytes maintain for predecode invalidation.
+// covering [pa, pa+n), or the shared page a frame nothing wrote reads
+// as. It reports false when the window would straddle a frame boundary.
+// The slice must be treated as read-only: writing through it would
+// bypass the code-generation tracking that Write8/Write64/WriteBytes
+// maintain for predecode invalidation, or change a shared page.
 func (pm *PhysMem) Window(pa uint64, n int) ([]byte, bool) {
 	off := pa & (PageSize - 1)
 	if off+uint64(n) > PageSize {
 		return nil, false
 	}
-	return pm.frame(pa)[off : off+uint64(n)], true
+	return pm.readFrame(pa)[off : off+uint64(n)], true
 }
 
 // MarkCodeFrame records that the frame containing pa holds predecoded

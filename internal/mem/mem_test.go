@@ -349,6 +349,68 @@ func TestPhysMemFillInt3(t *testing.T) {
 	}
 }
 
+// TestPhysMemReadDoesNotMaterialize: reads of frames nothing wrote
+// allocate nothing and still see zero, or int3 inside the range; a frame
+// the range covers in part materializes on its first read; and writes
+// after those reads land in frames of their own, leaving the shared
+// pages the reads returned as they were.
+func TestPhysMemReadDoesNotMaterialize(t *testing.T) {
+	pm := NewPhysMem(1 << 30)
+	const lo, hi = 3 * PageSize, 5*PageSize + 7 // frames 3 and 4 whole, 5 in part
+	pm.FillInt3(lo, hi-lo)
+	read := func() {
+		for _, pa := range []uint64{0, PageSize + 9, 3*PageSize + 1, 4*PageSize + 8} {
+			pm.Read8(pa)
+			pm.Read64(pa)
+			pm.Window(pa, 16)
+		}
+	}
+	if n := testing.AllocsPerRun(10, read); n != 0 {
+		t.Fatalf("reading untouched frames allocates %v times", n)
+	}
+	if len(pm.frames) != 0 {
+		t.Fatalf("reads materialized %d frames", len(pm.frames))
+	}
+	for pa := uint64(0); pa < 7*PageSize; pa += 7 {
+		want := byte(0)
+		if pa >= lo && pa < hi {
+			want = 0xcc
+		}
+		if got := pm.Read8(pa); got != want {
+			t.Fatalf("Read8(%#x) = %#x, want %#x", pa, got, want)
+		}
+		if w, ok := pm.Window(pa, 1); !ok || w[0] != want {
+			t.Fatalf("Window(%#x) = %#x, want %#x", pa, w, want)
+		}
+	}
+	if len(pm.frames) != 1 || pm.frames[5] == nil {
+		t.Fatalf("materialized frames %v, want only frame 5 (the int3 range's partial one)", pm.frames)
+	}
+	if got, want := pm.Read64(5*PageSize), uint64(0x00cccccccccccccc); got != want {
+		t.Fatalf("Read64 of the partial frame = %#x, want %#x", got, want)
+	}
+
+	pm.Write8(PageSize+9, 0x90)
+	pm.Write64(3*PageSize+8, 0x1122334455667788)
+	pm.WriteBytes(4*PageSize+8, []byte{1, 2, 3})
+	if pm.Read8(PageSize+9) != 0x90 || pm.Read64(3*PageSize+8) != 0x1122334455667788 || pm.Read8(4*PageSize+10) != 3 {
+		t.Fatal("writes after reads did not land")
+	}
+	if pm.Read8(3*PageSize) != 0xcc || pm.Read8(PageSize) != 0 {
+		t.Fatal("a written frame lost the bytes around the write")
+	}
+	for _, b := range zeroPage {
+		if b != 0 {
+			t.Fatal("a write changed the shared zero page")
+		}
+	}
+	for _, b := range int3Page {
+		if b != 0xcc {
+			t.Fatal("a write changed the shared int3 page")
+		}
+	}
+}
+
 func TestFaultError(t *testing.T) {
 	f := &Fault{VA: 0x123, Kind: AccessFetch, NotPresent: true}
 	if f.Error() == "" {

@@ -53,6 +53,9 @@ type predecodeLine struct {
 	gen     uint64
 	decoded uint64 // bitmask over intra-line start offsets
 	insts   [cache.LineSize]isa.Inst
+	// next, in the first line of an arena chunk, is the chunk carved
+	// after it (see predecodeCache.arena).
+	next []predecodeLine
 }
 
 // predecodeCache maps physical line number (PA >> lineShift) to its
@@ -73,10 +76,12 @@ type predecodeCache struct {
 	// arena carves predecodeLine values from chunk allocations: KASLR
 	// sweeps decode training code at a fresh physical line per probe
 	// slot, and a per-line allocation showed up in experiment profiles.
-	// The first arenaUsed lines of the current chunk are handed out;
-	// reset rewinds it.
-	arena     []predecodeLine
-	arenaUsed int
+	// The first arenaUsed lines of the current chunk are handed out.
+	// Chunks chain from first through their first lines' next fields,
+	// and reset rewinds to first, so a reset machine hands out the lines
+	// of every chunk it made before it makes another.
+	first, arena []predecodeLine
+	arenaUsed    int
 }
 
 // predecodeArenaLines is how many lines one arena chunk backs.
@@ -86,20 +91,26 @@ func newPredecodeCache() predecodeCache {
 	return predecodeCache{lines: make(map[uint64]*predecodeLine)}
 }
 
-// reset empties the cache, keeping its map and its current chunk.
+// reset empties the cache, keeping its map and its chunks.
 func (c *predecodeCache) reset() {
 	clear(c.lines)
 	c.last = nil
-	c.arenaUsed = 0
+	c.arena, c.arenaUsed = c.first, 0
 }
 
 // newLine hands out an empty line; lookup and insert read only the
 // decodes its mask marks, so a line rewound by reset needs only the
 // mask cleared.
 func (c *predecodeCache) newLine() *predecodeLine {
-	if c.arenaUsed == len(c.arena) {
-		c.arena = make([]predecodeLine, predecodeArenaLines)
-		c.arenaUsed = 0
+	switch {
+	case c.first == nil:
+		c.first = make([]predecodeLine, predecodeArenaLines)
+		c.arena = c.first
+	case c.arenaUsed == len(c.arena):
+		if c.arena[0].next == nil {
+			c.arena[0].next = make([]predecodeLine, predecodeArenaLines)
+		}
+		c.arena, c.arenaUsed = c.arena[0].next, 0
 	}
 	pl := &c.arena[c.arenaUsed]
 	c.arenaUsed++

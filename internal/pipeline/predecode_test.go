@@ -42,6 +42,43 @@ func TestPredecodeCacheHitsOnLoop(t *testing.T) {
 	}
 }
 
+// TestPredecodeResetKeepsChunks: a reset cache hands out the lines of
+// every chunk it made before, in the same order and each one empty,
+// without allocating, and a line past them all is a new one.
+func TestPredecodeResetKeepsChunks(t *testing.T) {
+	c := newPredecodeCache()
+	const n = 3*predecodeArenaLines + 1
+	var first [n]*predecodeLine
+	for i := range first {
+		first[i] = c.newLine()
+		first[i].decoded = 1
+	}
+	c.reset()
+	for i := range first {
+		if pl := c.newLine(); pl != first[i] || pl.decoded != 0 {
+			t.Fatalf("line %d after reset: %p (mask %#x), first handed out %p", i, pl, pl.decoded, first[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.reset()
+		for range first {
+			c.newLine()
+		}
+	}); allocs != 0 {
+		t.Fatalf("handing out %d lines after reset allocates %v times", n, allocs)
+	}
+	c.reset()
+	for range first {
+		c.newLine()
+	}
+	past := c.newLine()
+	for i, pl := range first {
+		if past == pl {
+			t.Fatalf("line %d handed out twice between resets", i)
+		}
+	}
+}
+
 func TestDisablePredecodeBypassesCache(t *testing.T) {
 	run := func(disable bool) (uint64, DebugCounters) {
 		m := newTestMachine(t, uarch.Zen2())

@@ -49,7 +49,7 @@ var resetCovered = map[string]string{
 	"rng":                "noise draws; the next 100 RNG draws",
 	"ctx":                "cancelled context; the probe's runs would stop",
 	"done":               "cancelled context; the probe's runs would stop",
-	"pre":                "SMC run; predecode counts (a stale line could only miss)",
+	"pre":                "SMC run; predecode counts (a stale line could only miss, a kept chunk starts empty)",
 	"fmemo":              "every fetch; a stale memo cannot match a moved epoch",
 	"tstat":              "hub on; the probe's pipeline_* counter deltas",
 	"tshard":             "hub on; counter sums do not depend on the shard",

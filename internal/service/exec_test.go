@@ -104,14 +104,16 @@ func TestExecuteSurvivesJobPanic(t *testing.T) {
 // while its machines run answers 504 and leaves nothing behind. Before
 // the context reached the machines, these runners finished under an
 // expired deadline and their output was cached and stored under the
-// request's key as if it were the answer.
+// request's key as if it were the answer. Each deadline (the base times
+// the experiment's weight, 10 to 20 ms) is a small fraction of its run;
+// at a 20 ms base, chain sometimes finished inside its 60 ms.
 func TestServedDeadlineMidJob(t *testing.T) {
 	st, err := store.Open(filepath.Join(t.TempDir(), "results"), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := NewServer(Config{Workers: 1, BaseTimeout: 20 * time.Millisecond, Store: st})
+	s := NewServer(Config{Workers: 1, BaseTimeout: 5 * time.Millisecond, Store: st})
 	for _, req := range []Request{
 		{Experiment: "chain"},
 		{Experiment: "mds", Runs: 1},

@@ -130,6 +130,9 @@ func (r Request) Normalize() (Request, error) {
 		*n.count(c.Name) = v
 	}
 	if e.noise {
+		if err := phantom.CheckTable1Noise(r.Noise); err != nil {
+			return Request{}, err
+		}
 		if r.Noise < 0 {
 			return Request{}, errors.New("negative noise")
 		}

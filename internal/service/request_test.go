@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,9 @@ func TestNormalizeErrors(t *testing.T) {
 		{"negative runs", Request{Experiment: "kaslr", Runs: -1}, "negative runs"},
 		{"negative trials", Request{Experiment: "table1", Trials: -2}, "negative trials"},
 		{"negative noise", Request{Experiment: "table1", Noise: -0.5}, "negative noise"},
+		{"NaN noise", Request{Experiment: "table1", Noise: math.NaN()}, "noise NaN is not a finite number"},
+		{"infinite noise", Request{Experiment: "table1", Noise: math.Inf(1)}, "noise +Inf is not a finite number"},
+		{"negative infinite noise", Request{Experiment: "table1", Noise: math.Inf(-1)}, "noise -Inf is not a finite number"},
 		{"table1 trials over ceiling", Request{Experiment: "table1", Trials: phantom.Table1Trials.Max + 1}, "ceiling"},
 		{"fig7 samples over ceiling", Request{Experiment: "fig7", Samples: phantom.Fig7Samples.Max + 1}, "ceiling"},
 		{"covert bits over ceiling", Request{Experiment: "covert", Bits: phantom.Table2Bits.Max + 1}, "ceiling"},

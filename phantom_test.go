@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -569,10 +570,11 @@ func median(xs []float64) float64 {
 
 // TestNegativeCountsRejected pins the shared count guard: a negative
 // count, or one over its ceiling, is a clean error from every entry
-// point, never a panic inside a sweep. The rows past a ceiling, and the
-// rows for RunTable1 and LeakKernelMemory, run under a cancelled
-// context: a guard that came after the simulation started would fail
-// them with the context's error instead of the guard's.
+// point, never a panic inside a sweep, and so is a non-finite Table 1
+// noise level. The rows past a ceiling, and the rows for RunTable1 and
+// LeakKernelMemory, run under a cancelled context: a guard that came
+// after the simulation started would fail them with the context's error
+// instead of the guard's.
 func TestNegativeCountsRejected(t *testing.T) {
 	archs := []Microarch{Zen2}
 	done, cancel := context.WithCancel(context.Background())
@@ -602,6 +604,9 @@ func TestNegativeCountsRejected(t *testing.T) {
 			return GenerateReportSection(&bytes.Buffer{}, ReportSectionTitles()[0], ReportOptions{Runs: -3})
 		}, "negative runs"},
 		{"RunTable1 trials", func() error { _, err := RunTable1(Zen2, Table1Options{Context: done, Trials: -1}); return err }, "negative trials"},
+		{"RunTable1 NaN noise", func() error { _, err := RunTable1(Zen2, Table1Options{Context: done, Noise: math.NaN()}); return err }, "noise NaN is not a finite number"},
+		{"RunTable1 infinite noise", func() error { _, err := RunTable1(Zen2, Table1Options{Context: done, Noise: math.Inf(1)}); return err }, "noise +Inf is not a finite number"},
+		{"RunTable1 negative infinite noise", func() error { _, err := RunTable1(Zen2, Table1Options{Context: done, Noise: math.Inf(-1)}); return err }, "noise -Inf is not a finite number"},
 		{"LeakKernelMemory bytes", func() error { _, err := sys.LeakKernelMemory(0, -1); return err }, "negative bytes"},
 
 		{"RunTable1 trials ceiling", func() error {
