@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-request search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-request fuzz-asm search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -106,8 +106,9 @@ bench-report:
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_report.json || true
 
 # The search-throughput number: one search.Run on zen2 (seed 3, budget
-# 2000), where a leg is about ten instructions and machine setup, not
-# simulation, sets the cost. Archived as a dated JSON log like
+# 2000). A leg is about ten instructions, so per-program fixed work sets
+# the cost: seeding each program's generator, assembling its blocks, and
+# resetting and digesting the machine. Archived as a dated JSON log like
 # `make bench-boot`, with the core count on its first line.
 bench-search:
 	printf '{"Action":"output","Package":"phantom/internal/search","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
@@ -136,6 +137,12 @@ fuzz-decode:
 # stable key, and every accepted count is within its ceiling.
 fuzz-request:
 	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime 30s ./internal/service
+
+# The assembler fuzzer (phantom-asm's input) on the same budget: no
+# source panics Assemble, and every blob it returns decodes into valid
+# instructions that end exactly at the blob's end.
+fuzz-asm:
+	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 30s ./internal/isa
 
 # A slice of the attack-variant search (differential fuzzing of the
 # speculation model), about 0.06 s of search on a 2-core box once built:

@@ -53,6 +53,9 @@ func TestExitCodes(t *testing.T) {
 		{"bad asm", []string{"-asm", "bogus"}, 1},
 		{"good hex", []string{"-hex", "0f1f440000"}, 0},
 		{"good asm", []string{"-asm", "mov rax, 1"}, 0},
+		// A layout past isa.MaxLayout is refused before Bytes allocates it.
+		{"far org", []string{"-asm", "nop; .org 0x7fffffffffff; ret"}, 1},
+		{"far align", []string{"-asm", "nop; .align 0x40000000"}, 1},
 	}
 	for _, c := range cases {
 		if got := realMain(c.args, strings.NewReader(""), io.Discard, io.Discard); got != c.want {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"phantom"
+	"phantom/internal/search"
 	"phantom/internal/service"
 )
 
@@ -48,6 +49,7 @@ func TestExitCodes(t *testing.T) {
 		{"negative infinite table1 noise", []string{"table1", "-arch", "zen2", "-trials", "2", "-noise", "-Inf"}, 1},
 		{"negative search budget", []string{"search", "-budget", "-5"}, 1},
 		{"zero search budget", []string{"search", "-budget", "0"}, 0},
+		{"huge search budget", []string{"search", "-budget", "100000000000"}, 1},
 	}
 	for _, c := range cases {
 		if got := realMainCtx(context.Background(), c.args, io.Discard, io.Discard); got != c.want {
@@ -72,6 +74,7 @@ func TestExitCodes(t *testing.T) {
 		{"report", "-runs", over(phantom.ReportRuns)},
 		{"report", "-bits", over(phantom.ReportBits)},
 		{"all", "-runs", over(phantom.Table4Runs)},
+		{"search", "-budget", fmt.Sprint(search.MaxBudget + 1)},
 	} {
 		var stderr bytes.Buffer
 		if got := realMainCtx(done, args, io.Discard, &stderr); got != 1 || !strings.Contains(stderr.String(), "ceiling") {

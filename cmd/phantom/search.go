@@ -21,7 +21,8 @@ func cmdSearch(ctx context.Context, w, stderr io.Writer, args []string) error {
 	fs.SetOutput(stderr)
 	arch := fs.String("arch", "zen2", "microarchitecture to search")
 	seed := fs.Int64("seed", 1, "random seed")
-	budget := fs.Int("budget", search.DefaultBudget, "programs to generate and differentially execute")
+	budget := fs.Int("budget", search.DefaultBudget,
+		fmt.Sprintf("programs to generate and differentially execute; at most %d", search.MaxBudget))
 	jobs := fs.Int("jobs", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
 	fixtures := fs.String("fixtures", "", "write minimized findings as fixtures under this directory")
 	asJSON := fs.Bool("json", false, "emit JSON instead of a table")

@@ -92,11 +92,42 @@ func (r *RSB) StateDigest() uint64 {
 }
 
 // StateDigest hashes the full direction-counter array: fnv1a of every
-// counter, each folded as one multiply because counters fit a byte.
+// counter, each folded as one multiply because counters fit a byte. A
+// word of 64 counters Update never wrote holds 64 ones, and folds in one
+// step (untouchedFold).
 func (p *PHT) StateDigest() uint64 {
 	h := uint64(fnvOffset)
-	for _, c := range p.counters {
-		h = (h ^ uint64(c)) * fnvPrime8
+	for w, t := range p.touched {
+		cs := p.word(w)
+		if t == 0 && len(cs) == 64 {
+			h = h*untouchedMul + untouchedAdd[h&1]
+			continue
+		}
+		for _, c := range cs {
+			h = (h ^ uint64(c)) * fnvPrime8
+		}
 	}
 	return h
+}
+
+// untouchedMul and untouchedAdd fold 64 counters of 1 as one affine
+// step. Folding a 1, (h^1)*fnvPrime8, is h*fnvPrime8 + fnvPrime8 for an
+// even h and h*fnvPrime8 - fnvPrime8 for an odd one, and its result has
+// the other parity, since fnvPrime8 is odd. So 64 folds from h are
+// h*fnvPrime8^64 plus a constant that depends only on h's parity.
+var untouchedMul, untouchedAdd = untouchedFold()
+
+func untouchedFold() (mul uint64, add [2]uint64) {
+	mul = 1
+	for i := 0; i < 64; i++ {
+		mul *= fnvPrime8
+	}
+	for parity := range add {
+		h := uint64(parity)
+		for i := 0; i < 64; i++ {
+			h = (h ^ 1) * fnvPrime8
+		}
+		add[parity] = h - uint64(parity)*mul
+	}
+	return mul, add
 }

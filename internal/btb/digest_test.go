@@ -2,6 +2,7 @@ package btb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"phantom/internal/isa"
@@ -149,8 +150,23 @@ func TestPHTDigest(t *testing.T) {
 	}
 }
 
-// TestPHTDigestMatchesBytewise: the one-multiply fold per counter equals
-// fnv1a's byte-by-byte fold, on random counter states.
+// phtFold is the reference PHT digest: fnv1a byte by byte over every
+// counter.
+func phtFold(p *PHT) uint64 {
+	h := uint64(fnvOffset)
+	for _, c := range p.counters {
+		h = fnv1a(h, uint64(c))
+	}
+	return h
+}
+
+// TestPHTDigestMatchesBytewise: StateDigest, which folds each counter in
+// one multiply and each untouched 64-counter word in one step, equals
+// fnv1a's byte-by-byte fold over the whole array, on tables of 2 to 4096
+// counters: new, after sparse or dense random updates, with every
+// counter touched and set to a random state, and after Reset, which
+// must restore NewPHT's table. Every state is reached through Update,
+// the only writer the touched set sees.
 func TestPHTDigestMatchesBytewise(t *testing.T) {
 	p8 := uint64(1)
 	for i := 0; i < 8; i++ {
@@ -160,17 +176,44 @@ func TestPHTDigestMatchesBytewise(t *testing.T) {
 		t.Fatalf("fnvPrime8 = %#x, want fnvPrime^8 = %#x", uint64(fnvPrime8), p8)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		p := NewPHT(1 + rng.Intn(12))
-		for i := range p.counters {
-			p.counters[i] = uint8(rng.Intn(4))
+	for trial := 0; trial < 60; trial++ {
+		bits := 1 + rng.Intn(12)
+		p := NewPHT(bits)
+		n := len(p.counters)
+		check := func(state string) {
+			t.Helper()
+			if got, want := p.StateDigest(), phtFold(p); got != want {
+				t.Fatalf("trial %d (%d counters), %s: StateDigest %#x, byte-wise %#x", trial, n, state, got, want)
+			}
 		}
-		want := uint64(fnvOffset)
-		for _, c := range p.counters {
-			want = fnv1a(want, uint64(c))
+		check("new")
+
+		updates := 1 + rng.Intn(8) // sparse: a few counters, as a program trains
+		if trial%2 == 1 {
+			updates = rng.Intn(2 * n)
 		}
-		if got := p.StateDigest(); got != want {
-			t.Fatalf("trial %d (%d counters): StateDigest %#x, byte-wise %#x", trial, len(p.counters), got, want)
+		for i := 0; i < updates; i++ {
+			p.Update(rng.Uint64(), rng.Intn(2) == 0)
+		}
+		check("random updates")
+
+		// Three taken outcomes saturate a counter at 3, and each
+		// not-taken one after them steps it down: any state is reached.
+		for i := 0; i < n; i++ {
+			pc := uint64(i) + uint64(rng.Intn(1<<20))<<12
+			for k := 0; k < 3; k++ {
+				p.Update(pc, true)
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				p.Update(pc, false)
+			}
+		}
+		check("every counter touched")
+
+		p.Reset()
+		check("reset")
+		if fresh := NewPHT(bits); !reflect.DeepEqual(p, fresh) {
+			t.Fatalf("trial %d (%d counters): Reset left %+v, NewPHT gives %+v", trial, n, p, fresh)
 		}
 	}
 }

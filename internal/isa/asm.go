@@ -19,9 +19,9 @@ import (
 // and Bytes flattens.
 type Assembler struct {
 	base   uint64
-	buf    []byte // every emitted byte, gaps omitted
-	runs   []run  // starts of the runs after the first, which is {base, 0}
-	labels map[string]uint64
+	buf    []byte   // every emitted byte, gaps omitted
+	runs   []run    // starts of the runs after the first, which is {base, 0}
+	labels []Symbol // in binding order
 	fixups []fixup
 	err    error
 }
@@ -46,7 +46,7 @@ type Segment struct {
 }
 
 // NewAssembler returns an assembler whose first emitted byte lands at base.
-// The label map allocates lazily (most experiment snippets bind none) and
+// The label list allocates lazily (most experiment snippets bind none) and
 // the buffer starts with room for a typical snippet, so assembling the
 // short blobs the sweeps build in bulk costs two allocations.
 func NewAssembler(base uint64) *Assembler {
@@ -67,32 +67,49 @@ func (a *Assembler) PC() uint64 {
 
 // Label binds name to the current PC.
 func (a *Assembler) Label(name string) {
-	if _, dup := a.labels[name]; dup {
+	if _, dup := a.addr(name); dup {
 		a.fail(fmt.Errorf("duplicate label %q", name))
 		return
 	}
-	if a.labels == nil {
-		a.labels = make(map[string]uint64)
+	a.labels = append(a.labels, Symbol{Name: name, Addr: a.PC()})
+}
+
+// addr looks a bound label up. A snippet binds a few labels and the
+// kernel image about twenty, so a scan beats building a map.
+func (a *Assembler) addr(name string) (uint64, bool) {
+	for _, s := range a.labels {
+		if s.Name == name {
+			return s.Addr, true
+		}
 	}
-	a.labels[name] = a.PC()
+	return 0, false
 }
 
 // MustAddr returns the address of a bound label, panicking if missing.
 func (a *Assembler) MustAddr(name string) uint64 {
-	v, ok := a.labels[name]
+	v, ok := a.addr(name)
 	if !ok {
 		panic(fmt.Sprintf("isa: unresolved label %q", name))
 	}
 	return v
 }
 
+// MaxLayout is the largest span from Base to PC that Org and Align may
+// lay out. Bytes allocates and fills the whole span, so an .org in one
+// line of source could otherwise ask for terabytes. The largest layout
+// the simulator builds is the 5 MiB kernel text; this is 8 MiB.
+const MaxLayout = 8 << 20
+
 // Org moves the PC forward to the given virtual address, which must not be
-// behind it. The gap reads as int3 bytes, so speculative fetches that run
-// into it decode as traps rather than as stale instructions.
+// behind it nor more than MaxLayout bytes past Base. The gap reads as int3
+// bytes, so speculative fetches that run into it decode as traps rather
+// than as stale instructions.
 func (a *Assembler) Org(addr uint64) {
 	switch pc := a.PC(); {
 	case addr < pc:
 		a.fail(fmt.Errorf("Org(%#x) behind PC %#x", addr, pc))
+	case addr-a.base > MaxLayout:
+		a.fail(fmt.Errorf("Org(%#x) lays out %#x bytes from base %#x, over the ceiling of %#x", addr, addr-a.base, a.base, MaxLayout))
 	case addr > pc:
 		a.runs = append(a.runs, run{addr: addr, off: len(a.buf)})
 	}
@@ -234,7 +251,7 @@ func (a *Assembler) resolve() error {
 		return a.err
 	}
 	for _, f := range a.fixups {
-		target, ok := a.labels[f.label]
+		target, ok := a.addr(f.label)
 		if !ok {
 			return fmt.Errorf("isa: unresolved label %q", f.label)
 		}
@@ -310,10 +327,7 @@ func (a *Assembler) MustBytes() []byte {
 // Symbols returns all labels sorted by address, for building symbol tables
 // of the simulated kernel image.
 func (a *Assembler) Symbols() []Symbol {
-	out := make([]Symbol, 0, len(a.labels))
-	for n, addr := range a.labels {
-		out = append(out, Symbol{Name: n, Addr: addr})
-	}
+	out := append([]Symbol(nil), a.labels...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Addr != out[j].Addr {
 			return out[i].Addr < out[j].Addr

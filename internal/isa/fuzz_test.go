@@ -30,3 +30,33 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssemble asserts the assembler's contracts on arbitrary source and
+// base address, which is phantom-asm's input: Assemble never panics, and
+// a blob it returns decodes from its base into valid instructions, none
+// of them OpInvalid, that end exactly at the blob's end. The predecode
+// cache and the wrong-path walker read assembled code back only through
+// Decode, so a blob that broke this would be run as something else.
+// The committed seed corpus holds the search corpus's victim and gadget
+// blocks, phantom-asm's usage examples, and an .org past the layout
+// ceiling.
+func FuzzAssemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string, base uint64) {
+		blob, _, err := Assemble(src, base)
+		if err != nil {
+			return
+		}
+		off := 0
+		for off < len(blob) {
+			in := Decode(blob[off:])
+			if in.Op == OpInvalid {
+				t.Fatalf("Assemble(%q, %#x): invalid instruction at offset %d of %d: % x",
+					src, base, off, len(blob), blob[off:min(off+15, len(blob))])
+			}
+			off += in.Len
+		}
+		if off != len(blob) {
+			t.Fatalf("Assemble(%q, %#x): the last instruction ends at offset %d, past the %d-byte blob", src, base, off, len(blob))
+		}
+	})
+}

@@ -26,10 +26,12 @@ import (
 // label symbol table.
 func Assemble(src string, base uint64) ([]byte, []Symbol, error) {
 	a := NewAssembler(base)
-	lineNo := 0
-	for _, rawLine := range strings.Split(src, "\n") {
-		lineNo++
-		for _, stmt := range strings.Split(rawLine, ";") {
+	for lineNo, more := 1, true; more; lineNo++ {
+		var line string
+		line, src, more = strings.Cut(src, "\n")
+		for stmtsLeft := true; stmtsLeft; {
+			var stmt string
+			stmt, line, stmtsLeft = strings.Cut(line, ";")
 			if err := parseStmt(a, stmt); err != nil {
 				return nil, nil, fmt.Errorf("isa: line %d: %w", lineNo, err)
 			}
@@ -68,7 +70,8 @@ func parseStmt(a *Assembler, stmt string) error {
 
 	op, rest, _ := strings.Cut(stmt, " ")
 	op = strings.ToLower(strings.TrimSpace(op))
-	args := splitArgs(rest)
+	var argBuf [2]string // no mnemonic takes more operands
+	args := splitArgs(argBuf[:0], rest)
 
 	switch op {
 	case "nop", "nop1":
@@ -159,7 +162,7 @@ func parseStmt(a *Assembler, stmt string) error {
 		if err != nil {
 			return err
 		}
-		if src, err2 := parseReg(args[1]); err2 == nil {
+		if src, ok := regIndex(args[1]); ok {
 			switch op {
 			case "add":
 				a.AddReg(dst, src)
@@ -272,7 +275,7 @@ func parseMov(a *Assembler, args []string) error {
 		if err != nil {
 			return err
 		}
-		if src, err2 := parseReg(args[1]); err2 == nil {
+		if src, ok := regIndex(args[1]); ok {
 			a.MovReg(dst, src)
 			return nil
 		}
@@ -288,27 +291,35 @@ func parseMov(a *Assembler, args []string) error {
 	return fmt.Errorf("mov mem, mem not supported")
 }
 
-// splitArgs splits a comma-separated operand list, trimming whitespace.
-func splitArgs(s string) []string {
+// splitArgs appends the operands of a comma-separated list to args,
+// trimming whitespace.
+func splitArgs(args []string, s string) []string {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
+	for more := s != ""; more; {
+		var arg string
+		arg, s, more = strings.Cut(s, ",")
+		args = append(args, strings.TrimSpace(arg))
 	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
+	return args
 }
 
 func parseReg(s string) (int, error) {
+	if r, ok := regIndex(s); ok {
+		return r, nil
+	}
+	return 0, fmt.Errorf("unknown register %q", strings.ToLower(strings.TrimSpace(s)))
+}
+
+// regIndex is parseReg without the error, for operands that may be
+// either a register or something else.
+func regIndex(s string) (int, bool) {
 	s = strings.ToLower(strings.TrimSpace(s))
 	for i := 0; i < NumRegs; i++ {
 		if s == regNames[i] {
-			return i, nil
+			return i, true
 		}
 	}
-	return 0, fmt.Errorf("unknown register %q", s)
+	return 0, false
 }
 
 func parseImm(s string) (int64, error) {

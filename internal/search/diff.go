@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 
@@ -160,14 +161,31 @@ const (
 	fnvPrime8 = 0x1efac7090aef4a21 // fnvPrime^8 mod 2^64: eight zero bytes
 )
 
+// fnvPrimePage is fnvPrime^PageSize mod 2^64: a page of zero bytes.
+var fnvPrimePage = func() uint64 {
+	p := uint64(1)
+	for i := 0; i < mem.PageSize/8; i++ {
+		p *= fnvPrime8
+	}
+	return p
+}()
+
+// zeroPage is what a data page nothing wrote reads as.
+var zeroPage [mem.PageSize]byte
+
 // memDigest hashes the data and stack pages: FNV-1a over their bytes,
-// each page read once through its frame. An all-zero word folds as one
-// multiply; in most programs every page is still zero after the victim.
+// each page read once through its frame. A page that reads all zero
+// folds as one multiply, and so does an all-zero word of any other: in
+// most programs every page is still zero after the victim.
 func (l *lab) memDigest() uint64 {
 	h := uint64(fnvOffset)
 	for _, pa := range l.dataPAs {
 		// dataPAs are page-aligned, so the window always fits.
 		page, _ := l.m.Phys.Window(pa, mem.PageSize)
+		if bytes.Equal(page, zeroPage[:]) {
+			h *= fnvPrimePage
+			continue
+		}
 		for off := 0; off < len(page); off += 8 {
 			w := page[off : off+8]
 			if binary.LittleEndian.Uint64(w) == 0 {

@@ -95,7 +95,25 @@ func randStmt(rng *rand.Rand, mix Mix) string {
 // of its arguments: the same pair always yields the same program, which
 // is what lets the sweep partition the iteration space freely.
 func Generate(arch string, seed int64) *Program {
-	rng := rand.New(rand.NewSource(seed))
+	var g generator
+	return g.generate(arch, seed)
+}
+
+// generator is the random source programs are drawn from. A search
+// worker keeps one for all its programs: reseeding a source costs as
+// much as seeding a new one, but allocates nothing.
+type generator struct{ rng *rand.Rand }
+
+// generate draws the program for (arch, seed) from g's source, reseeded
+// with seed: a reseeded source draws exactly as rand.NewSource(seed)
+// does, so this is Generate's program.
+func (g *generator) generate(arch string, seed int64) *Program {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed)
+	}
+	rng := g.rng
 	p := &Program{
 		Arch:   arch,
 		Seed:   seed,

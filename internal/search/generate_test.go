@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,6 +16,30 @@ func TestGeneratePure(t *testing.T) {
 		b := Generate("zen2", seed)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: Generate is not deterministic:\n%+v\n%+v", seed, a, b)
+		}
+	}
+}
+
+// TestGeneratorReseedMatchesGenerate: one generator reused for many
+// programs, as a search worker reuses it, and drawn from between them,
+// returns Generate's program for every seed: its reseeded source draws
+// as a new one would.
+func TestGeneratorReseedMatchesGenerate(t *testing.T) {
+	var g generator
+	other := rand.New(rand.NewSource(9))
+	seeds := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 31, 1<<31 - 1}
+	for i := 0; i < 1000; i++ {
+		seeds = append(seeds, deriveSeed(other.Int63(), i))
+	}
+	archs := []string{"zen2", "intel13"}
+	for i, seed := range seeds {
+		arch := archs[i%len(archs)]
+		if got, want := g.generate(arch, seed), Generate(arch, seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d after %d programs: reused generator drew\n%+v\nGenerate draws\n%+v", seed, i, got, want)
+		}
+		for k := other.Intn(40); k > 0; k-- {
+			g.rng.Int63()
+			g.rng.Intn(1 + k)
 		}
 	}
 }

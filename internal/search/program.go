@@ -22,6 +22,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"phantom/internal/btb"
@@ -66,7 +67,7 @@ type Program struct {
 // the gadget block at the trainer's architectural target.
 const (
 	labTrainBase = uint64(0x5200000000) + 0x6a0
-	labGadgetOff = uint64(0x40000) + 0x3a0
+	labGadget    = labTrainBase&^0xfff + 0x40000 + 0x3a0
 	labData      = uint64(0x5300000000)
 	labStack     = uint64(0x5300100000)
 	dataBytes    = 2 * mem.PageSize
@@ -81,12 +82,22 @@ const (
 
 // rig is the machine a sequence of legs shares: each leg resets it
 // instead of building a new one, and the arch's alias mask is solved
-// once per machine. The zero rig is ready to use; a program of another
-// arch replaces the machine.
+// once per machine. The rig also keeps the code of the last program it
+// assembled, so the two legs of a diff assemble once and map the same
+// bytes. The zero rig is ready to use; a program of another arch
+// replaces the machine.
 type rig struct {
 	m    *pipeline.Machine
 	arch string
 	mask uint64 // btb.SamePrivAliasMask of the machine's scheme
+
+	src  Program // the Train, Victim and Gadget that code was assembled from
+	code code
+}
+
+// code is a program assembled at its lab addresses on one arch.
+type code struct {
+	train, victim, gadget []byte
 }
 
 // machine returns the rig's machine in the state pipeline.New gives a
@@ -114,9 +125,7 @@ type lab struct {
 	m      *pipeline.Machine
 	nextPA uint64
 
-	trainVA  uint64
 	victimVA uint64
-	gadgetVA uint64
 
 	dataPAs []uint64 // page-aligned PAs backing data+stack, for digesting
 }
@@ -134,30 +143,25 @@ func blockSource(stmts []string) string {
 	return b.String()
 }
 
-// buildLab assembles and maps the program on r's machine, reset for p.
-func buildLab(r *rig, p *Program) (*lab, error) {
-	m, mask, err := r.machine(p)
-	if err != nil {
-		return nil, err
+// assembled returns p's code for the rig's arch: its trainer at
+// labTrainBase, its victim block at labTrainBase^mask and its gadget
+// block at labGadget. It assembles only when p's statements differ from
+// those of the last program assembled here.
+func (r *rig) assembled(p *Program) (*code, error) {
+	if r.code.train != nil && p.Train == r.src.Train &&
+		slices.Equal(p.Victim, r.src.Victim) && slices.Equal(p.Gadget, r.src.Gadget) {
+		return &r.code, nil
 	}
-	m.Noise.Level = 0
-	l := &lab{
-		m: m, nextPA: 0x1000000,
-		trainVA:  labTrainBase,
-		victimVA: labTrainBase ^ mask,
-		gadgetVA: (labTrainBase &^ 0xfff) + labGadgetOff,
-	}
-
 	// Trainer snippet: one branch of the chosen class, aimed at the
 	// gadget block.
-	ta := isa.NewAssembler(l.trainVA)
+	ta := isa.NewAssembler(labTrainBase)
 	switch p.Train {
 	case TrainJmpInd:
 		ta.JmpReg(isa.RDI)
 	case TrainJmp:
-		ta.JmpTo(l.gadgetVA)
+		ta.JmpTo(labGadget)
 	case TrainJcc:
-		ta.JccTo(isa.CondZ, l.gadgetVA)
+		ta.JccTo(isa.CondZ, labGadget)
 	case TrainCallInd:
 		ta.CallReg(isa.RDI)
 	case TrainRet:
@@ -169,18 +173,47 @@ func buildLab(r *rig, p *Program) (*lab, error) {
 		return nil, fmt.Errorf("search: unknown train kind %q", p.Train)
 	}
 	ta.Int3()
-	if err := l.mapAsm(ta); err != nil {
+	var c code
+	var err error
+	if c.train, err = ta.Bytes(); err != nil {
 		return nil, err
 	}
-
 	// Victim and gadget blocks from the generated statements.
-	if err := l.mapSource(blockSource(p.Victim), l.victimVA); err != nil {
+	if c.victim, _, err = isa.Assemble(blockSource(p.Victim), labTrainBase^r.mask); err != nil {
 		return nil, fmt.Errorf("search: victim block: %w", err)
 	}
-	if err := l.mapSource(blockSource(p.Gadget), l.gadgetVA); err != nil {
+	if c.gadget, _, err = isa.Assemble(blockSource(p.Gadget), labGadget); err != nil {
 		return nil, fmt.Errorf("search: gadget block: %w", err)
 	}
+	r.code = c
+	r.src.Train = p.Train
+	r.src.Victim = append(r.src.Victim[:0], p.Victim...)
+	r.src.Gadget = append(r.src.Gadget[:0], p.Gadget...)
+	return &r.code, nil
+}
 
+// buildLab maps the program's code and data on r's machine, reset for p.
+func buildLab(r *rig, p *Program) (*lab, error) {
+	m, mask, err := r.machine(p)
+	if err != nil {
+		return nil, err
+	}
+	c, err := r.assembled(p)
+	if err != nil {
+		return nil, err
+	}
+	m.Noise.Level = 0
+	l := &lab{m: m, nextPA: 0x1000000, victimVA: labTrainBase ^ mask}
+	const exec = mem.PermRead | mem.PermExec | mem.PermUser
+	if err := l.mapBlob(labTrainBase, c.train, exec); err != nil {
+		return nil, err
+	}
+	if err := l.mapBlob(l.victimVA, c.victim, exec); err != nil {
+		return nil, err
+	}
+	if err := l.mapBlob(labGadget, c.gadget, exec); err != nil {
+		return nil, err
+	}
 	if err := l.mapData(labData, dataBytes); err != nil {
 		return nil, err
 	}
@@ -205,22 +238,6 @@ func (l *lab) mapBlob(va uint64, blob []byte, perm mem.Perm) error {
 	return l.m.UserAS.WriteBytes(va, blob)
 }
 
-func (l *lab) mapAsm(a *isa.Assembler) error {
-	blob, err := a.Bytes()
-	if err != nil {
-		return err
-	}
-	return l.mapBlob(a.Base(), blob, mem.PermRead|mem.PermExec|mem.PermUser)
-}
-
-func (l *lab) mapSource(src string, va uint64) error {
-	blob, _, err := isa.Assemble(src, va)
-	if err != nil {
-		return err
-	}
-	return l.mapBlob(va, blob, mem.PermRead|mem.PermExec|mem.PermUser)
-}
-
 func (l *lab) mapData(va, size uint64) error {
 	pa := l.allocPA(size)
 	if err := l.m.UserAS.Map(va, pa, size, mem.PermRead|mem.PermWrite|mem.PermUser); err != nil {
@@ -242,7 +259,7 @@ func (l *lab) initRegs() {
 	}
 	m.Regs[isa.RSI] = labData
 	m.Regs[isa.R8] = labData + mem.PageSize
-	m.Regs[isa.RDI] = l.gadgetVA
+	m.Regs[isa.RDI] = labGadget
 	m.Regs[isa.RSP] = labStack + stackBytes/2
 	m.ZF, m.CF = false, false
 }
@@ -261,14 +278,14 @@ func (l *lab) trainOnce(p *Program) error {
 		m.ZF = true
 	case TrainRet:
 		m.Regs[isa.RSP] -= 8
-		if err := m.UserAS.Write64(m.Regs[isa.RSP], l.gadgetVA); err != nil {
+		if err := m.UserAS.Write64(m.Regs[isa.RSP], labGadget); err != nil {
 			return err
 		}
 	}
 	// Any stop reason is acceptable: the trainer branch retires on its
 	// first step; what the generated gadget does afterwards (halt,
 	// fault, trap) is part of the program under test.
-	m.RunAt(l.trainVA, trainLimit)
+	m.RunAt(labTrainBase, trainLimit)
 	return nil
 }
 

@@ -14,6 +14,13 @@ import (
 // DefaultBudget is how many programs a search with Budget 0 runs.
 const DefaultBudget = 5000
 
+// MaxBudget is the largest Budget a search accepts. The paper gives
+// search no scale, so, as for Table 1's trials, the ceiling is ten times
+// the default; the nightly job runs 20,000. A larger budget only holds
+// the workers for longer, and the sweep sizes its result slices by it
+// before the first job starts: 10^11 programs asked for about 100 GB.
+const MaxBudget = 10 * DefaultBudget
+
 // Options tunes one search run.
 type Options struct {
 	Arch   string
@@ -48,11 +55,13 @@ type jobResult struct {
 // differentially executed and classified, fanned over the sweep worker
 // pool; then (sequentially, in discovery order) the first program of
 // every distinct signature is delta-debugged to a locally-minimal
-// reproducer. A negative Budget is an error.
+// reproducer. A negative Budget, or one over MaxBudget, is an error.
 //
-// Each sweep job runs its legs on one machine, and minimization on
-// another, reset before every leg (pipeline.Machine.Reset): a leg is
-// about ten instructions, and building its machine cost far more.
+// A leg is about ten instructions, so Run keeps what costs more than
+// that to build: each sweep job takes a worker's state (a machine reset
+// before every leg, and a generator reseeded for every program) from a
+// free list and gives it back, so a run builds one per concurrently
+// running job, and minimization reuses one of them.
 //
 // Determinism: program i is a pure function of (Seed, i), batches are
 // merged in index order, and dedup keeps the first occurrence, so the
@@ -62,6 +71,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	telemetry.CountExperiment("search")
 	if opts.Budget < 0 {
 		return nil, errors.New("negative budget")
+	}
+	if opts.Budget > MaxBudget {
+		return nil, fmt.Errorf("budget %d over its ceiling of %d (10 times the default)", opts.Budget, MaxBudget)
 	}
 	if opts.Budget == 0 {
 		opts.Budget = DefaultBudget
@@ -80,9 +92,21 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if s := telemetry.Sweep("search", batches); s != nil {
 		sopts.Observer = s
 	}
+	// The free list of worker state, sized to the number of jobs, each
+	// of which gives back one state: a send to it never blocks.
+	free := make(chan *worker, batches)
+	take := func() *worker {
+		select {
+		case w := <-free:
+			return w
+		default:
+			return new(worker)
+		}
+	}
 	results, err := sweep.Run(ctx, batches, sopts, func(ctx context.Context, job int) (jobResult, error) {
 		var jr jobResult
-		var r rig
+		w := take()
+		defer func() { free <- w }()
 		lo := job * batchSize
 		hi := lo + batchSize
 		if hi > opts.Budget {
@@ -92,8 +116,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return jr, err
 			}
-			p := Generate(opts.Arch, deriveSeed(opts.Seed, it))
-			d, err := runDiff(ctx, &r, p)
+			p := w.gen.generate(opts.Arch, deriveSeed(opts.Seed, it))
+			d, err := runDiff(ctx, &w.rig, p)
 			if err != nil {
 				return jr, fmt.Errorf("iteration %d (seed %d): %w", it, p.Seed, err)
 			}
@@ -129,18 +153,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	// are deduped a second time on the minimized signature (which is
 	// also the fixture filename, so it must be unique).
 	minSeen := make(map[string]bool)
-	var r rig
+	r := &take().rig
 	for _, f := range kept {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		min, err := minimize(ctx, &r, f.Program, f.Category)
+		min, err := minimize(ctx, r, f.Program, f.Category)
 		if err != nil {
 			return nil, fmt.Errorf("minimize %s: %w", f.Key(), err)
 		}
 		// Re-measure the minimized program so the pinned numbers match
 		// what the fixture will replay.
-		d, err := runDiff(ctx, &r, min)
+		d, err := runDiff(ctx, r, min)
 		if err != nil {
 			return nil, err
 		}
@@ -161,6 +185,12 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// worker is the state a sweep worker keeps across its jobs.
+type worker struct {
+	rig rig
+	gen generator
 }
 
 // Render writes the human-readable findings table. The output contains

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -97,6 +98,23 @@ func TestSearchBudget(t *testing.T) {
 	}
 	if r.Budget != DefaultBudget {
 		t.Fatalf("Budget 0 ran %d programs, want DefaultBudget (%d)", r.Budget, DefaultBudget)
+	}
+}
+
+// TestSearchBudgetCeiling: a budget over MaxBudget is an error naming
+// the ceiling, returned before any sweep job starts. Under a cancelled
+// context a refusal that came after the sweep started would report the
+// cancel instead, as the accepted MaxBudget does.
+func TestSearchBudgetCeiling(t *testing.T) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, b := range []int{MaxBudget + 1, math.MaxInt} {
+		if _, err := Run(done, Options{Arch: "zen2", Budget: b}); err == nil || !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("Budget %d: Run error %v; want one naming the ceiling", b, err)
+		}
+	}
+	if _, err := Run(done, Options{Arch: "zen2", Budget: MaxBudget}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Budget MaxBudget under a cancelled context: Run error %v; want context.Canceled", err)
 	}
 }
 
