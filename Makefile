@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-request fuzz-asm search-smoke search-nightly
+.PHONY: build test test-cpu perfbench-test vet phantom-vet staticcheck govulncheck race check cover bench bench-boot bench-report bench-search bench-smoke bench-sweep bench-telemetry serve-smoke cluster-smoke bench-serve bench-cluster fuzz-decode fuzz-request fuzz-asm fuzz-store search-smoke search-nightly
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,12 @@ fuzz-request:
 # instructions that end exactly at the blob's end.
 fuzz-asm:
 	$(GO) test -run '^$$' -fuzz FuzzAssemble -fuzztime 30s ./internal/isa
+
+# The store-recovery fuzzer on the same budget: a segment of arbitrary
+# bytes, or valid records followed by arbitrary bytes, never panics
+# Open, and the store never serves a record whose CRC fails.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz FuzzStoreRecover -fuzztime 30s ./internal/store
 
 # A slice of the attack-variant search (differential fuzzing of the
 # speculation model), about 0.06 s of search on a 2-core box once built:

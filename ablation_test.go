@@ -18,7 +18,6 @@ package phantom
 //	                                  that MDS gadgets are useless to
 //	                                  conventional Spectre
 import (
-	"context"
 	"testing"
 
 	"phantom/internal/core"
@@ -128,9 +127,11 @@ func BenchmarkAblation_NoiseSweep(b *testing.B) {
 	for _, noise := range []float64{-1, 1, 2, 4, 8} {
 		b.Run(benchName("noise10x", int(noise*10)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCovertFetch(context.Background(), uarch.Zen2(), core.CovertConfig{
-					Seed: int64(i), Bits: 512, Noise: noise,
-				})
+				k, err := kernel.Boot(uarch.Zen2(), kernel.Config{Seed: int64(i), NoiseLevel: noise})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := core.RunCovertFetch(k, core.CovertConfig{Bits: 512})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -77,8 +77,8 @@ func assembleText(w io.Writer, stdin io.Reader, src string, base uint64) error {
 		return err
 	}
 	fmt.Fprintf(w, "%d bytes at %#x\n", len(blob), base)
-	for _, line := range isa.Disassemble(blob, base) {
-		fmt.Fprintln(w, line)
+	if err := isa.Disassemble(w, blob, base); err != nil {
+		return err
 	}
 	if len(syms) > 0 {
 		fmt.Fprintln(w, "symbols:")
@@ -104,10 +104,7 @@ func disasmHex(w io.Writer, s string, base uint64) error {
 			}
 		}
 	}
-	for _, line := range isa.Disassemble(blob, base) {
-		fmt.Fprintln(w, line)
-	}
-	return nil
+	return isa.Disassemble(w, blob, base)
 }
 
 func dumpGadgets(w io.Writer) error {

@@ -8,6 +8,8 @@ import (
 	"strings"
 
 	"phantom/internal/core"
+	"phantom/internal/kernel"
+	"phantom/internal/pipeline"
 	"phantom/internal/stats"
 	"phantom/internal/sweep"
 	"phantom/internal/telemetry"
@@ -50,6 +52,93 @@ func sweepGrid[T any](ctx context.Context, name string, configs, runs, jobs int,
 		out[c] = flat[c*runs : (c+1)*runs]
 	}
 	return out, nil
+}
+
+// rebootConfig is one configuration of a reboot sweep: a part and its
+// installed memory (0 means 8 GiB).
+type rebootConfig struct {
+	arch      Microarch
+	physBytes uint64
+}
+
+// archConfigs is one configuration per part, each at the default memory.
+func archConfigs(archs []Microarch) []rebootConfig {
+	configs := make([]rebootConfig, len(archs))
+	for i, a := range archs {
+		configs[i].arch = a
+	}
+	return configs
+}
+
+// reboots is a reboot sweep's machines, kept for the length of the call
+// in one free list per configuration, as search.Run keeps its workers'
+// state. A reboot takes a machine an earlier reboot of its configuration
+// gave back and kernel.Reboot resets it, so the sweep builds one machine
+// per configuration and worker instead of one per reboot. Each
+// configuration's profile is resolved once, because pipeline.Renew
+// reuses a machine only for the profile pointer it was built for. No
+// System booted here leaves the call.
+type reboots struct {
+	configs []rebootConfig
+	profs   []*uarch.Profile
+	free    []chan *pipeline.Machine
+}
+
+// newReboots resolves each configuration's profile and makes its free
+// list, sized to the configuration's runs so that a release never
+// blocks.
+func newReboots(configs []rebootConfig, runs int) (*reboots, error) {
+	rb := &reboots{
+		configs: configs,
+		profs:   make([]*uarch.Profile, len(configs)),
+		free:    make([]chan *pipeline.Machine, len(configs)),
+	}
+	for c, conf := range configs {
+		p, err := conf.arch.profile()
+		if err != nil {
+			return nil, err
+		}
+		rb.profs[c] = p
+		rb.free[c] = make(chan *pipeline.Machine, runs)
+	}
+	return rb, nil
+}
+
+// boot boots configuration c at cfg, with c's memory size, onto a
+// machine from c's free list (a new one when the list is empty).
+func (rb *reboots) boot(c int, cfg SystemConfig) (*System, error) {
+	var m *pipeline.Machine
+	select {
+	case m = <-rb.free[c]:
+	default:
+	}
+	cfg.PhysBytes = rb.configs[c].physBytes
+	return bootSystem(m, rb.configs[c].arch, rb.profs[c], cfg)
+}
+
+// release gives the machine of sys, booted by boot(c, ...), back to c's
+// free list; nothing may touch sys afterwards.
+func (rb *reboots) release(c int, sys *System) { rb.free[c] <- sys.k.M }
+
+// rebootGrid is sweepGrid over configs × runs where every job is one
+// reboot: it boots its configuration at seed(r), bound to the job's
+// context and with the default noise, through one reboots for the call,
+// and runs attack on the system.
+func rebootGrid[T any](ctx context.Context, name string, configs []rebootConfig, runs, jobs int,
+	seed func(r int) int64, attack func(sys *System) (T, error)) ([][]T, error) {
+	rb, err := newReboots(configs, runs)
+	if err != nil {
+		return nil, err
+	}
+	return sweepGrid(ctx, name, len(configs), runs, jobs, func(ctx context.Context, c, r int) (T, error) {
+		sys, err := rb.boot(c, SystemConfig{Seed: seed(r), Context: ctx})
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		defer rb.release(c, sys)
+		return attack(sys)
+	})
 }
 
 // StageReach is the paper's per-cell Table 1 annotation: which pipeline
@@ -280,11 +369,21 @@ func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
 	if opts.BruteBudget == 0 {
 		opts.BruteBudget = 20000
 	}
-	bf, err := core.BruteForceCollisions(opts.Context, p, opts.Seed, bruteForceFlips, opts.BruteBudget)
+	// Each stage runs on its own noiseless boot at the seed, the second
+	// on the machine the first used.
+	cfg := SystemConfig{Seed: opts.Seed, Deterministic: true, Context: opts.Context}
+	sys, err := bootSystem(nil, arch, p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := core.RecoverBTBFunctions(opts.Context, p, opts.Seed, samples, opts.MaxBatches)
+	bf, err := core.BruteForceCollisions(sys.k, bruteForceFlips, opts.BruteBudget)
+	if err != nil {
+		return nil, err
+	}
+	if sys, err = bootSystem(sys.k.M, arch, p, cfg); err != nil {
+		return nil, err
+	}
+	rec, err := core.RecoverBTBFunctions(sys.k, opts.Seed, samples, opts.MaxBatches)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +463,7 @@ func RunTable2Execute(archs []Microarch, opts Table2Options) ([]Table2Row, error
 }
 
 func runTable2(archs []Microarch, opts Table2Options,
-	run func(ctx context.Context, p *uarch.Profile, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
+	run func(k *kernel.Kernel, cfg core.CovertConfig) (*core.CovertResult, error)) ([]Table2Row, error) {
 	var err error
 	if opts.Runs, err = Table2Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
@@ -377,13 +476,10 @@ func runTable2(archs []Microarch, opts Table2Options,
 	// depend only on the job index and the parallel table is identical to
 	// the sequential one.
 	type sample struct{ acc, rate float64 }
-	samples, err := sweepGrid(opts.Context, "table2", len(archs), opts.Runs, opts.Jobs,
-		func(ctx context.Context, ai, r int) (sample, error) {
-			p, err := archs[ai].profile()
-			if err != nil {
-				return sample{}, err
-			}
-			res, err := run(ctx, p, core.CovertConfig{Seed: opts.Seed + int64(r)*101, Bits: opts.Bits})
+	samples, err := rebootGrid(opts.Context, "table2", archConfigs(archs), opts.Runs, opts.Jobs,
+		func(r int) int64 { return opts.Seed + int64(r)*101 },
+		func(sys *System) (sample, error) {
+			res, err := run(sys.k, core.CovertConfig{Bits: opts.Bits})
 			if err != nil {
 				return sample{}, err
 			}
@@ -479,12 +575,9 @@ func RunTable3(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 	if opts.Runs, err = Table3Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
 	}
-	grouped, err := sweepGrid(opts.Context, "table3", len(archs), opts.Runs, opts.Jobs,
-		func(ctx context.Context, ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*31, Context: ctx})
-			if err != nil {
-				return derandRun{}, err
-			}
+	grouped, err := rebootGrid(opts.Context, "table3", archConfigs(archs), opts.Runs, opts.Jobs,
+		func(r int) int64 { return opts.Seed + int64(r)*31 },
+		func(sys *System) (derandRun, error) {
 			res, err := sys.BreakImageKASLR()
 			if err != nil {
 				return derandRun{}, err
@@ -508,12 +601,9 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 	if opts.Runs, err = Table4Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
 	}
-	grouped, err := sweepGrid(opts.Context, "table4", len(archs), opts.Runs, opts.Jobs,
-		func(ctx context.Context, ai, r int) (derandRun, error) {
-			sys, err := NewSystem(archs[ai], SystemConfig{Seed: opts.Seed + int64(r)*37, Context: ctx})
-			if err != nil {
-				return derandRun{}, err
-			}
+	grouped, err := rebootGrid(opts.Context, "table4", archConfigs(archs), opts.Runs, opts.Jobs,
+		func(r int) int64 { return opts.Seed + int64(r)*37 },
+		func(sys *System) (derandRun, error) {
 			img, err := sys.BreakImageKASLR()
 			if err != nil {
 				return derandRun{}, err
@@ -534,6 +624,12 @@ func RunTable4(archs []Microarch, opts DerandOptions) ([]DerandRow, error) {
 	return rows, nil
 }
 
+// table5Configs are the paper's Table 5 machines.
+var table5Configs = []rebootConfig{
+	{Zen1, 8 << 30},
+	{Zen2, 64 << 30},
+}
+
 // RunTable5 reproduces Table 5: finding the physical address of an
 // attacker page, on the paper's memory configurations (8 GB Zen 1, 64 GB
 // Zen 2).
@@ -542,20 +638,9 @@ func RunTable5(opts DerandOptions) ([]DerandRow, error) {
 	if opts.Runs, err = Table5Runs.Resolve(opts.Runs); err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		arch Microarch
-		mem  uint64
-	}{
-		{Zen1, 8 << 30},
-		{Zen2, 64 << 30},
-	}
-	grouped, err := sweepGrid(opts.Context, "table5", len(configs), opts.Runs, opts.Jobs,
-		func(ctx context.Context, ci, r int) (derandRun, error) {
-			c := configs[ci]
-			sys, err := NewSystem(c.arch, SystemConfig{Seed: opts.Seed + int64(r)*41, PhysBytes: c.mem, Context: ctx})
-			if err != nil {
-				return derandRun{}, err
-			}
+	grouped, err := rebootGrid(opts.Context, "table5", table5Configs, opts.Runs, opts.Jobs,
+		func(r int) int64 { return opts.Seed + int64(r)*41 },
+		func(sys *System) (derandRun, error) {
 			img, err := sys.BreakImageKASLR()
 			if err != nil {
 				return derandRun{}, err
@@ -579,9 +664,9 @@ func RunTable5(opts DerandOptions) ([]DerandRow, error) {
 		return nil, err
 	}
 	var rows []DerandRow
-	for ci, c := range configs {
+	for ci, c := range table5Configs {
 		row := foldDerand(c.arch, grouped[ci])
-		row.Memory = fmt.Sprintf("%d GB", c.mem>>30)
+		row.Memory = fmt.Sprintf("%d GB", c.physBytes>>30)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -641,28 +726,25 @@ func RunMDSExperiment(arch Microarch, opts MDSOptions) (*MDSReport, error) {
 	type leakRun struct {
 		acc, rate float64
 	}
-	outcomes, err := sweepJobs(opts.Context, "mds", opts.Runs, opts.Jobs, func(ctx context.Context, r int) (leakRun, error) {
-		sys, err := NewSystem(arch, SystemConfig{Seed: opts.Seed + int64(r)*43, Context: ctx})
-		if err != nil {
-			return leakRun{}, err
-		}
-		secretVA, _ := sys.SecretAddr()
-		res, err := sys.LeakKernelMemory(secretVA, opts.Bytes)
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return leakRun{}, err // cancelled mid-leak: no outcome at all
+	grouped, err := rebootGrid(opts.Context, "mds", archConfigs([]Microarch{arch}), opts.Runs, opts.Jobs,
+		func(r int) int64 { return opts.Seed + int64(r)*43 },
+		func(sys *System) (leakRun, error) {
+			res, err := sys.LeakKernelMemory(sys.k.SecretVA, opts.Bytes)
+			if err != nil {
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return leakRun{}, err // cancelled mid-leak: no outcome at all
+				}
+				// The chain failed on this boot (no physmap signal, reload
+				// buffer not recovered, ...): a zero-signal run.
+				return leakRun{}, nil
 			}
-			// The chain failed on this boot (no physmap signal, reload
-			// buffer not recovered, ...): a zero-signal run.
-			return leakRun{}, nil
-		}
-		return leakRun{acc: res.AccuracyPct, rate: res.BytesPerSecond}, nil
-	})
+			return leakRun{acc: res.AccuracyPct, rate: res.BytesPerSecond}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	var accs, rates []float64
-	for _, o := range outcomes {
+	for _, o := range grouped[0] {
 		if o.acc > 0 {
 			rep.SignalRuns++
 			accs = append(accs, o.acc)

@@ -53,6 +53,9 @@ type BTB struct {
 	// Lookups and Hits count queries for diagnostics.
 	Lookups uint64
 	Hits    uint64
+
+	// digestSets and digestWays are StateDigest's scratch orders.
+	digestSets, digestWays []int
 }
 
 // New returns an empty BTB with the given scheme and associativity.

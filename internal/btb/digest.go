@@ -1,6 +1,9 @@
 package btb
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file gives every predictor structure a StateDigest: a 64-bit
 // FNV-1a hash over its *prediction-relevant* contents. The differential
@@ -37,31 +40,32 @@ func fnv1a(h, v uint64) uint64 {
 // StateDigest hashes every valid BTB entry with its set index, fields,
 // and LRU rank. Sets are visited in index order, so neither creation
 // order nor the set store's layout leaks into the digest.
+// The set and way orders are sorted in scratch slices the BTB keeps, so
+// a digest allocates nothing once they have grown to the BTB's size.
 func (b *BTB) StateDigest() uint64 {
-	sets := make([]int, len(b.indexes))
-	for n := range sets {
-		sets[n] = n
+	sets := b.digestSets[:0]
+	for n := range b.indexes {
+		sets = append(sets, n)
 	}
-	sort.Slice(sets, func(i, j int) bool { return b.indexes[sets[i]] < b.indexes[sets[j]] })
+	slices.SortFunc(sets, func(i, j int) int { return cmp.Compare(b.indexes[i], b.indexes[j]) })
+	b.digestSets = sets
 
 	h := uint64(fnvOffset)
-	order := make([]int, 0, b.ways)
 	for _, n := range sets {
 		set := b.set(n)
-		// Rank the ways of this set by recency (ties broken by way
-		// number, which is deterministic because ticks are unique).
-		order = order[:0]
+		// Rank the ways of this set by recency (most recent first; ticks
+		// of valid entries are unique, so the order is total).
+		order := b.digestWays[:0]
 		for w := range set {
 			if set[w].valid {
 				order = append(order, w)
 			}
 		}
+		b.digestWays = order
 		if len(order) == 0 {
 			continue
 		}
-		sort.Slice(order, func(i, j int) bool {
-			return set[order[i]].lru > set[order[j]].lru
-		})
+		slices.SortFunc(order, func(i, j int) int { return cmp.Compare(set[j].lru, set[i].lru) })
 		h = fnv1a(h, uint64(b.indexes[n]))
 		for rank, w := range order {
 			e := &set[w]

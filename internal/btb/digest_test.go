@@ -3,6 +3,7 @@ package btb
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"phantom/internal/isa"
@@ -216,4 +217,70 @@ func TestPHTDigestMatchesBytewise(t *testing.T) {
 			t.Fatalf("trial %d (%d counters): Reset left %+v, NewPHT gives %+v", trial, n, p, fresh)
 		}
 	}
+}
+
+// TestBTBDigestAllocatesNothing: once a digest has sized the BTB's
+// scratch orders, digesting again allocates nothing, and the value is
+// the one a digest that sorts fresh copies computes, on BTBs with empty,
+// partly and fully used sets, before and after a flush.
+func TestBTBDigestAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := New(NewZen12Scheme("zen2"), 2)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200*round; i++ {
+			va := uint64(0x400000) + uint64(rng.Intn(1<<12))*0x40
+			b.Update(va, rng.Intn(2) == 0, isa.BrJmpInd, uint64(rng.Int63()))
+			if rng.Intn(3) == 0 {
+				b.Lookup(va, false)
+			}
+		}
+		if got, want := b.StateDigest(), sortedCopyDigest(b); got != want {
+			t.Fatalf("round %d: digest %#x, fresh-sort digest %#x", round, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { b.StateDigest() }); allocs != 0 {
+			t.Fatalf("round %d: StateDigest allocates %v times per call after a warm-up", round, allocs)
+		}
+		if round == 1 {
+			b.FlushAll()
+		}
+	}
+}
+
+// sortedCopyDigest is StateDigest over freshly allocated, sort.Slice
+// ordered copies of the set and way orders.
+func sortedCopyDigest(b *BTB) uint64 {
+	sets := make([]int, len(b.indexes))
+	for n := range sets {
+		sets[n] = n
+	}
+	sort.Slice(sets, func(i, j int) bool { return b.indexes[sets[i]] < b.indexes[sets[j]] })
+	h := uint64(fnvOffset)
+	for _, n := range sets {
+		set := b.set(n)
+		var order []int
+		for w := range set {
+			if set[w].valid {
+				order = append(order, w)
+			}
+		}
+		if len(order) == 0 {
+			continue
+		}
+		sort.Slice(order, func(i, j int) bool { return set[order[i]].lru > set[order[j]].lru })
+		h = fnv1a(h, uint64(b.indexes[n]))
+		for rank, w := range order {
+			e := &set[w]
+			h = fnv1a(h, uint64(rank))
+			h = fnv1a(h, e.tag)
+			h = fnv1a(h, uint64(e.class))
+			h = fnv1a(h, uint64(e.delta))
+			h = fnv1a(h, e.target)
+			kernel := uint64(0)
+			if e.kernel {
+				kernel = 1
+			}
+			h = fnv1a(h, kernel)
+		}
+	}
+	return h
 }

@@ -61,7 +61,7 @@ func (a *Attack) InjectPrediction(kernelVictim, target uint64) error {
 	if err := a.ensureTrainPage(u); err != nil {
 		return err
 	}
-	if err := m.UserAS.WriteBytes(u, isa.EncJmpInd(isa.RDI)); err != nil {
+	if err := m.UserAS.WriteBytes(u, jmpIndRDI); err != nil {
 		return err
 	}
 	m.Regs[isa.RDI] = target
@@ -73,10 +73,14 @@ func (a *Attack) InjectPrediction(kernelVictim, target uint64) error {
 	return nil
 }
 
-// int3Page is the content every training page is mapped with, shared by
-// all of them and never written: MapUserCode copies it into each page's
-// own fresh frame.
-var int3Page = bytes.Repeat(isa.EncInt3(), mem.PageSize)
+// int3Page is the content every training page is mapped with, and
+// jmpIndRDI the training branch InjectPrediction writes into one. Both
+// are shared by every attack and never written: MapUserCode and
+// WriteBytes copy them into the page's own frame.
+var (
+	int3Page  = bytes.Repeat(isa.EncInt3(), mem.PageSize)
+	jmpIndRDI = isa.EncJmpInd(isa.RDI)
+)
 
 // ensureTrainPage maps (once) the user page that contains u.
 func (a *Attack) ensureTrainPage(u uint64) error {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"phantom/internal/mem"
 	"phantom/internal/pipeline"
 	"phantom/internal/telemetry"
-	"phantom/internal/uarch"
 )
 
 // collideLab is the Section 6.2 setup: a kernel address K "using a kernel
@@ -41,12 +39,9 @@ type collideLab struct {
 // fetch after the victim identifies the colliding candidate.
 const collideBatch = 256
 
-// newCollideLab boots a system and prepares the probe pool.
-func newCollideLab(ctx context.Context, p *uarch.Profile, seed int64) (*collideLab, error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
-	if err != nil {
-		return nil, err
-	}
+// newCollideLab prepares the probe pool on k, a kernel booted without
+// noise.
+func newCollideLab(k *kernel.Kernel) (*collideLab, error) {
 	lab := &collideLab{k: k}
 
 	// K: the kmodule probe site (nops + ret). Make its page
@@ -180,10 +175,11 @@ type BruteForceResult struct {
 // the Zen 1/2 scheme a 4-bit pattern exists and is found; on Zen 3/4 all
 // functions span 12 bits and the search comes up empty, which is exactly
 // the paper's experience ("this approach does not yield any results ...
-// when flipping up to 6 bits").
-func BruteForceCollisions(ctx context.Context, p *uarch.Profile, seed int64, maxFlips int, budget int) (*BruteForceResult, error) {
+// when flipping up to 6 bits"). It runs on k, a kernel booted without
+// noise, and leaves it with K's page user-accessible.
+func BruteForceCollisions(k *kernel.Kernel, maxFlips int, budget int) (*BruteForceResult, error) {
 	telemetry.CountExperiment("btb_bruteforce")
-	lab, err := newCollideLab(ctx, p, seed)
+	lab, err := newCollideLab(k)
 	if err != nil {
 		return nil, err
 	}
@@ -259,10 +255,12 @@ type RecoveryResult struct {
 // member — then solve for the linear forms all collisions satisfy. The Z3
 // SMT step of the paper reduces to GF(2) nullspace computation plus
 // low-weight enumeration under the same "at most n coefficients"
-// constraint (n = 4 in the paper).
-func RecoverBTBFunctions(ctx context.Context, p *uarch.Profile, seed int64, wantSamples, maxBatches int) (*RecoveryResult, error) {
+// constraint (n = 4 in the paper). It runs on k, a kernel booted without
+// noise at seed, which also draws the samples, and leaves it with K's
+// page user-accessible.
+func RecoverBTBFunctions(k *kernel.Kernel, seed int64, wantSamples, maxBatches int) (*RecoveryResult, error) {
 	telemetry.CountExperiment("btb_recovery")
-	lab, err := newCollideLab(ctx, p, seed)
+	lab, err := newCollideLab(k)
 	if err != nil {
 		return nil, err
 	}

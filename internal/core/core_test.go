@@ -187,7 +187,11 @@ func TestFig6SeriesOffsetConfigurable(t *testing.T) {
 }
 
 func TestCovertFetchZeroNoiseIsPerfect(t *testing.T) {
-	res, err := RunCovertFetch(context.Background(), uarch.Zen3(), CovertConfig{Seed: 10, Bits: 128, Noise: -1})
+	k, err := kernel.Boot(uarch.Zen3(), kernel.Config{Seed: 10, NoiseLevel: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCovertFetch(k, CovertConfig{Bits: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,11 @@ func TestLeakArbitraryKernelAddress(t *testing.T) {
 }
 
 func TestBruteForceRespectsBudget(t *testing.T) {
-	res, err := BruteForceCollisions(context.Background(), uarch.Zen3(), 14, 6, 500)
+	k, err := kernel.Boot(uarch.Zen3(), kernel.Config{Seed: 14, NoiseLevel: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := BruteForceCollisions(k, 6, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +278,11 @@ func TestBruteForceRespectsBudget(t *testing.T) {
 }
 
 func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
-	res, err := RecoverBTBFunctions(context.Background(), uarch.Zen3(), 15, 4, 60)
+	k, err := kernel.Boot(uarch.Zen3(), kernel.Config{Seed: 15, NoiseLevel: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RecoverBTBFunctions(k, 15, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +292,12 @@ func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
 }
 
 func TestSuppressOverheadBand(t *testing.T) {
-	ctx, zen2 := context.Background(), uarch.Zen2()
-	base, err := workloadSuite(ctx, zen2, 16, nil)
+	boot := noiselessReboots(context.Background(), uarch.Zen2(), 16)
+	base, err := workloadSuite(boot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := workloadSuite(ctx, zen2, 16, enableSuppressBPOnNonBr)
+	on, err := workloadSuite(boot, enableSuppressBPOnNonBr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +350,11 @@ func TestCovertFetchSurvivesSiblingStress(t *testing.T) {
 	// Section 6.4 runs `stress -c 10` on the sibling thread during the
 	// fetch channel. The calibrated threshold must keep the channel
 	// usable under that extra I-cache interference.
-	res, err := RunCovertFetch(context.Background(), uarch.Zen2(), CovertConfig{
-		Seed: 33, Bits: 256, SiblingStress: 10,
-	})
+	k, err := kernel.Boot(uarch.Zen2(), kernel.Config{Seed: 33, NoiseLevel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCovertFetch(k, CovertConfig{Bits: 256, SiblingStress: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,12 +400,12 @@ func TestCancelledContextFailsEveryEntryPoint(t *testing.T) {
 		{"BreakImageKASLR", func() error { _, err := BreakImageKASLR(k, ImageKASLRConfig{}); return err }},
 		{"RunMatrix", func() error { _, err := RunMatrix(ctx, zen2, MatrixConfig{Trials: 1}); return err }},
 		{"RunFig6", func() error { _, err := RunFig6(ctx, zen2, Fig6Config{}); return err }},
-		{"RunCovertFetch", func() error { _, err := RunCovertFetch(ctx, zen2, CovertConfig{Bits: 8}); return err }},
-		{"RunCovertExecute", func() error { _, err := RunCovertExecute(ctx, zen2, CovertConfig{Bits: 8}); return err }},
+		{"RunCovertFetch", func() error { _, err := RunCovertFetch(k, CovertConfig{Bits: 8}); return err }},
+		{"RunCovertExecute", func() error { _, err := RunCovertExecute(k, CovertConfig{Bits: 8}); return err }},
 		{"RunSpectreV2", func() error { _, err := RunSpectreV2(ctx, zen2, 1, 1); return err }},
 		{"EvaluateMitigations", func() error { _, err := EvaluateMitigations(ctx, zen2, 1); return err }},
-		{"BruteForceCollisions", func() error { _, err := BruteForceCollisions(ctx, zen2, 1, 4, 10); return err }},
-		{"RecoverBTBFunctions", func() error { _, err := RecoverBTBFunctions(ctx, zen2, 1, 4, 10); return err }},
+		{"BruteForceCollisions", func() error { _, err := BruteForceCollisions(k, 4, 10); return err }},
+		{"RecoverBTBFunctions", func() error { _, err := RecoverBTBFunctions(k, 1, 4, 10); return err }},
 	}
 	for _, c := range cases {
 		if err := c.run(); !errors.Is(err, context.Canceled) {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-
 	"phantom/internal/kernel"
 	"phantom/internal/stats"
 	"phantom/internal/telemetry"
-	"phantom/internal/uarch"
 )
 
 // CovertResult reports one covert-channel run in Table 2's terms.
@@ -20,24 +17,16 @@ type CovertResult struct {
 	BitsPerSecond float64
 }
 
-// CovertConfig tunes a covert-channel run.
+// CovertConfig tunes a covert-channel run on a booted kernel, whose
+// seed draws the message and whose noise level is the channel's.
 type CovertConfig struct {
-	Seed  int64
-	Bits  int     // message length; see phantom.Table2Bits
-	Noise float64 // defaults to 1 (calibrated)
+	Bits int // message length; see phantom.Table2Bits
 	// SiblingStress models `stress -c N` on the SMT sibling thread, which
 	// the paper runs during the fetch channel ("we furthermore stress the
 	// sibling thread", Section 6.4). In this single-core model it only
 	// adds I-cache interference; the paper's accuracy *gain* came from
 	// slowing the victim thread, which has no analogue here.
 	SiblingStress int
-}
-
-func (c CovertConfig) withDefaults() CovertConfig {
-	if c.Noise == 0 {
-		c.Noise = 1
-	}
-	return c
 }
 
 // calibrationRounds is how many known-bit rounds of each value pick the
@@ -114,17 +103,13 @@ func (c *covertChannel) transmit(cfg CovertConfig) (*CovertResult, error) {
 // module and trampoline all live at low page offsets).
 const covertISet = 33
 
-// RunCovertFetch reproduces Table 2 (top): the P1 fetch channel. T1 is a
-// mapped executable kernel address, T0 an unmapped one; for each bit the
-// attacker primes an instruction-cache set, injects a prediction to T_b at
-// a direct branch of the covert kernel module, invokes it, and probes.
-func RunCovertFetch(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
+// RunCovertFetch reproduces Table 2 (top) on k: the P1 fetch channel. T1
+// is a mapped executable kernel address, T0 an unmapped one; for each bit
+// the attacker primes an instruction-cache set, injects a prediction to
+// T_b at a direct branch of the covert kernel module, invokes it, and
+// probes.
+func RunCovertFetch(k *kernel.Kernel, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_fetch")
-	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, Context: ctx})
-	if err != nil {
-		return nil, err
-	}
 	k.M.Noise.SiblingStress = cfg.SiblingStress
 	a, err := NewAttack(k)
 	if err != nil {
@@ -151,18 +136,13 @@ func RunCovertFetch(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*C
 	return ch.transmit(cfg)
 }
 
-// RunCovertExecute reproduces Table 2 (bottom): the P2 execute channel.
-// The injected target is always the kernel's load gadget; the transmitted
-// bit selects whether the register it dereferences points at mapped
-// (physmap) or unmapped kernel memory. Works only where Phantom
+// RunCovertExecute reproduces Table 2 (bottom) on k: the P2 execute
+// channel. The injected target is always the kernel's load gadget; the
+// transmitted bit selects whether the register it dereferences points at
+// mapped (physmap) or unmapped kernel memory. Works only where Phantom
 // speculation reaches execute — AMD Zen 1 and Zen 2.
-func RunCovertExecute(ctx context.Context, p *uarch.Profile, cfg CovertConfig) (*CovertResult, error) {
+func RunCovertExecute(k *kernel.Kernel, cfg CovertConfig) (*CovertResult, error) {
 	telemetry.CountExperiment("covert_execute")
-	cfg = cfg.withDefaults()
-	k, err := kernel.Boot(p, kernel.Config{Seed: cfg.Seed, NoiseLevel: cfg.Noise, Context: ctx})
-	if err != nil {
-		return nil, err
-	}
 	a, err := NewAttack(k)
 	if err != nil {
 		return nil, err

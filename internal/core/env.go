@@ -45,22 +45,9 @@ type userEnv struct {
 // userPhysBytes is the physical memory a user-space machine advertises.
 const userPhysBytes = 1 << 30
 
-// userMachine returns a machine in the state pipeline.New(p,
-// userPhysBytes, seed) gives: a new one when m is nil, else m reset.
-// An experiment that lays out one cell or point after another passes
-// back the machine it got, so it builds one machine and resets it for
-// the rest. A reset counts one pipeline_boots as New does, so telemetry
-// counts do not depend on the reuse.
-func userMachine(m *pipeline.Machine, p *uarch.Profile, seed int64) *pipeline.Machine {
-	if m == nil {
-		return pipeline.New(p, userPhysBytes, seed)
-	}
-	m.Reset(seed)
-	return m
-}
-
 // newUserEnv lays out user-space mappings on m, which must be in the
-// state userMachine returns, and binds ctx to it.
+// state pipeline.New(p, userPhysBytes, seed) gives (a new machine, or
+// one pipeline.Renew reset), and binds ctx to it.
 func newUserEnv(ctx context.Context, m *pipeline.Machine) *userEnv {
 	m.Bind(ctx)
 	return &userEnv{m: m, nextPA: 0x1000000}

@@ -56,7 +56,7 @@ func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point
 	var points []Fig6Point
 	var m *pipeline.Machine
 	for off := uint64(0); off < 0x1000; off += fig6Step {
-		m = userMachine(m, p, cfg.Seed)
+		m = pipeline.Renew(m, p, userPhysBytes, cfg.Seed)
 		pt, err := fig6Point(ctx, m, cfg, off)
 		if err != nil {
 			return nil, fmt.Errorf("offset %#x: %w", off, err)
@@ -67,7 +67,7 @@ func RunFig6(ctx context.Context, p *uarch.Profile, cfg Fig6Config) ([]Fig6Point
 }
 
 // fig6Point measures the point at C's page offset off on m, which must be
-// in the state userMachine returns.
+// in the state pipeline.New gives.
 func fig6Point(ctx context.Context, m *pipeline.Machine, cfg Fig6Config, off uint64) (Fig6Point, error) {
 	env := newUserEnv(ctx, m)
 	p := m.Prof

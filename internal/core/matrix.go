@@ -79,7 +79,7 @@ func RunMatrix(ctx context.Context, p *uarch.Profile, cfg MatrixConfig) (*Matrix
 				cell.Status = CellSymmetric
 				cell.Note = note
 			} else {
-				m = userMachine(m, p, cfg.cellSeed(tr, vi))
+				m = pipeline.Renew(m, p, userPhysBytes, cfg.cellSeed(tr, vi))
 				reach, err := runCombo(ctx, m, tr, vi, cfg.Trials, cfg.Noise, uarch.MSRState{})
 				if err != nil {
 					return nil, fmt.Errorf("cell (%v, %v): %w", tr, vi, err)

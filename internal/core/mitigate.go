@@ -53,8 +53,9 @@ type MitigationReport struct {
 
 // EvaluateMitigations runs the mitigation experiments on one profile.
 // Its observation-channel combos run one after another on one machine,
-// reset before each, and both workload-suite costs compare against one
-// unmitigated run of the suite.
+// reset before each, its kernel boots one after another on another, and
+// both workload-suite costs compare against one unmitigated run of the
+// suite.
 func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*MitigationReport, error) {
 	telemetry.CountExperiment("mitigations")
 	rep := &MitigationReport{
@@ -63,10 +64,11 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	}
 	var m *pipeline.Machine
 	combo := func(victim BranchKind, msr uarch.MSRState) (Reach, error) {
-		m = userMachine(m, p, seed)
+		m = pipeline.Renew(m, p, userPhysBytes, seed)
 		return runCombo(ctx, m, KindJmpInd, victim, 4, 0, msr)
 	}
-	base, err := workloadSuite(ctx, p, seed, nil)
+	boot := noiselessReboots(ctx, p, seed)
+	base, err := workloadSuite(boot, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +88,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 		if err != nil {
 			return nil, err
 		}
-		on, err := workloadSuite(ctx, p, seed, enableSuppressBPOnNonBr)
+		on, err := workloadSuite(boot, enableSuppressBPOnNonBr)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +97,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 
 	// --- AutoIBRS: cross-privilege IF persists ----------------------------
 	if p.SupportsAutoIBRS {
-		ifSig, idSig, err := crossPrivReach(ctx, p, seed)
+		ifSig, idSig, err := crossPrivReach(boot)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +106,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	}
 
 	// --- IBPB on kernel entry blocks everything ---------------------------
-	blocked, overhead, err := ibpbEvaluation(ctx, p, seed)
+	blocked, overhead, err := ibpbEvaluation(boot)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +120,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	}
 	// Its cost: every prediction validated against the decoded branch
 	// source before steering.
-	on, err := workloadSuite(ctx, p, seed, func(m *pipeline.Machine) error {
+	on, err := workloadSuite(boot, func(m *pipeline.Machine) error {
 		m.MSR.WaitForDecode = true
 		return nil
 	})
@@ -158,13 +160,28 @@ func enableSuppressBPOnNonBr(m *pipeline.Machine) error {
 	return nil
 }
 
-// workloadSuite runs each workload 5 times on a fresh noiseless boot at
-// seed, after enable (when not nil) turned a mitigation on, and returns
-// each one's median cycles. A mitigation's cost is the geometric mean of
-// the slowdowns against the suite without it (overheadPct): the
-// UnixBench methodology of Section 6.3.
-func workloadSuite(ctx context.Context, p *uarch.Profile, seed int64, enable func(*pipeline.Machine) error) (map[string]float64, error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
+// noiselessReboots returns the boot the mitigation experiments run on:
+// each call boots the noiseless kernel at seed onto the machine the
+// previous call used, so the experiments build one kernel machine.
+func noiselessReboots(ctx context.Context, p *uarch.Profile, seed int64) func() (*kernel.Kernel, error) {
+	var m *pipeline.Machine
+	return func() (*kernel.Kernel, error) {
+		k, err := kernel.Reboot(m, p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
+		if err != nil {
+			return nil, err
+		}
+		m = k.M
+		return k, nil
+	}
+}
+
+// workloadSuite runs each workload 5 times on a fresh boot, after enable
+// (when not nil) turned a mitigation on, and returns each one's median
+// cycles. A mitigation's cost is the geometric mean of the slowdowns
+// against the suite without it (overheadPct): the UnixBench methodology
+// of Section 6.3.
+func workloadSuite(boot func() (*kernel.Kernel, error), enable func(*pipeline.Machine) error) (map[string]float64, error) {
+	k, err := boot()
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +218,11 @@ type getpidRound struct {
 	victim, target uint64
 }
 
-// newGetpidRound boots a noiseless system, lets msr set the mitigation
-// under test and builds the round. It fails with errNoCrossPriv on parts
-// whose BTB admits no cross-privilege aliasing.
-func newGetpidRound(ctx context.Context, p *uarch.Profile, seed int64, msr func(*uarch.MSRState)) (*getpidRound, error) {
-	k, err := kernel.Boot(p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
+// newGetpidRound boots, lets msr set the mitigation under test and
+// builds the round. It fails with errNoCrossPriv on parts whose BTB
+// admits no cross-privilege aliasing.
+func newGetpidRound(boot func() (*kernel.Kernel, error), msr func(*uarch.MSRState)) (*getpidRound, error) {
+	k, err := boot()
 	if err != nil {
 		return nil, err
 	}
@@ -238,8 +255,8 @@ func (r *getpidRound) signal(probe int, base float64) bool {
 // crossPrivReach runs the round with AutoIBRS on and measures IF (I-cache
 // Prime+Probe) and ID (op-cache miss counting around the victim syscall)
 // of the kernel-text target.
-func crossPrivReach(ctx context.Context, p *uarch.Profile, seed int64) (ifSig, idSig bool, err error) {
-	r, err := newGetpidRound(ctx, p, seed, func(msr *uarch.MSRState) { msr.AutoIBRS = true })
+func crossPrivReach(boot func() (*kernel.Kernel, error)) (ifSig, idSig bool, err error) {
+	r, err := newGetpidRound(boot, func(msr *uarch.MSRState) { msr.AutoIBRS = true })
 	if err != nil {
 		return false, false, err
 	}
@@ -272,9 +289,9 @@ func crossPrivReach(ctx context.Context, p *uarch.Profile, seed int64) (ifSig, i
 
 // ibpbEvaluation turns on IBPB-on-kernel-entry and confirms that the P1
 // probe no longer sees a signal, plus its syscall-path overhead.
-func ibpbEvaluation(ctx context.Context, p *uarch.Profile, seed int64) (blocked bool, overheadPct float64, err error) {
+func ibpbEvaluation(boot func() (*kernel.Kernel, error)) (blocked bool, overheadPct float64, err error) {
 	run := func(ibpb bool) (sig bool, syscallCycles float64, err error) {
-		r, err := newGetpidRound(ctx, p, seed, func(msr *uarch.MSRState) { msr.IBPBOnKernelEntry = ibpb })
+		r, err := newGetpidRound(boot, func(msr *uarch.MSRState) { msr.IBPBOnKernelEntry = ibpb })
 		if errors.Is(err, errNoCrossPriv) {
 			// Intel profiles cannot even build the attack; treat as
 			// blocked with unmeasured overhead.

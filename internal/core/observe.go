@@ -90,7 +90,7 @@ const (
 )
 
 // buildComboLab lays out one cell of the matrix on m, which must be in
-// the state userMachine returns.
+// the state pipeline.New gives.
 func buildComboLab(ctx context.Context, m *pipeline.Machine, train, victim BranchKind) (*comboLab, error) {
 	env := newUserEnv(ctx, m)
 	p := m.Prof
@@ -426,7 +426,7 @@ func (lab *comboLab) runTrial(positive bool) (Reach, error) {
 // when we measure significantly more µop-cache misses compared to the
 // negative test do we conclude that the mispredicted target advanced to
 // ID" — Section 5.1; applied to all three channels here). It runs on m,
-// which must be in the state userMachine returns.
+// which must be in the state pipeline.New gives.
 func runCombo(ctx context.Context, m *pipeline.Machine, train, victim BranchKind, trials int, noise float64, msr uarch.MSRState) (Reach, error) {
 	lab, err := buildComboLab(ctx, m, train, victim)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"phantom/internal/kernel"
@@ -17,6 +18,14 @@ type IPrimeProbe struct {
 	addrs []uint64
 }
 
+// nopPages is the code an IPrimeProbe maps, one page per L1I way of
+// the modeled parts (only fetchability matters), shared by every prime
+// set and never written: MapUserCode copies it into the pages' frames.
+var (
+	nop      = []byte{0x90}
+	nopPages = bytes.Repeat(nop, 8*mem.PageSize)
+)
+
 // NewIPrimeProbe builds a prime set for I-cache set `set`, mapping Ways
 // pages of attacker code at base.
 func NewIPrimeProbe(k *kernel.Kernel, base uint64, set int) (*IPrimeProbe, error) {
@@ -26,9 +35,11 @@ func NewIPrimeProbe(k *kernel.Kernel, base uint64, set int) (*IPrimeProbe, error
 		return nil, fmt.Errorf("core: I-cache set %d out of range", set)
 	}
 	pp := &IPrimeProbe{m: m}
-	blob := make([]byte, uint64(ways)*mem.PageSize)
-	for i := range blob {
-		blob[i] = 0x90 // nops; only fetchability matters
+	blob := nopPages
+	if n := ways * mem.PageSize; n <= len(blob) {
+		blob = blob[:n]
+	} else {
+		blob = bytes.Repeat(nop, n)
 	}
 	if err := k.MapUserCode(base, blob); err != nil {
 		return nil, err

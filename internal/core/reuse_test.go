@@ -57,7 +57,7 @@ func TestMatrixSharedMachineMatchesFresh(t *testing.T) {
 		var shared *pipeline.Machine
 		var reaches []Reach
 		for _, c := range combos {
-			shared = userMachine(shared, p, seed)
+			shared = pipeline.Renew(shared, p, userPhysBytes, seed)
 			got, err := runCombo(ctx, shared, KindJmpInd, c.victim, 4, 0, c.msr)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +103,7 @@ func TestFig6SharedMachineMatchesFresh(t *testing.T) {
 		}
 		var shared *pipeline.Machine
 		for _, pt := range pts {
-			shared = userMachine(shared, p, cfg.Seed)
+			shared = pipeline.Renew(shared, p, userPhysBytes, cfg.Seed)
 			got, err := fig6Point(ctx, shared, cfg, pt.Offset)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"phantom/internal/isa"
+	"phantom/internal/pipeline"
 	"phantom/internal/stats"
 	"phantom/internal/telemetry"
 	"phantom/internal/uarch"
@@ -45,7 +46,7 @@ func (r *SpectreV2Result) String() string {
 // backend.
 func RunSpectreV2(ctx context.Context, p *uarch.Profile, seed int64, nbytes int) (*SpectreV2Result, error) {
 	telemetry.CountExperiment("spectre_v2")
-	m := userMachine(nil, p, seed)
+	m := pipeline.New(p, userPhysBytes, seed)
 	env := newUserEnv(ctx, m)
 	if nbytes <= 0 {
 		nbytes = 16

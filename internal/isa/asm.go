@@ -1,10 +1,13 @@
 package isa
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
+	"strconv"
 )
 
 // Assembler builds a machine-code blob at a fixed virtual base address with
@@ -343,15 +346,35 @@ type Symbol struct {
 	Addr uint64
 }
 
-// Disassemble decodes the blob byte stream starting at va and returns one
-// line per instruction, useful for debugging experiment layouts.
-func Disassemble(blob []byte, va uint64) []string {
-	var out []string
-	off := 0
-	for off < len(blob) {
+// Disassemble decodes the blob byte stream starting at va and writes one
+// line per instruction to w, useful for debugging experiment layouts.
+// Lines stream through one buffer as they are decoded, so an 8 MiB
+// layout prints in constant memory.
+func Disassemble(w io.Writer, blob []byte, va uint64) error {
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for off := 0; off < len(blob); {
 		in := Decode(blob[off:])
-		out = append(out, fmt.Sprintf("%#012x: %s", va+uint64(off), in))
+		line = appendAddr(line[:0], va+uint64(off))
+		line = append(line, ": "...)
+		line = append(line, in.String()...)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
 		off += in.Len
 	}
-	return out
+	return bw.Flush()
+}
+
+// appendAddr appends va as fmt's %#012x prints it: 0x, then at least
+// twelve hex digits.
+func appendAddr(b []byte, va uint64) []byte {
+	var digits [16]byte
+	hex := strconv.AppendUint(digits[:0], va, 16)
+	b = append(b, "0x"...)
+	for n := len(hex); n < 12; n++ {
+		b = append(b, '0')
+	}
+	return append(b, hex...)
 }

@@ -3,7 +3,11 @@ package isa
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -415,9 +419,58 @@ func TestDisassembleListing1(t *testing.T) {
 	a.Push(RBP)
 	a.MovReg(RBP, RSP)
 	blob := a.MustBytes()
-	lines := Disassemble(blob, a.Base())
+	var out strings.Builder
+	if err := Disassemble(&out, blob, a.Base()); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if len(lines) != 3 {
-		t.Fatalf("Disassemble lines = %d: %v", len(lines), lines)
+		t.Fatalf("Disassemble lines = %d: %q", len(lines), lines)
+	}
+}
+
+// TestDisassembleLines: every line Disassemble writes is the
+// instruction's address as %#012x formats it, then its text, at low,
+// high and kernel addresses, over random bytes.
+func TestDisassembleLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	blob := make([]byte, 4096)
+	rng.Read(blob)
+	for _, va := range []uint64{0, 0x400000, 0x7f0000000000, 0xfffffffff0, 0xffffffff810f6520} {
+		var out strings.Builder
+		if err := Disassemble(&out, blob, va); err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		for off := 0; off < len(blob); {
+			in := Decode(blob[off:])
+			fmt.Fprintf(&want, "%#012x: %s\n", va+uint64(off), in)
+			off += in.Len
+		}
+		if out.String() != want.String() {
+			t.Fatalf("va %#x: Disassemble wrote\n%.300s\nwant\n%.300s", va, out.String(), want.String())
+		}
+	}
+}
+
+// TestDisassembleStreams: disassembling a 1 MiB layout, about a million
+// int3 lines, allocates a small fraction of what holding its lines would
+// (a line is about 20 bytes).
+func TestDisassembleStreams(t *testing.T) {
+	const base = 0x400000
+	blob, _, err := Assemble(fmt.Sprintf("nop; .org %#x; ret", base+1<<20), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Disassemble(io.Discard, blob, base); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	lines := len(blob) - 1 // one int3 per byte after the nop, plus the ret
+	if got, held := after.TotalAlloc-before.TotalAlloc, uint64(lines)*20; got > held/100 {
+		t.Fatalf("disassembling %d lines allocated %d bytes; holding them is about %d", lines, got, held)
 	}
 }
 

@@ -78,8 +78,18 @@ const imagePhysBase = uint64(0x2000000)
 // data. Each Boot models one reboot — fresh randomization, cold caches and
 // predictors.
 func Boot(p *uarch.Profile, cfg Config) (*Kernel, error) {
+	return Reboot(nil, p, cfg)
+}
+
+// Reboot is Boot onto m, a machine an earlier boot left behind: m is
+// reset when it was built for p and cfg's memory size, else (or when m
+// is nil) a new machine is built (pipeline.Renew). Either way the kernel
+// equals what Boot gives, so a sweep of reboots builds one machine per
+// worker and configuration instead of one per reboot. The kernel that
+// last ran on m is gone: nothing may touch it again.
+func Reboot(m *pipeline.Machine, p *uarch.Profile, cfg Config) (*Kernel, error) {
 	cfg = cfg.withDefaults()
-	m := pipeline.New(p, cfg.PhysBytes, cfg.Seed)
+	m = pipeline.Renew(m, p, cfg.PhysBytes, cfg.Seed)
 	m.Noise.Level = cfg.NoiseLevel
 	m.KPTI = cfg.KPTI
 	m.Bind(cfg.Context)

@@ -116,13 +116,16 @@ type PhysMem struct {
 	// its frame's generation stays valid while this count stands still.
 	codeWrites uint64
 
-	// arena backs lazily-touched frames in page-sized runs carved from
-	// chunk allocations, so experiments that touch thousands of fresh
-	// frames (KASLR slot sweeps map new training pages per probe) pay one
+	// arena backs lazily-touched frames with the pages of chunk
+	// allocations, so experiments that touch thousands of fresh frames
+	// (KASLR slot sweeps map new training pages per probe) pay one
 	// allocation per chunk instead of one per frame. The first arenaUsed
-	// bytes of the current chunk are handed out; Reset rewinds it.
-	arena     []byte
-	arenaUsed int
+	// pages of the current chunk are handed out. Chunks chain from first
+	// through their next fields, and Reset zeroes the pages handed out
+	// and rewinds to first, so a reset machine (a reboot) hands out the
+	// pages of every chunk it made before it makes another.
+	first, arena *frameChunk
+	arenaUsed    int
 
 	// int3Lo and int3Hi bound the one range whose bytes start out as
 	// int3 rather than zero (see FillInt3).
@@ -146,14 +149,19 @@ func NewPhysMem(size uint64) *PhysMem {
 
 // Reset drops every frame, every code generation and the int3 range,
 // keeping the size and the allocations: the state NewPhysMem returns.
-// The current arena chunk is zeroed and rewound, so the frames touched
-// next reuse it.
+// Every arena page handed out is zeroed and the arena rewound to its
+// first chunk, so the frames touched next reuse the chunks in order.
 func (pm *PhysMem) Reset() {
 	clear(pm.frames)
 	clear(pm.codeGens)
 	pm.codeWrites++
-	clear(pm.arena[:pm.arenaUsed])
-	pm.arenaUsed = 0
+	if pm.arena != nil {
+		for c := pm.first; c != pm.arena; c = c.next {
+			clear(c.pages[:])
+		}
+		clear(pm.arena.pages[:pm.arenaUsed])
+	}
+	pm.arena, pm.arenaUsed = nil, 0
 	pm.int3Lo, pm.int3Hi = 0, 0
 }
 
@@ -181,6 +189,13 @@ var (
 // frameArenaPages is how many frames one arena chunk backs.
 const frameArenaPages = 16
 
+// frameChunk is one arena allocation: its frameArenaPages pages back
+// frames, and next is the chunk made after it.
+type frameChunk struct {
+	pages [][PageSize]byte
+	next  *frameChunk
+}
+
 // readFrame returns the bytes of the frame containing pa for reading.
 // A frame nothing wrote stays unmaterialized: it reads as int3Page when
 // the int3 range covers all of it and as zeroPage when the range misses
@@ -206,13 +221,11 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 	key := pa >> PageShift
 	f := pm.frames[key]
 	if f == nil {
-		if pm.arenaUsed == len(pm.arena) {
-			pm.arena = make([]byte, PageSize*frameArenaPages)
-			pm.arenaUsed = 0
+		if pm.arena == nil || pm.arenaUsed == frameArenaPages {
+			pm.nextChunk()
 		}
-		next := pm.arenaUsed + PageSize
-		f = pm.arena[pm.arenaUsed:next:next]
-		pm.arenaUsed = next
+		f = pm.arena.pages[pm.arenaUsed][:]
+		pm.arenaUsed++
 		pm.frames[key] = f
 		base := key << PageShift
 		if lo, hi := max(pm.int3Lo, base), min(pm.int3Hi, base+PageSize); lo < hi {
@@ -220,6 +233,20 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 		}
 	}
 	return f
+}
+
+// nextChunk moves the arena to the chunk after the current one (the
+// first after a Reset), making it when no earlier generation did.
+func (pm *PhysMem) nextChunk() {
+	link := &pm.first
+	if pm.arena != nil {
+		link = &pm.arena.next
+	}
+	if *link == nil {
+		*link = &make([]frameChunk, 1)[0]
+		(*link).pages = make([][PageSize]byte, frameArenaPages)
+	}
+	pm.arena, pm.arenaUsed = *link, 0
 }
 
 // Read8 reads one byte of physical memory.

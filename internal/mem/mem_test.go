@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -501,6 +502,43 @@ func TestPhysMemReset(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("touching frames after Reset allocates %v times", n)
+	}
+}
+
+// TestPhysMemResetRecyclesEveryChunk: after frames spanning several
+// arena chunks were filled and Reset ran, touching as many frames again
+// takes them all from the kept chunks without allocating, and each
+// recycled frame reads exactly as a fresh PhysMem's does: zero, and int3
+// where an int3 range covers part of it.
+func TestPhysMemResetRecyclesEveryChunk(t *testing.T) {
+	const frames = 3*frameArenaPages + 5
+	fill := bytes.Repeat([]byte{0xab}, PageSize)
+	touch := func(pm *PhysMem) {
+		pm.FillInt3(7*PageSize+100, 3*PageSize)
+		for i := uint64(0); i < frames; i++ {
+			pm.Write8(i*PageSize+i, byte(i))
+		}
+	}
+	pm := NewPhysMem(1 << 30)
+	for i := uint64(0); i < frames; i++ {
+		pm.WriteBytes(i*PageSize, fill)
+	}
+	pm.Reset()
+	touch(pm)
+	fresh := NewPhysMem(1 << 30)
+	touch(fresh)
+	for i := uint64(0); i < frames; i++ {
+		got, _ := pm.Window(i*PageSize, PageSize)
+		want, _ := fresh.Window(i*PageSize, PageSize)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("recycled frame %d differs from a fresh one", i)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		pm.Reset()
+		touch(pm)
+	}); n != 0 {
+		t.Fatalf("touching %d frames after Reset allocates %v times", frames, n)
 	}
 }
 

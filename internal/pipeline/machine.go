@@ -219,6 +219,21 @@ func (m *Machine) Reset(seed int64) {
 	m.attachTelemetry()
 }
 
+// Renew returns a machine in the state New(p, physBytes, seed) gives:
+// m reset when it was built for the same profile (the pointer, never
+// the name: a copy of a profile with one field changed is another
+// part) and memory size, else a new machine. It is the one way a
+// harness reuses a machine: an experiment that runs one program, cell
+// or reboot after another passes back the machine it got, so it builds
+// one machine and resets it for the rest.
+func Renew(m *Machine, p *uarch.Profile, physBytes uint64, seed int64) *Machine {
+	if m == nil || m.Prof != p || m.Phys.Size() != physBytes {
+		return New(p, physBytes, seed)
+	}
+	m.Reset(seed)
+	return m
+}
+
 // lazySource is math/rand's default source, seeded on its first draw
 // rather than by Seed: seeding costs more than a short program's whole
 // simulation, and most machines never draw. Its draws equal those of

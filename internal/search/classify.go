@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"sync"
 
 	"phantom/internal/uarch"
 )
@@ -165,10 +166,17 @@ type windows struct {
 	phantom, spectre struct{ FetchLines, DecodeInsts, ExecUops int }
 }
 
-// profileWindows resolves the declared windows for an arch name. An
-// unknown arch (impossible past buildLab) yields zero windows, which
-// classifies everything as exceeded — loud, not silent.
+// windowsByArch holds profileWindows' answer per arch name: Classify
+// runs once per program, and resolving a name builds a whole Profile.
+var windowsByArch sync.Map // arch name -> windows
+
+// profileWindows resolves the declared windows for an arch name, once
+// per name. An unknown arch (impossible past buildLab) yields zero
+// windows, which classifies everything as exceeded — loud, not silent.
 func profileWindows(arch string) windows {
+	if w, ok := windowsByArch.Load(arch); ok {
+		return w.(windows)
+	}
 	var w windows
 	p, err := uarch.ByName(arch)
 	if err != nil {
@@ -180,5 +188,6 @@ func profileWindows(arch string) windows {
 	w.spectre.FetchLines = p.SpectreWindow.FetchLines
 	w.spectre.DecodeInsts = p.SpectreWindow.DecodeInsts
 	w.spectre.ExecUops = p.SpectreWindow.ExecUops
+	windowsByArch.Store(arch, w)
 	return w
 }

@@ -41,6 +41,7 @@ import (
 
 	"phantom/internal/core"
 	"phantom/internal/kernel"
+	"phantom/internal/pipeline"
 	"phantom/internal/uarch"
 )
 
@@ -131,6 +132,15 @@ func NewSystem(arch Microarch, cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	return bootSystem(nil, arch, p, cfg)
+}
+
+// bootSystem boots arch, whose profile is p, onto m (see kernel.Reboot:
+// nil or a machine built for another profile or memory size means a new
+// machine). A reboot sweep (see reboots) or an experiment that boots one
+// stage after another passes back the machine an earlier boot used; a
+// System handed to a caller is always on a machine of its own.
+func bootSystem(m *pipeline.Machine, arch Microarch, p *uarch.Profile, cfg SystemConfig) (*System, error) {
 	// Deterministic wins over NoiseLevel: it promises unit-test conditions,
 	// so any configured noise is dropped, not merely defaulted.
 	noise := cfg.NoiseLevel
@@ -139,7 +149,7 @@ func NewSystem(arch Microarch, cfg SystemConfig) (*System, error) {
 	} else if noise == 0 {
 		noise = 1
 	}
-	k, err := kernel.Boot(p, kernel.Config{
+	k, err := kernel.Reboot(m, p, kernel.Config{
 		Seed:       cfg.Seed,
 		PhysBytes:  cfg.PhysBytes,
 		NoiseLevel: noise,
