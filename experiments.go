@@ -70,73 +70,41 @@ func archConfigs(archs []Microarch) []rebootConfig {
 	return configs
 }
 
-// reboots is a reboot sweep's machines, kept for the length of the call
-// in one free list per configuration, as search.Run keeps its workers'
-// state. A reboot takes a machine an earlier reboot of its configuration
-// gave back and kernel.Reboot resets it, so the sweep builds one machine
-// per configuration and worker instead of one per reboot. Each
-// configuration's profile is resolved once, because pipeline.Renew
-// reuses a machine only for the profile pointer it was built for. No
-// System booted here leaves the call.
-type reboots struct {
-	configs []rebootConfig
-	profs   []*uarch.Profile
-	free    []chan *pipeline.Machine
-}
-
-// newReboots resolves each configuration's profile and makes its free
-// list, sized to the configuration's runs so that a release never
-// blocks.
-func newReboots(configs []rebootConfig, runs int) (*reboots, error) {
-	rb := &reboots{
-		configs: configs,
-		profs:   make([]*uarch.Profile, len(configs)),
-		free:    make([]chan *pipeline.Machine, len(configs)),
-	}
+// rebootGrid is sweepGrid over configs × runs where every job is one
+// reboot: it boots its configuration at seed(r), bound to the job's
+// context and with the default noise, and runs attack on the system.
+// The call keeps one free list of machines per configuration, as
+// search.Run keeps its workers' state: a reboot takes a machine an
+// earlier reboot of its configuration gave back and kernel.Reboot
+// resets it, so the sweep builds one machine per configuration and
+// worker instead of one per reboot. Each configuration's profile is
+// resolved once, because pipeline.Renew reuses a machine only for the
+// profile pointer it was built for. No System booted here leaves the
+// call.
+func rebootGrid[T any](ctx context.Context, name string, configs []rebootConfig, runs, jobs int,
+	seed func(r int) int64, attack func(sys *System) (T, error)) ([][]T, error) {
+	profs := make([]*uarch.Profile, len(configs))
+	free := make([]chan *pipeline.Machine, len(configs))
 	for c, conf := range configs {
 		p, err := conf.arch.profile()
 		if err != nil {
 			return nil, err
 		}
-		rb.profs[c] = p
-		rb.free[c] = make(chan *pipeline.Machine, runs)
-	}
-	return rb, nil
-}
-
-// boot boots configuration c at cfg, with c's memory size, onto a
-// machine from c's free list (a new one when the list is empty).
-func (rb *reboots) boot(c int, cfg SystemConfig) (*System, error) {
-	var m *pipeline.Machine
-	select {
-	case m = <-rb.free[c]:
-	default:
-	}
-	cfg.PhysBytes = rb.configs[c].physBytes
-	return bootSystem(m, rb.configs[c].arch, rb.profs[c], cfg)
-}
-
-// release gives the machine of sys, booted by boot(c, ...), back to c's
-// free list; nothing may touch sys afterwards.
-func (rb *reboots) release(c int, sys *System) { rb.free[c] <- sys.k.M }
-
-// rebootGrid is sweepGrid over configs × runs where every job is one
-// reboot: it boots its configuration at seed(r), bound to the job's
-// context and with the default noise, through one reboots for the call,
-// and runs attack on the system.
-func rebootGrid[T any](ctx context.Context, name string, configs []rebootConfig, runs, jobs int,
-	seed func(r int) int64, attack func(sys *System) (T, error)) ([][]T, error) {
-	rb, err := newReboots(configs, runs)
-	if err != nil {
-		return nil, err
+		// Sized to the configuration's runs, so a release never blocks.
+		profs[c], free[c] = p, make(chan *pipeline.Machine, runs)
 	}
 	return sweepGrid(ctx, name, len(configs), runs, jobs, func(ctx context.Context, c, r int) (T, error) {
-		sys, err := rb.boot(c, SystemConfig{Seed: seed(r), Context: ctx})
+		var m *pipeline.Machine
+		select {
+		case m = <-free[c]:
+		default:
+		}
+		sys, err := bootSystem(m, configs[c].arch, profs[c], SystemConfig{Seed: seed(r), PhysBytes: configs[c].physBytes, Context: ctx})
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		defer rb.release(c, sys)
+		defer func() { free[c] <- sys.k.M }()
 		return attack(sys)
 	})
 }
@@ -371,19 +339,12 @@ func RunFig7(arch Microarch, opts Fig7Options) (*Fig7, error) {
 	}
 	// Each stage runs on its own noiseless boot at the seed, the second
 	// on the machine the first used.
-	cfg := SystemConfig{Seed: opts.Seed, Deterministic: true, Context: opts.Context}
-	sys, err := bootSystem(nil, arch, p, cfg)
+	boots := core.NoiselessReboots(opts.Context, p, opts.Seed)
+	bf, err := core.BruteForceCollisions(boots, bruteForceFlips, opts.BruteBudget)
 	if err != nil {
 		return nil, err
 	}
-	bf, err := core.BruteForceCollisions(sys.k, bruteForceFlips, opts.BruteBudget)
-	if err != nil {
-		return nil, err
-	}
-	if sys, err = bootSystem(sys.k.M, arch, p, cfg); err != nil {
-		return nil, err
-	}
-	rec, err := core.RecoverBTBFunctions(sys.k, opts.Seed, samples, opts.MaxBatches)
+	rec, err := core.RecoverBTBFunctions(boots, samples, opts.MaxBatches)
 	if err != nil {
 		return nil, err
 	}

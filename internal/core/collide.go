@@ -39,9 +39,12 @@ type collideLab struct {
 // fetch after the victim identifies the colliding candidate.
 const collideBatch = 256
 
-// newCollideLab prepares the probe pool on k, a kernel booted without
-// noise.
-func newCollideLab(k *kernel.Kernel) (*collideLab, error) {
+// newCollideLab boots the next of boots and prepares the probe pool.
+func newCollideLab(boots *Reboots) (*collideLab, error) {
+	k, err := boots.boot()
+	if err != nil {
+		return nil, err
+	}
 	lab := &collideLab{k: k}
 
 	// K: the kmodule probe site (nops + ret). Make its page
@@ -175,11 +178,10 @@ type BruteForceResult struct {
 // the Zen 1/2 scheme a 4-bit pattern exists and is found; on Zen 3/4 all
 // functions span 12 bits and the search comes up empty, which is exactly
 // the paper's experience ("this approach does not yield any results ...
-// when flipping up to 6 bits"). It runs on k, a kernel booted without
-// noise, and leaves it with K's page user-accessible.
-func BruteForceCollisions(k *kernel.Kernel, maxFlips int, budget int) (*BruteForceResult, error) {
+// when flipping up to 6 bits"). It runs on the next of boots.
+func BruteForceCollisions(boots *Reboots, maxFlips int, budget int) (*BruteForceResult, error) {
 	telemetry.CountExperiment("btb_bruteforce")
-	lab, err := newCollideLab(k)
+	lab, err := newCollideLab(boots)
 	if err != nil {
 		return nil, err
 	}
@@ -255,17 +257,16 @@ type RecoveryResult struct {
 // member — then solve for the linear forms all collisions satisfy. The Z3
 // SMT step of the paper reduces to GF(2) nullspace computation plus
 // low-weight enumeration under the same "at most n coefficients"
-// constraint (n = 4 in the paper). It runs on k, a kernel booted without
-// noise at seed, which also draws the samples, and leaves it with K's
-// page user-accessible.
-func RecoverBTBFunctions(k *kernel.Kernel, seed int64, wantSamples, maxBatches int) (*RecoveryResult, error) {
+// constraint (n = 4 in the paper). It runs on the next of boots, whose
+// seed also draws the samples.
+func RecoverBTBFunctions(boots *Reboots, wantSamples, maxBatches int) (*RecoveryResult, error) {
 	telemetry.CountExperiment("btb_recovery")
-	lab, err := newCollideLab(k)
+	lab, err := newCollideLab(boots)
 	if err != nil {
 		return nil, err
 	}
 	m := lab.k.M
-	rng := rand.New(rand.NewSource(seed ^ 0xc0111de))
+	rng := rand.New(rand.NewSource(boots.seed ^ 0xc0111de))
 	res := &RecoveryResult{}
 	if maxBatches == 0 {
 		maxBatches = 4000

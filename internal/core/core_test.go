@@ -96,6 +96,16 @@ func TestIPrimeProbeDetectsEviction(t *testing.T) {
 	}
 }
 
+// TestNopPagesCoverEveryL1I: the shared code a prime set maps holds a
+// page for every L1I way of every modeled part.
+func TestNopPagesCoverEveryL1I(t *testing.T) {
+	for _, p := range uarch.All() {
+		if n := p.L1I.Ways * mem.PageSize; n > len(nopPages) {
+			t.Errorf("%s: %d-way L1I needs %d bytes of nops, have %d", p.Name, p.L1I.Ways, n, len(nopPages))
+		}
+	}
+}
+
 func TestDPrimeProbeDetectsVictimLoad(t *testing.T) {
 	k := bootZen2(t, 5, 0)
 	hugeVA := uint64(0x7f2000000000)
@@ -261,11 +271,7 @@ func TestLeakArbitraryKernelAddress(t *testing.T) {
 }
 
 func TestBruteForceRespectsBudget(t *testing.T) {
-	k, err := kernel.Boot(uarch.Zen3(), kernel.Config{Seed: 14, NoiseLevel: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BruteForceCollisions(k, 6, 500)
+	res, err := BruteForceCollisions(NoiselessReboots(context.Background(), uarch.Zen3(), 14), 6, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +284,7 @@ func TestBruteForceRespectsBudget(t *testing.T) {
 }
 
 func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
-	k, err := kernel.Boot(uarch.Zen3(), kernel.Config{Seed: 15, NoiseLevel: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RecoverBTBFunctions(k, 15, 4, 60)
+	res, err := RecoverBTBFunctions(NoiselessReboots(context.Background(), uarch.Zen3(), 15), 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +294,12 @@ func TestRecoveryUnderdeterminedReturnsNoFunctions(t *testing.T) {
 }
 
 func TestSuppressOverheadBand(t *testing.T) {
-	boot := noiselessReboots(context.Background(), uarch.Zen2(), 16)
-	base, err := workloadSuite(boot, nil)
+	boots := NoiselessReboots(context.Background(), uarch.Zen2(), 16)
+	base, err := workloadSuite(boots, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := workloadSuite(boot, enableSuppressBPOnNonBr)
+	on, err := workloadSuite(boots, enableSuppressBPOnNonBr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +406,8 @@ func TestCancelledContextFailsEveryEntryPoint(t *testing.T) {
 		{"RunCovertExecute", func() error { _, err := RunCovertExecute(k, CovertConfig{Bits: 8}); return err }},
 		{"RunSpectreV2", func() error { _, err := RunSpectreV2(ctx, zen2, 1, 1); return err }},
 		{"EvaluateMitigations", func() error { _, err := EvaluateMitigations(ctx, zen2, 1); return err }},
-		{"BruteForceCollisions", func() error { _, err := BruteForceCollisions(k, 4, 10); return err }},
-		{"RecoverBTBFunctions", func() error { _, err := RecoverBTBFunctions(k, 1, 4, 10); return err }},
+		{"BruteForceCollisions", func() error { _, err := BruteForceCollisions(NoiselessReboots(ctx, zen2, 1), 4, 10); return err }},
+		{"RecoverBTBFunctions", func() error { _, err := RecoverBTBFunctions(NoiselessReboots(ctx, zen2, 1), 4, 10); return err }},
 	}
 	for _, c := range cases {
 		if err := c.run(); !errors.Is(err, context.Canceled) {

@@ -18,10 +18,11 @@
 //
 // Every entry point that builds or resets a machine takes the run's
 // context first and binds it to that machine (pipeline.Machine.Bind), or
-// boots the kernel with it; attacks on an already-booted kernel inherit
-// the kernel's. Once the context is done, the attack fails with its error at
-// the next machine run, so cancellation reaches inside every attack
-// loop. A nil context leaves the machines unbound.
+// boots the kernel with it (directly or through the Reboots it takes);
+// attacks on an already-booted kernel inherit the kernel's. Once the
+// context is done, the attack fails with its error at the next machine
+// run, so cancellation reaches inside every attack loop. A nil context
+// leaves the machines unbound.
 package core
 
 import (
@@ -29,10 +30,40 @@ import (
 	"fmt"
 
 	"phantom/internal/isa"
+	"phantom/internal/kernel"
 	"phantom/internal/mem"
 	"phantom/internal/pipeline"
 	"phantom/internal/uarch"
 )
+
+// Reboots boots one profile's noiseless kernel at one seed as often as
+// asked, each boot onto the machine the one before it used (see
+// kernel.Reboot), so experiments that run one after another on fresh
+// boots build one kernel machine. The mitigation evaluation and the
+// Figure 7 recovery run on it.
+type Reboots struct {
+	ctx  context.Context
+	p    *uarch.Profile
+	seed int64
+	m    *pipeline.Machine
+}
+
+// NoiselessReboots returns the reboots of p's noiseless kernel at seed,
+// each bound to ctx.
+func NoiselessReboots(ctx context.Context, p *uarch.Profile, seed int64) *Reboots {
+	return &Reboots{ctx: ctx, p: p, seed: seed}
+}
+
+// boot boots the next kernel; the one the previous boot returned is
+// gone.
+func (r *Reboots) boot() (*kernel.Kernel, error) {
+	k, err := kernel.Reboot(r.m, r.p, kernel.Config{Seed: r.seed, NoiseLevel: 0, Context: r.ctx})
+	if err != nil {
+		return nil, err
+	}
+	r.m = k.M
+	return k, nil
+}
 
 // userEnv is a minimal user-space-only machine for the observation-channel
 // experiments (Sections 5 and 6 need no kernel: "user space BTB aliasing

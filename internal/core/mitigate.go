@@ -67,8 +67,8 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 		m = pipeline.Renew(m, p, userPhysBytes, seed)
 		return runCombo(ctx, m, KindJmpInd, victim, 4, 0, msr)
 	}
-	boot := noiselessReboots(ctx, p, seed)
-	base, err := workloadSuite(boot, nil)
+	boots := NoiselessReboots(ctx, p, seed)
+	base, err := workloadSuite(boots, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 		if err != nil {
 			return nil, err
 		}
-		on, err := workloadSuite(boot, enableSuppressBPOnNonBr)
+		on, err := workloadSuite(boots, enableSuppressBPOnNonBr)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +97,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 
 	// --- AutoIBRS: cross-privilege IF persists ----------------------------
 	if p.SupportsAutoIBRS {
-		ifSig, idSig, err := crossPrivReach(boot)
+		ifSig, idSig, err := crossPrivReach(boots)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	}
 
 	// --- IBPB on kernel entry blocks everything ---------------------------
-	blocked, overhead, err := ibpbEvaluation(boot)
+	blocked, overhead, err := ibpbEvaluation(boots)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func EvaluateMitigations(ctx context.Context, p *uarch.Profile, seed int64) (*Mi
 	}
 	// Its cost: every prediction validated against the decoded branch
 	// source before steering.
-	on, err := workloadSuite(boot, func(m *pipeline.Machine) error {
+	on, err := workloadSuite(boots, func(m *pipeline.Machine) error {
 		m.MSR.WaitForDecode = true
 		return nil
 	})
@@ -160,28 +160,13 @@ func enableSuppressBPOnNonBr(m *pipeline.Machine) error {
 	return nil
 }
 
-// noiselessReboots returns the boot the mitigation experiments run on:
-// each call boots the noiseless kernel at seed onto the machine the
-// previous call used, so the experiments build one kernel machine.
-func noiselessReboots(ctx context.Context, p *uarch.Profile, seed int64) func() (*kernel.Kernel, error) {
-	var m *pipeline.Machine
-	return func() (*kernel.Kernel, error) {
-		k, err := kernel.Reboot(m, p, kernel.Config{Seed: seed, NoiseLevel: 0, Context: ctx})
-		if err != nil {
-			return nil, err
-		}
-		m = k.M
-		return k, nil
-	}
-}
-
-// workloadSuite runs each workload 5 times on a fresh boot, after enable
-// (when not nil) turned a mitigation on, and returns each one's median
-// cycles. A mitigation's cost is the geometric mean of the slowdowns
+// workloadSuite runs each workload 5 times on the next of boots, after
+// enable (when not nil) turned a mitigation on, and returns each one's
+// median cycles. A mitigation's cost is the geometric mean of the slowdowns
 // against the suite without it (overheadPct): the UnixBench methodology
 // of Section 6.3.
-func workloadSuite(boot func() (*kernel.Kernel, error), enable func(*pipeline.Machine) error) (map[string]float64, error) {
-	k, err := boot()
+func workloadSuite(boots *Reboots, enable func(*pipeline.Machine) error) (map[string]float64, error) {
+	k, err := boots.boot()
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +206,8 @@ type getpidRound struct {
 // newGetpidRound boots, lets msr set the mitigation under test and
 // builds the round. It fails with errNoCrossPriv on parts whose BTB
 // admits no cross-privilege aliasing.
-func newGetpidRound(boot func() (*kernel.Kernel, error), msr func(*uarch.MSRState)) (*getpidRound, error) {
-	k, err := boot()
+func newGetpidRound(boots *Reboots, msr func(*uarch.MSRState)) (*getpidRound, error) {
+	k, err := boots.boot()
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +240,8 @@ func (r *getpidRound) signal(probe int, base float64) bool {
 // crossPrivReach runs the round with AutoIBRS on and measures IF (I-cache
 // Prime+Probe) and ID (op-cache miss counting around the victim syscall)
 // of the kernel-text target.
-func crossPrivReach(boot func() (*kernel.Kernel, error)) (ifSig, idSig bool, err error) {
-	r, err := newGetpidRound(boot, func(msr *uarch.MSRState) { msr.AutoIBRS = true })
+func crossPrivReach(boots *Reboots) (ifSig, idSig bool, err error) {
+	r, err := newGetpidRound(boots, func(msr *uarch.MSRState) { msr.AutoIBRS = true })
 	if err != nil {
 		return false, false, err
 	}
@@ -289,9 +274,9 @@ func crossPrivReach(boot func() (*kernel.Kernel, error)) (ifSig, idSig bool, err
 
 // ibpbEvaluation turns on IBPB-on-kernel-entry and confirms that the P1
 // probe no longer sees a signal, plus its syscall-path overhead.
-func ibpbEvaluation(boot func() (*kernel.Kernel, error)) (blocked bool, overheadPct float64, err error) {
+func ibpbEvaluation(boots *Reboots) (blocked bool, overheadPct float64, err error) {
 	run := func(ibpb bool) (sig bool, syscallCycles float64, err error) {
-		r, err := newGetpidRound(boot, func(msr *uarch.MSRState) { msr.IBPBOnKernelEntry = ibpb })
+		r, err := newGetpidRound(boots, func(msr *uarch.MSRState) { msr.IBPBOnKernelEntry = ibpb })
 		if errors.Is(err, errNoCrossPriv) {
 			// Intel profiles cannot even build the attack; treat as
 			// blocked with unmeasured overhead.

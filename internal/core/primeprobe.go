@@ -18,13 +18,11 @@ type IPrimeProbe struct {
 	addrs []uint64
 }
 
-// nopPages is the code an IPrimeProbe maps, one page per L1I way of
-// the modeled parts (only fetchability matters), shared by every prime
-// set and never written: MapUserCode copies it into the pages' frames.
-var (
-	nop      = []byte{0x90}
-	nopPages = bytes.Repeat(nop, 8*mem.PageSize)
-)
+// nopPages is the code an IPrimeProbe maps, one page per way of the
+// modeled parts' 8-way L1I (only fetchability matters), shared by every
+// prime set and never written: MapUserCode copies it into the pages'
+// frames.
+var nopPages = bytes.Repeat([]byte{0x90}, 8*mem.PageSize)
 
 // NewIPrimeProbe builds a prime set for I-cache set `set`, mapping Ways
 // pages of attacker code at base.
@@ -35,13 +33,7 @@ func NewIPrimeProbe(k *kernel.Kernel, base uint64, set int) (*IPrimeProbe, error
 		return nil, fmt.Errorf("core: I-cache set %d out of range", set)
 	}
 	pp := &IPrimeProbe{m: m}
-	blob := nopPages
-	if n := ways * mem.PageSize; n <= len(blob) {
-		blob = blob[:n]
-	} else {
-		blob = bytes.Repeat(nop, n)
-	}
-	if err := k.MapUserCode(base, blob); err != nil {
+	if err := k.MapUserCode(base, nopPages[:ways*mem.PageSize]); err != nil {
 		return nil, err
 	}
 	for i := 0; i < ways; i++ {

@@ -121,10 +121,11 @@ type PhysMem struct {
 	// (KASLR slot sweeps map new training pages per probe) pay one
 	// allocation per chunk instead of one per frame. The first arenaUsed
 	// pages of the current chunk are handed out. Chunks chain from first
-	// through their next fields, and Reset zeroes the pages handed out
-	// and rewinds to first, so a reset machine (a reboot) hands out the
-	// pages of every chunk it made before it makes another.
-	first, arena *frameChunk
+	// through their next fields, as the predecode cache chains its own,
+	// and Reset zeroes the pages handed out and rewinds to first, so a
+	// reset machine (a reboot) hands out the pages of every chunk it
+	// made before it makes another.
+	first, arena []frameChunk
 	arenaUsed    int
 
 	// int3Lo and int3Hi bound the one range whose bytes start out as
@@ -155,13 +156,13 @@ func (pm *PhysMem) Reset() {
 	clear(pm.frames)
 	clear(pm.codeGens)
 	pm.codeWrites++
-	if pm.arena != nil {
-		for c := pm.first; c != pm.arena; c = c.next {
-			clear(c.pages[:])
+	if pm.first != nil {
+		for c := pm.first; &c[0] != &pm.arena[0]; c = c[0].next {
+			clear(c[0].pages)
 		}
-		clear(pm.arena.pages[:pm.arenaUsed])
+		clear(pm.arena[0].pages[:pm.arenaUsed])
 	}
-	pm.arena, pm.arenaUsed = nil, 0
+	pm.arena, pm.arenaUsed = pm.first, 0
 	pm.int3Lo, pm.int3Hi = 0, 0
 }
 
@@ -189,11 +190,20 @@ var (
 // frameArenaPages is how many frames one arena chunk backs.
 const frameArenaPages = 16
 
-// frameChunk is one arena allocation: its frameArenaPages pages back
-// frames, and next is the chunk made after it.
+// frameChunk is one arena chunk: its frameArenaPages pages back frames,
+// and next is the chunk made after it.
 type frameChunk struct {
 	pages [][PageSize]byte
-	next  *frameChunk
+	next  []frameChunk
+}
+
+// newFrameChunk makes a chunk as a one-element slice, so chunks chain
+// through slices; its pages are an allocation of their own, exactly
+// frameArenaPages pages with nothing beside them to round up.
+func newFrameChunk() []frameChunk {
+	c := make([]frameChunk, 1)
+	c[0].pages = make([][PageSize]byte, frameArenaPages)
+	return c
 }
 
 // readFrame returns the bytes of the frame containing pa for reading.
@@ -221,11 +231,7 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 	key := pa >> PageShift
 	f := pm.frames[key]
 	if f == nil {
-		if pm.arena == nil || pm.arenaUsed == frameArenaPages {
-			pm.nextChunk()
-		}
-		f = pm.arena.pages[pm.arenaUsed][:]
-		pm.arenaUsed++
+		f = pm.newPage()
 		pm.frames[key] = f
 		base := key << PageShift
 		if lo, hi := max(pm.int3Lo, base), min(pm.int3Hi, base+PageSize); lo < hi {
@@ -235,18 +241,23 @@ func (pm *PhysMem) frame(pa uint64) []byte {
 	return f
 }
 
-// nextChunk moves the arena to the chunk after the current one (the
-// first after a Reset), making it when no earlier generation did.
-func (pm *PhysMem) nextChunk() {
-	link := &pm.first
-	if pm.arena != nil {
-		link = &pm.arena.next
+// newPage hands out the next arena page, zero since its chunk was made
+// or last Reset. When the current chunk is full it moves on to the next
+// in the chain, making one only when the chain holds no further chunk.
+func (pm *PhysMem) newPage() []byte {
+	switch {
+	case pm.first == nil:
+		pm.first = newFrameChunk()
+		pm.arena = pm.first
+	case pm.arenaUsed == frameArenaPages:
+		if pm.arena[0].next == nil {
+			pm.arena[0].next = newFrameChunk()
+		}
+		pm.arena, pm.arenaUsed = pm.arena[0].next, 0
 	}
-	if *link == nil {
-		*link = &make([]frameChunk, 1)[0]
-		(*link).pages = make([][PageSize]byte, frameArenaPages)
-	}
-	pm.arena, pm.arenaUsed = *link, 0
+	f := pm.arena[0].pages[pm.arenaUsed][:]
+	pm.arenaUsed++
+	return f
 }
 
 // Read8 reads one byte of physical memory.

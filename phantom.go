@@ -137,9 +137,9 @@ func NewSystem(arch Microarch, cfg SystemConfig) (*System, error) {
 
 // bootSystem boots arch, whose profile is p, onto m (see kernel.Reboot:
 // nil or a machine built for another profile or memory size means a new
-// machine). A reboot sweep (see reboots) or an experiment that boots one
-// stage after another passes back the machine an earlier boot used; a
-// System handed to a caller is always on a machine of its own.
+// machine). A reboot sweep (see rebootGrid) passes back the machine an
+// earlier boot used; a System handed to a caller is always on a machine
+// of its own.
 func bootSystem(m *pipeline.Machine, arch Microarch, p *uarch.Profile, cfg SystemConfig) (*System, error) {
 	// Deterministic wins over NoiseLevel: it promises unit-test conditions,
 	// so any configured noise is dropped, not merely defaulted.

@@ -1,46 +1,45 @@
 package phantom
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"phantom/internal/pipeline"
 	"phantom/internal/stats"
 )
 
-// TestRebootsKeepConfigurationsApart: a reboot takes the machine the
-// last reboot of its own configuration gave back, never another
-// configuration's, when reboots of Table 5's two machines interleave as
-// a parallel sweep's do, and each rebooted system equals one NewSystem
-// boots on a machine of its own.
+// TestRebootsKeepConfigurationsApart: in a one-worker reboot sweep over
+// Table 5's two machines, every reboot of a configuration after its
+// first runs on the machine its first built, the two configurations
+// never share one, and each rebooted system equals one NewSystem boots
+// on a machine of its own.
 func TestRebootsKeepConfigurationsApart(t *testing.T) {
-	rb, err := newReboots(table5Configs, 4)
+	const runs = 3
+	seed := func(r int) int64 { return int64(7 + r) }
+	var machines []*pipeline.Machine
+	_, err := rebootGrid(context.Background(), "reboots", table5Configs, runs, 1, seed,
+		func(sys *System) (struct{}, error) {
+			i := len(machines)
+			c, r := i/runs, i%runs
+			machines = append(machines, sys.k.M)
+			if r > 0 && sys.k.M != machines[i-r] {
+				t.Errorf("reboot %d of %s did not reuse its configuration's machine", r, table5Configs[c].arch)
+			}
+			fresh, err := NewSystem(table5Configs[c].arch, SystemConfig{Seed: seed(r), PhysBytes: table5Configs[c].physBytes})
+			if err != nil {
+				return struct{}{}, err
+			}
+			if sys.KernelImageBase() != fresh.KernelImageBase() || sys.PhysmapBase() != fresh.PhysmapBase() ||
+				sys.k.M.Phys.Size() != fresh.k.M.Phys.Size() || !reflect.DeepEqual(sys.k.Secret, fresh.k.Secret) {
+				t.Errorf("reboot %d of %s differs from a fresh boot", r, table5Configs[c].arch)
+			}
+			return struct{}{}, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first [2]*System
-	for i, c := range []int{0, 1, 0, 1, 1, 0} {
-		cfg := SystemConfig{Seed: int64(7 + i)}
-		sys, err := rb.boot(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first[c] == nil {
-			first[c] = sys
-		} else if sys.k.M != first[c].k.M {
-			t.Errorf("reboot %d of %s did not reuse its configuration's machine", i, table5Configs[c].arch)
-		}
-		cfg.PhysBytes = table5Configs[c].physBytes
-		fresh, err := NewSystem(table5Configs[c].arch, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sys.KernelImageBase() != fresh.KernelImageBase() || sys.PhysmapBase() != fresh.PhysmapBase() ||
-			sys.k.M.Phys.Size() != fresh.k.M.Phys.Size() || !reflect.DeepEqual(sys.k.Secret, fresh.k.Secret) {
-			t.Errorf("reboot %d of %s differs from a fresh boot", i, table5Configs[c].arch)
-		}
-		rb.release(c, sys)
-	}
-	if first[0].k.M == first[1].k.M {
+	if len(machines) != 2*runs || machines[0] == machines[runs] {
 		t.Error("the 8 GB and 64 GB configurations share a machine")
 	}
 }
