@@ -28,8 +28,8 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The repo's own invariant analyzers (internal/analysis, driven by the
-# fifth binary): determinism, maporder, noperturb, ctxflow, faultalloc,
-# lockcheck, errflow, goleak, hotalloc, unusedignore. Exits 1 on any
+# fifth binary): determinism, maporder, noperturb, ctxflow, lockcheck,
+# errflow, goleak, hotalloc, unusedignore. Exits 1 on any
 # finding, so a stray time.Now or unsorted map range fails the gate
 # before a parity test has to bisect it. Every run type-checks the
 # whole tree from source (about 5 s on a 2-core box); CI runs this
@@ -91,9 +91,11 @@ bench-boot:
 # The headline end-to-end number and the layers under it: the whole
 # report at Seed 7 and Runs 2 on the default pool (BenchmarkReport,
 # perfbench's report unit), Table 1 on one machine reset per combo
-# (serve's cold fill), and the BTB's lookup, index and tag benchmarks.
-# Archived as a dated JSON log like `make bench-boot`, with the core
-# count on its first line.
+# (serve's cold fill), the BTB's lookup, index and tag benchmarks, the
+# translation memo (BenchmarkTranslate over the image KASLR break's
+# prime sets) and the cache's access benchmarks. Archived as a dated
+# JSON log like `make bench-boot`, with the core count on its first
+# line.
 bench-report:
 	printf '{"Action":"output","Package":"phantom","Output":"nproc: %s\\n"}\n' "$$(nproc)" \
 		> BENCH_$$(date +%Y%m%d)_report.json
@@ -101,7 +103,7 @@ bench-report:
 		>> BENCH_$$(date +%Y%m%d)_report.json
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1_(Zen2|Intel13)$$' -count=3 -benchmem -json . \
 		>> BENCH_$$(date +%Y%m%d)_report.json
-	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/btb \
+	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/btb ./internal/mem ./internal/cache \
 		>> BENCH_$$(date +%Y%m%d)_report.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_$$(date +%Y%m%d)_report.json || true
 

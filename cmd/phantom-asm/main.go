@@ -137,7 +137,7 @@ func dumpGadgets(w io.Writer) error {
 		for i := 0; i < s.n && off < len(blob); i++ {
 			in := isa.Decode(blob[off:])
 			fmt.Fprintf(w, "%#012x (+%#x): %v\n", va+uint64(off), va+uint64(off)-k.ImageBase, in)
-			off += in.Len
+			off += int(in.Len)
 		}
 		fmt.Fprintln(w)
 	}

@@ -58,10 +58,10 @@ func TestSeededViolationOutput(t *testing.T) {
 
 // TestRunSubset checks -run restricts the suite: the maporder fixture
 // also violates noperturb (it prints inside the loop), but a
-// -run=faultalloc pass must stay silent on it.
+// -run=hotalloc pass must stay silent on it.
 func TestRunSubset(t *testing.T) {
 	var stdout bytes.Buffer
-	code := realMain([]string{"-run", "faultalloc", "../../internal/analysis/testdata/src/maporder/bad"}, &stdout, io.Discard)
+	code := realMain([]string{"-run", "hotalloc", "../../internal/analysis/testdata/src/maporder/bad"}, &stdout, io.Discard)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, stdout.String())
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSuiteNamesAndLookup(t *testing.T) {
-	want := []string{"determinism", "maporder", "noperturb", "ctxflow", "faultalloc",
+	want := []string{"determinism", "maporder", "noperturb", "ctxflow",
 		"lockcheck", "errflow", "goleak", "hotalloc", "unusedignore"}
 	suite := Suite()
 	if len(suite) != len(want) {
@@ -172,10 +172,9 @@ func TestScopes(t *testing.T) {
 		{CtxFlow, "phantom/internal/core", "env.go", true},
 		{CtxFlow, "phantom/internal/kernel", "kernel.go", false},
 
-		{FaultAlloc, "phantom/internal/mem", "mem.go", true},
-		{FaultAlloc, "phantom/internal/pipeline", "predecode.go", true},
-		{FaultAlloc, "phantom/internal/service", "server.go", false},
-
+		{HotAlloc, "phantom/internal/mem", "mem.go", true},
+		{HotAlloc, "phantom/internal/pipeline", "predecode.go", true},
+		{HotAlloc, "phantom/internal/service", "server.go", false},
 		{HotAlloc, "phantom/internal/btb", "btb.go", true},
 		{HotAlloc, "phantom/internal/pipeline", "run.go", true},
 		{HotAlloc, "phantom/internal/search", "diff.go", false},

@@ -73,15 +73,15 @@ func TestCrossAnalyzerSilence(t *testing.T) {
 	}{
 		{Determinism, "noperturb"},
 		{Determinism, "ctxflow"},
-		{Determinism, "faultalloc"},
+		{Determinism, "hotalloc"},
 		{NoPerturb, "determinism"},
 		{NoPerturb, "ctxflow"},
 		{CtxFlow, "determinism"},
-		{CtxFlow, "faultalloc"},
-		{FaultAlloc, "determinism"},
-		{FaultAlloc, "maporder"},
+		{CtxFlow, "hotalloc"},
+		{HotAlloc, "determinism"},
+		{HotAlloc, "maporder"},
 		{MapOrder, "determinism"},
-		{MapOrder, "faultalloc"},
+		{MapOrder, "hotalloc"},
 	}
 	for _, c := range cases {
 		for _, d := range analyzeFixture([]*Analyzer{c.a}, fixture(t, c.fixture, "bad")) {

@@ -17,17 +17,19 @@ var HotRoots = []string{
 	"(*phantom/internal/pipeline.Machine).FlushVA",
 }
 
-// HotAlloc is the interprocedural generalization of faultalloc: no
-// heap allocation in any function the whole-repo call graph marks
-// reachable from the hot roots.
+// HotAlloc forbids heap allocation in any function the whole-repo call
+// graph marks reachable from the hot roots.
 //
-// faultalloc pins one shape (&Fault{}) in a fixed package list; it
-// misses the helper two calls away that builds a []Probe on every
-// step. HotAlloc closes that gap with the call graph: Run computes
-// the set of functions reachable from HotRoots across the loaded
-// packages (callgraph.go) and this analyzer flags the allocating
+// Run computes the set of functions reachable from HotRoots across the
+// loaded packages (callgraph.go) and this analyzer flags the allocating
 // shapes inside them — address-of composite literal, new(T), map and
-// slice composite literals, and growing append. Plain `make` is
+// slice composite literals, and growing append. That covers the fault
+// path: translation and the harness probes return a mem.Fault by value
+// because the Prime+Probe experiments fault millions of times per run,
+// and a &Fault{} or new(Fault) anywhere on that path is a finding. The
+// regression would be invisible in unit tests — everything still
+// passes, just slower and GC-noisier — so the analyzer pins the shape
+// and benchmarks with ReportAllocs guard the totals. Plain `make` is
 // deliberately NOT flagged: the simulator's sanctioned amortization
 // idiom is a make'd arena reused across steps (btb's set store), and append
 // into a 3-arg-make'd slice in the same function is recognized as that
@@ -43,11 +45,18 @@ var HotAlloc = &Analyzer{
 	Run:     runHotAlloc,
 }
 
-// hotAllocScope mirrors faultalloc's package list — the simulation
-// core. The call graph narrows further to actually-hot functions;
-// the scope only bounds which packages are checked.
+// hotAllocScope is the simulation core: the packages on (or feeding)
+// the per-instruction fetch/translate/probe path, the BTB that every
+// step consults included. The call graph narrows further to
+// actually-hot functions; the scope only bounds which packages are
+// checked.
 func hotAllocScope(pkgPath, filename string) bool {
-	return faultAllocScope(pkgPath, filename)
+	switch pkgPath {
+	case "phantom/internal/mem", "phantom/internal/pipeline", "phantom/internal/cache",
+		"phantom/internal/btb", "phantom/internal/uarch", "phantom/internal/core", "phantom/internal/kernel":
+		return true
+	}
+	return false
 }
 
 func runHotAlloc(pass *Pass) {

@@ -10,7 +10,6 @@ func Suite() []*Analyzer {
 		MapOrder,
 		NoPerturb,
 		CtxFlow,
-		FaultAlloc,
 		LockCheck,
 		ErrFlow,
 		GoLeak,

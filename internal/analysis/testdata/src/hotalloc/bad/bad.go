@@ -31,3 +31,20 @@ func helper(n int) int {
 func cold() *probe {
 	return &probe{va: 9}
 }
+
+// Fault mirrors the simulator's page-fault record, which the hot path
+// passes by value.
+type Fault struct {
+	VA   uint64
+	Kind int
+}
+
+//phantomvet:hotroot fixture stand-in for a harness probe
+func translate(va uint64, present bool) (uint64, *Fault) {
+	if !present {
+		return 0, &Fault{VA: va, Kind: 1} // want "&composite literal allocates in a hot function"
+	}
+	f := new(Fault) // want "allocates in a hot function"
+	f.VA = va
+	return va, f
+}

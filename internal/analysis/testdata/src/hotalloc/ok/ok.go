@@ -46,3 +46,20 @@ func (m *machine) helper(batch []probe) {
 func (m *machine) coldPath() *probe {
 	return &probe{tag: 7}
 }
+
+// Fault mirrors the simulator's page-fault record.
+type Fault struct {
+	VA   uint64
+	Kind int
+}
+
+// translateV returns its Fault by value, as the simulator's
+// translation does: no fault reaches the heap.
+//
+//phantomvet:hotroot fixture stand-in for a harness probe
+func translateV(va uint64, present bool) (uint64, Fault, bool) {
+	if !present {
+		return 0, Fault{VA: va, Kind: 1}, false
+	}
+	return va, Fault{}, true
+}

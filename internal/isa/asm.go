@@ -362,7 +362,7 @@ func Disassemble(w io.Writer, blob []byte, va uint64) error {
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}
-		off += in.Len
+		off += int(in.Len)
 	}
 	return bw.Flush()
 }

@@ -14,7 +14,7 @@ func Decode(b []byte) Inst {
 
 	// Optional prefixes.
 	var rexB byte
-	pfxLen := 0
+	var pfxLen uint8
 	p := b
 
 	// 66 90 is the 2-byte NOP; 66 is otherwise unused in this subset.
@@ -33,8 +33,8 @@ func Decode(b []byte) Inst {
 		}
 	}
 	rexW := rexB&0x08 != 0
-	extR := int(rexB&0x04) << 1 // +8 to ModRM.reg
-	extB := int(rexB & 0x01)    // +8 to ModRM.rm / opcode reg
+	extR := (rexB & 0x04) << 1 // +8 to ModRM.reg
+	extB := rexB & 0x01        // +8 to ModRM.rm / opcode reg
 
 	fail := Inst{Op: OpInvalid, Len: 1}
 
@@ -58,16 +58,16 @@ func Decode(b []byte) Inst {
 	case op == 0xcc:
 		return Inst{Op: OpInt3, Len: pfxLen + 1}
 	case op >= 0x50 && op <= 0x57:
-		return Inst{Op: OpPush, Len: pfxLen + 1, Reg: int(op-0x50) + extB*8}
+		return Inst{Op: OpPush, Len: pfxLen + 1, Reg: op - 0x50 + extB*8}
 	case op >= 0x58 && op <= 0x5f:
-		return Inst{Op: OpPop, Len: pfxLen + 1, Reg: int(op-0x58) + extB*8}
+		return Inst{Op: OpPop, Len: pfxLen + 1, Reg: op - 0x58 + extB*8}
 	case op >= 0xb8 && op <= 0xbf: // mov reg, imm64 (requires REX.W)
 		if !rexW || len(p) < 9 {
 			return fail
 		}
 		return Inst{
 			Op: OpMovImm, Len: pfxLen + 9,
-			Reg: int(op-0xb8) + extB*8,
+			Reg: op - 0xb8 + extB*8,
 			Imm: int64(binary.LittleEndian.Uint64(p[1:])),
 		}
 	case op == 0xff: // group 5: jmp*/call* through register
@@ -78,7 +78,7 @@ func Decode(b []byte) Inst {
 		if m>>6 != 3 {
 			return fail
 		}
-		rm := int(m&7) + extB*8
+		rm := m&7 + extB*8
 		switch (m >> 3) & 7 {
 		case 2:
 			return Inst{Op: OpCallInd, Len: pfxLen + 2, Reg: rm}
@@ -91,9 +91,9 @@ func Decode(b []byte) Inst {
 			return fail
 		}
 		m := p[1]
-		reg := int((m>>3)&7) + extR
+		reg := (m>>3)&7 + extR
 		mod := m >> 6
-		rm := int(m&7) + extB*8
+		rm := m&7 + extB*8
 		switch mod {
 		case 3: // register-register; only 0x89 direction is emitted
 			if op != 0x89 {
@@ -114,9 +114,9 @@ func Decode(b []byte) Inst {
 			}
 			disp := int32(binary.LittleEndian.Uint32(p[consumed:]))
 			if op == 0x8b {
-				return Inst{Op: OpLoad, Len: pfxLen + consumed + 4, Reg: reg, Reg2: rm, Disp: disp}
+				return Inst{Op: OpLoad, Len: pfxLen + uint8(consumed) + 4, Reg: reg, Reg2: rm, Disp: disp}
 			}
-			return Inst{Op: OpStore, Len: pfxLen + consumed + 4, Reg: reg, Reg2: rm, Disp: disp}
+			return Inst{Op: OpStore, Len: pfxLen + uint8(consumed) + 4, Reg: reg, Reg2: rm, Disp: disp}
 		}
 		return fail
 	case op == 0x81: // alu r/m64, imm32
@@ -135,7 +135,7 @@ func Decode(b []byte) Inst {
 		}
 		return Inst{
 			Op: OpAluImm, Len: pfxLen + 6, Alu: digit,
-			Reg: int(m&7) + extB*8,
+			Reg: m&7 + extB*8,
 			Imm: int64(int32(binary.LittleEndian.Uint32(p[2:]))),
 		}
 	case op == 0xc1: // shl/shr r/m64, imm8
@@ -152,7 +152,7 @@ func Decode(b []byte) Inst {
 		}
 		return Inst{
 			Op: OpShiftImm, Len: pfxLen + 3, Alu: AluOp(digit),
-			Reg: int(m&7) + extB*8, Imm: int64(p[2]),
+			Reg: m&7 + extB*8, Imm: int64(p[2]),
 		}
 	case op == 0x31 || op == 0x01 || op == 0x29 || op == 0x39: // xor/add/sub/cmp r/m64, r64 (mod=11 only)
 		if !rexW || len(p) < 2 {
@@ -173,7 +173,7 @@ func Decode(b []byte) Inst {
 		case 0x39:
 			o = OpCmpReg
 		}
-		return Inst{Op: o, Len: pfxLen + 2, Reg: int(m&7) + extB*8, Reg2: int((m>>3)&7) + extR}
+		return Inst{Op: o, Len: pfxLen + 2, Reg: m&7 + extB*8, Reg2: (m>>3)&7 + extR}
 	case op == 0x0f:
 		return decode0F(p, pfxLen, extR, extB)
 	}
@@ -181,7 +181,7 @@ func Decode(b []byte) Inst {
 }
 
 // decode0F decodes two-byte (0F xx) opcodes. p starts at the 0F byte.
-func decode0F(p []byte, pfxLen, extR, extB int) Inst {
+func decode0F(p []byte, pfxLen, extR, extB uint8) Inst {
 	fail := Inst{Op: OpInvalid, Len: 1}
 	if len(p) < 2 {
 		return fail
@@ -223,7 +223,7 @@ func decode0F(p []byte, pfxLen, extR, extB int) Inst {
 		m := p[2]
 		if m>>6 == 2 && (m>>3)&7 == 7 { // clflush [base+disp32]
 			consumed := 3
-			rm := int(m&7) + extB*8
+			rm := m&7 + extB*8
 			if m&7 == 4 {
 				if len(p) < 4 || p[3] != 0x24 {
 					return fail
@@ -235,7 +235,7 @@ func decode0F(p []byte, pfxLen, extR, extB int) Inst {
 				return fail
 			}
 			return Inst{
-				Op: OpClflush, Len: pfxLen + consumed + 4,
+				Op: OpClflush, Len: pfxLen + uint8(consumed) + 4,
 				Reg2: rm, Disp: int32(binary.LittleEndian.Uint32(p[consumed:])),
 			}
 		}

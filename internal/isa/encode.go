@@ -247,12 +247,13 @@ func EncPop(reg int) []byte {
 // roundtrip_test.go, its only callers.
 func EncodeInst(in Inst) ([]byte, error) {
 	var b []byte
+	reg, reg2 := int(in.Reg), int(in.Reg2)
 	switch in.Op {
 	case OpNop:
 		if in.Len < 1 || in.Len > 5 {
 			return nil, fmt.Errorf("isa: no canonical %d-byte nop", in.Len)
 		}
-		b = EncNop(in.Len)
+		b = EncNop(int(in.Len))
 	case OpJmp:
 		b = EncJmp(in.Disp)
 	case OpJcc:
@@ -260,41 +261,41 @@ func EncodeInst(in Inst) ([]byte, error) {
 	case OpCall:
 		b = EncCall(in.Disp)
 	case OpJmpInd:
-		b = EncJmpInd(in.Reg)
+		b = EncJmpInd(reg)
 	case OpCallInd:
-		b = EncCallInd(in.Reg)
+		b = EncCallInd(reg)
 	case OpRet:
 		b = EncRet()
 	case OpMovImm:
-		b = EncMovImm(in.Reg, uint64(in.Imm))
+		b = EncMovImm(reg, uint64(in.Imm))
 	case OpMovReg:
-		b = EncMovReg(in.Reg, in.Reg2)
+		b = EncMovReg(reg, reg2)
 	case OpLoad:
-		b = EncLoad(in.Reg, in.Reg2, in.Disp)
+		b = EncLoad(reg, reg2, in.Disp)
 	case OpStore:
-		b = EncStore(in.Reg2, in.Disp, in.Reg)
+		b = EncStore(reg2, in.Disp, reg)
 	case OpAluImm:
-		b = EncAluImm(in.Alu, in.Reg, int32(in.Imm))
+		b = EncAluImm(in.Alu, reg, int32(in.Imm))
 	case OpShiftImm:
 		if in.Alu == 4 {
-			b = EncShl(in.Reg, uint8(in.Imm))
+			b = EncShl(reg, uint8(in.Imm))
 		} else {
-			b = EncShr(in.Reg, uint8(in.Imm))
+			b = EncShr(reg, uint8(in.Imm))
 		}
 	case OpXorReg:
-		b = EncXorReg(in.Reg, in.Reg2)
+		b = EncXorReg(reg, reg2)
 	case OpAddReg:
-		b = EncAddReg(in.Reg, in.Reg2)
+		b = EncAddReg(reg, reg2)
 	case OpSubReg:
-		b = EncSubReg(in.Reg, in.Reg2)
+		b = EncSubReg(reg, reg2)
 	case OpCmpReg:
-		b = EncCmpReg(in.Reg, in.Reg2)
+		b = EncCmpReg(reg, reg2)
 	case OpLfence:
 		b = EncLfence()
 	case OpMfence:
 		b = EncMfence()
 	case OpClflush:
-		b = EncClflush(in.Reg2, in.Disp)
+		b = EncClflush(reg2, in.Disp)
 	case OpRdtsc:
 		b = EncRdtsc()
 	case OpSyscall:
@@ -304,15 +305,15 @@ func EncodeInst(in Inst) ([]byte, error) {
 	case OpInt3:
 		b = EncInt3()
 	case OpPush:
-		b = EncPush(in.Reg)
+		b = EncPush(reg)
 	case OpPop:
-		b = EncPop(in.Reg)
+		b = EncPop(reg)
 	default:
 		return nil, fmt.Errorf("isa: cannot encode %v", in.Op)
 	}
 	// Len 0 means the caller built the Inst by hand and has no length
 	// expectation; decoder-produced Insts always carry one.
-	if in.Len != 0 && len(b) != in.Len {
+	if in.Len != 0 && len(b) != int(in.Len) {
 		return nil, fmt.Errorf("isa: %v decoded from a non-canonical %d-byte encoding (canonical is %d)",
 			in.Op, in.Len, len(b))
 	}

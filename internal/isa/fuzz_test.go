@@ -25,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 		if in.Len < 1 || in.Len > 15 {
 			t.Fatalf("Decode(%x) = %+v: Len %d outside [1, 15]", b, in, in.Len)
 		}
-		if in.Op != OpInvalid && in.Len > len(b) && len(b) > 0 {
+		if in.Op != OpInvalid && int(in.Len) > len(b) && len(b) > 0 {
 			t.Fatalf("Decode(%x) = %+v: valid instruction longer than its input", b, in)
 		}
 	})
@@ -53,7 +53,7 @@ func FuzzAssemble(f *testing.F) {
 				t.Fatalf("Assemble(%q, %#x): invalid instruction at offset %d of %d: % x",
 					src, base, off, len(blob), blob[off:min(off+15, len(blob))])
 			}
-			off += in.Len
+			off += int(in.Len)
 		}
 		if off != len(blob) {
 			t.Fatalf("Assemble(%q, %#x): the last instruction ends at offset %d, past the %d-byte blob", src, base, off, len(blob))

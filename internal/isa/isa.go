@@ -172,16 +172,18 @@ func (b BranchClass) String() string {
 	return fmt.Sprintf("br(%d)", uint8(b))
 }
 
-// Inst is one decoded instruction.
+// Inst is one decoded instruction. It is 24 bytes, its fields ordered
+// so that no padding sits between them: the predecode cache holds 64 per
+// line and the interpreter copies one per step.
 type Inst struct {
 	Op   Op
-	Len  int   // encoded length in bytes
-	Reg  int   // destination (or only) register
-	Reg2 int   // source register / memory base register
-	Imm  int64 // immediate operand
-	Disp int32 // branch displacement or memory displacement
 	Cond Cond  // for OpJcc
 	Alu  AluOp // for OpAluImm
+	Len  uint8 // encoded length in bytes
+	Disp int32 // branch displacement or memory displacement
+	Reg  uint8 // destination (or only) register
+	Reg2 uint8 // source register / memory base register
+	Imm  int64 // immediate operand
 }
 
 // Class returns the branch class of the instruction.
@@ -224,42 +226,42 @@ func (i Inst) String() string {
 	case OpJcc:
 		return fmt.Sprintf("j%s .%+d", i.Cond, i.Disp)
 	case OpJmpInd:
-		return fmt.Sprintf("jmp *%s", RegName(i.Reg))
+		return fmt.Sprintf("jmp *%s", RegName(int(i.Reg)))
 	case OpCall:
 		return fmt.Sprintf("call .%+d", i.Disp)
 	case OpCallInd:
-		return fmt.Sprintf("call *%s", RegName(i.Reg))
+		return fmt.Sprintf("call *%s", RegName(int(i.Reg)))
 	case OpRet:
 		return "ret"
 	case OpMovImm:
-		return fmt.Sprintf("mov %s, %#x", RegName(i.Reg), uint64(i.Imm))
+		return fmt.Sprintf("mov %s, %#x", RegName(int(i.Reg)), uint64(i.Imm))
 	case OpMovReg:
-		return fmt.Sprintf("mov %s, %s", RegName(i.Reg), RegName(i.Reg2))
+		return fmt.Sprintf("mov %s, %s", RegName(int(i.Reg)), RegName(int(i.Reg2)))
 	case OpLoad:
-		return fmt.Sprintf("mov %s, [%s%+#x]", RegName(i.Reg), RegName(i.Reg2), i.Disp)
+		return fmt.Sprintf("mov %s, [%s%+#x]", RegName(int(i.Reg)), RegName(int(i.Reg2)), i.Disp)
 	case OpStore:
-		return fmt.Sprintf("mov [%s%+#x], %s", RegName(i.Reg2), i.Disp, RegName(i.Reg))
+		return fmt.Sprintf("mov [%s%+#x], %s", RegName(int(i.Reg2)), i.Disp, RegName(int(i.Reg)))
 	case OpAluImm:
-		return fmt.Sprintf("%s %s, %#x", i.Alu, RegName(i.Reg), uint64(i.Imm))
+		return fmt.Sprintf("%s %s, %#x", i.Alu, RegName(int(i.Reg)), uint64(i.Imm))
 	case OpShiftImm:
 		if i.Alu == 4 {
-			return fmt.Sprintf("shl %s, %d", RegName(i.Reg), i.Imm)
+			return fmt.Sprintf("shl %s, %d", RegName(int(i.Reg)), i.Imm)
 		}
-		return fmt.Sprintf("shr %s, %d", RegName(i.Reg), i.Imm)
+		return fmt.Sprintf("shr %s, %d", RegName(int(i.Reg)), i.Imm)
 	case OpXorReg:
-		return fmt.Sprintf("xor %s, %s", RegName(i.Reg), RegName(i.Reg2))
+		return fmt.Sprintf("xor %s, %s", RegName(int(i.Reg)), RegName(int(i.Reg2)))
 	case OpAddReg:
-		return fmt.Sprintf("add %s, %s", RegName(i.Reg), RegName(i.Reg2))
+		return fmt.Sprintf("add %s, %s", RegName(int(i.Reg)), RegName(int(i.Reg2)))
 	case OpClflush:
-		return fmt.Sprintf("clflush [%s%+#x]", RegName(i.Reg2), i.Disp)
+		return fmt.Sprintf("clflush [%s%+#x]", RegName(int(i.Reg2)), i.Disp)
 	case OpSubReg:
-		return fmt.Sprintf("sub %s, %s", RegName(i.Reg), RegName(i.Reg2))
+		return fmt.Sprintf("sub %s, %s", RegName(int(i.Reg)), RegName(int(i.Reg2)))
 	case OpCmpReg:
-		return fmt.Sprintf("cmp %s, %s", RegName(i.Reg), RegName(i.Reg2))
+		return fmt.Sprintf("cmp %s, %s", RegName(int(i.Reg)), RegName(int(i.Reg2)))
 	case OpPush:
-		return fmt.Sprintf("push %s", RegName(i.Reg))
+		return fmt.Sprintf("push %s", RegName(int(i.Reg)))
 	case OpPop:
-		return fmt.Sprintf("pop %s", RegName(i.Reg))
+		return fmt.Sprintf("pop %s", RegName(int(i.Reg)))
 	default:
 		return i.Op.String()
 	}

@@ -10,7 +10,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstSize pins the 24-byte Inst: the predecode cache holds 64 per
+// line and the interpreter copies one per step, so a field that pads it
+// to 32 or more costs every simulated instruction.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 24 {
+		t.Fatalf("isa.Inst is %d bytes, want 24", n)
+	}
+}
 
 // decodeOne decodes b and fails the test if it does not decode to op with
 // the exact encoded length.
@@ -20,7 +30,7 @@ func decodeOne(t *testing.T, b []byte, op Op) Inst {
 	if in.Op != op {
 		t.Fatalf("Decode(% x) = %v, want op %v", b, in.Op, op)
 	}
-	if in.Len != len(b) {
+	if int(in.Len) != len(b) {
 		t.Fatalf("Decode(% x) len = %d, want %d", b, in.Len, len(b))
 	}
 	return in
@@ -48,7 +58,7 @@ func TestNopSledDecodesCompletely(t *testing.T) {
 			if in.Op != OpNop {
 				t.Fatalf("sled(%d) offset %d decodes to %v", n, off, in.Op)
 			}
-			off += in.Len
+			off += int(in.Len)
 		}
 	}
 }
@@ -78,11 +88,11 @@ func TestBranchEncodings(t *testing.T) {
 func TestIndirectBranchAllRegs(t *testing.T) {
 	for r := 0; r < NumRegs; r++ {
 		in := decodeOne(t, EncJmpInd(r), OpJmpInd)
-		if in.Reg != r {
+		if int(in.Reg) != r {
 			t.Errorf("jmp* reg = %d, want %d", in.Reg, r)
 		}
 		in = decodeOne(t, EncCallInd(r), OpCallInd)
-		if in.Reg != r {
+		if int(in.Reg) != r {
 			t.Errorf("call* reg = %d, want %d", in.Reg, r)
 		}
 	}
@@ -91,7 +101,7 @@ func TestIndirectBranchAllRegs(t *testing.T) {
 func TestMovImmAllRegs(t *testing.T) {
 	for r := 0; r < NumRegs; r++ {
 		in := decodeOne(t, EncMovImm(r, 0xdeadbeefcafe), OpMovImm)
-		if in.Reg != r || uint64(in.Imm) != 0xdeadbeefcafe {
+		if int(in.Reg) != r || uint64(in.Imm) != 0xdeadbeefcafe {
 			t.Errorf("mov imm reg=%d imm=%#x", in.Reg, in.Imm)
 		}
 	}
@@ -101,11 +111,11 @@ func TestLoadStoreAllRegCombos(t *testing.T) {
 	for dst := 0; dst < NumRegs; dst++ {
 		for base := 0; base < NumRegs; base++ {
 			in := decodeOne(t, EncLoad(dst, base, 0xbe0), OpLoad)
-			if in.Reg != dst || in.Reg2 != base || in.Disp != 0xbe0 {
+			if int(in.Reg) != dst || int(in.Reg2) != base || in.Disp != 0xbe0 {
 				t.Fatalf("load dst=%d base=%d: got %+v", dst, base, in)
 			}
 			in = decodeOne(t, EncStore(base, -8, dst), OpStore)
-			if in.Reg != dst || in.Reg2 != base || in.Disp != -8 {
+			if int(in.Reg) != dst || int(in.Reg2) != base || in.Disp != -8 {
 				t.Fatalf("store src=%d base=%d: got %+v", dst, base, in)
 			}
 		}
@@ -165,11 +175,11 @@ func TestSystemInstructions(t *testing.T) {
 func TestPushPop(t *testing.T) {
 	for r := 0; r < NumRegs; r++ {
 		in := decodeOne(t, EncPush(r), OpPush)
-		if in.Reg != r {
+		if int(in.Reg) != r {
 			t.Errorf("push %d: %+v", r, in)
 		}
 		in = decodeOne(t, EncPop(r), OpPop)
-		if in.Reg != r {
+		if int(in.Reg) != r {
 			t.Errorf("pop %d: %+v", r, in)
 		}
 	}
@@ -183,7 +193,7 @@ func TestDecodeNeverZeroLength(t *testing.T) {
 			return true
 		}
 		in := Decode(b)
-		return in.Len >= 1 && in.Len <= len(b) || in.Op == OpInvalid && in.Len == 1
+		return in.Len >= 1 && int(in.Len) <= len(b) || in.Op == OpInvalid && in.Len == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -223,7 +233,7 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 			b, wantOp = EncJcc(CondNZ, disp), OpJcc
 		}
 		in := Decode(b)
-		if in.Op != wantOp || in.Len != len(b) {
+		if in.Op != wantOp || int(in.Len) != len(b) {
 			t.Fatalf("roundtrip %v: enc % x dec %+v", wantOp, b, in)
 		}
 	}
@@ -445,7 +455,7 @@ func TestDisassembleLines(t *testing.T) {
 		for off := 0; off < len(blob); {
 			in := Decode(blob[off:])
 			fmt.Fprintf(&want, "%#012x: %s\n", va+uint64(off), in)
-			off += in.Len
+			off += int(in.Len)
 		}
 		if out.String() != want.String() {
 			t.Fatalf("va %#x: Disassemble wrote\n%.300s\nwant\n%.300s", va, out.String(), want.String())

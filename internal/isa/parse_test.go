@@ -105,7 +105,7 @@ far:
 		if in.Op == OpInvalid {
 			t.Fatalf("undecodable byte at +%#x", off)
 		}
-		off += in.Len
+		off += int(in.Len)
 	}
 }
 

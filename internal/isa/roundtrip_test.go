@@ -10,13 +10,13 @@ import (
 // shape, the same operand space internal/search's program generator
 // draws from.
 func randInst(rng *rand.Rand) Inst {
-	reg := func() int { return rng.Intn(NumRegs) }
+	reg := func() uint8 { return uint8(rng.Intn(NumRegs)) }
 	disp := func() int32 { return int32(rng.Int63n(1<<31) - 1<<30) }
 	conds := []Cond{CondB, CondAE, CondZ, CondNZ}
 	alus := []AluOp{AluAdd, AluOr, AluAnd, AluSub, AluCmp}
 	switch rng.Intn(24) {
 	case 0:
-		return Inst{Op: OpNop, Len: 1 + rng.Intn(5)}
+		return Inst{Op: OpNop, Len: uint8(1 + rng.Intn(5))}
 	case 1:
 		return Inst{Op: OpJmp, Disp: disp()}
 	case 2:
@@ -76,7 +76,7 @@ func fixLen(t *testing.T, in Inst) Inst {
 	in.Len = 0
 	b, err := EncodeInst(in)
 	if err == nil {
-		in.Len = len(b)
+		in.Len = uint8(len(b))
 		return in
 	}
 	// EncodeInst rejects Len mismatches; retry with the length it said
@@ -112,17 +112,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			got := Decode(blob[off:])
 			if got != want {
 				t.Fatalf("trial %d inst %d: decode mismatch\nbytes: % x\n got: %+v\nwant: %+v",
-					trial, i, blob[off:off+want.Len], got, want)
+					trial, i, blob[off:off+int(want.Len)], got, want)
 			}
 			re, err := EncodeInst(got)
 			if err != nil {
 				t.Fatalf("trial %d inst %d: re-encode %+v: %v", trial, i, got, err)
 			}
-			if !bytes.Equal(re, blob[off:off+want.Len]) {
+			if !bytes.Equal(re, blob[off:off+int(want.Len)]) {
 				t.Fatalf("trial %d inst %d: re-encode not byte-identical\n got: % x\nwant: % x",
-					trial, i, re, blob[off:off+want.Len])
+					trial, i, re, blob[off:off+int(want.Len)])
 			}
-			off += want.Len
+			off += int(want.Len)
 		}
 		if off != len(blob) {
 			t.Fatalf("trial %d: decoder consumed %d of %d bytes", trial, off, len(blob))

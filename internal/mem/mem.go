@@ -400,6 +400,43 @@ type AddrSpace struct {
 	// AddLinearRange). Translation memos snapshot it and self-invalidate
 	// when it moves, so remapping a page can never serve a stale PA.
 	epoch uint64
+
+	// memo caches what TranslateV looked up, a page's PTE or its
+	// absence, one entry per slot of a multiplicative hash of the VPN
+	// (see memoSlot). An entry is current while its gen equals memoGen.
+	// Map, MapHuge, Unmap and SetPerm drop the entries of exactly the
+	// pages they write; Reset and AddLinearRange move memoGen instead,
+	// which makes every entry stale at once. It is a cache of the
+	// simulator's own lookups, not a modeled TLB: it charges nothing
+	// (the TLB type does the timing).
+	memo    [memoSize]memoEntry
+	memoGen uint64
+}
+
+// memoSize is how many pages an AddrSpace memoizes (a power of two).
+const memoSize = 1 << memoBits
+
+const memoBits = 8
+
+// memoEntry is one memoized lookup of the page vpn1-1 (vpn1 0 marks an
+// empty slot) as of memo generation gen: its PTE's frame and
+// permissions, or, with present false, that nothing maps it. Absent
+// pages are memoized because the KASLR probes branch into unmapped
+// kernel slots again and again.
+type memoEntry struct {
+	vpn1    uint64
+	gen     uint64
+	pa      uint64
+	perm    Perm
+	present bool
+}
+
+// memoSlot hashes a VPN to its memo slot with the top memoBits bits of
+// a Fibonacci multiply. The low VPN bits would not do: the Prime+Probe
+// sets of the image KASLR break sit 1 MiB apart (256 pages), so their
+// pages share a handful of low-bit slots.
+func memoSlot(vpn uint64) uint64 {
+	return vpn * 0x9e3779b97f4a7c15 >> (64 - memoBits)
 }
 
 // NewAddrSpace returns an empty address space backed by pm.
@@ -417,6 +454,14 @@ func (as *AddrSpace) Reset() {
 	clear(as.pages)
 	as.ranges = as.ranges[:0]
 	as.epoch++
+	as.memoGen++
+}
+
+// forget drops the memo entry of the page vpn, if it holds one.
+func (as *AddrSpace) forget(vpn uint64) {
+	if e := &as.memo[memoSlot(vpn)]; e.vpn1 == vpn+1 {
+		e.vpn1 = 0
+	}
 }
 
 // Epoch returns the mapping-mutation count. Any change to the VA→PA
@@ -430,7 +475,9 @@ func (as *AddrSpace) Map(va, pa, length uint64, perm Perm) error {
 		return fmt.Errorf("mem: unaligned Map(%#x, %#x, %#x)", va, pa, length)
 	}
 	for off := uint64(0); off < length; off += PageSize {
-		as.pages[(va+off)>>PageShift] = PTE{PA: pa + off, Perm: perm}
+		vpn := (va + off) >> PageShift
+		as.pages[vpn] = PTE{PA: pa + off, Perm: perm}
+		as.forget(vpn)
 	}
 	as.epoch++
 	return nil
@@ -444,7 +491,9 @@ func (as *AddrSpace) MapHuge(va, pa, length uint64, perm Perm) error {
 		return fmt.Errorf("mem: unaligned MapHuge(%#x, %#x, %#x)", va, pa, length)
 	}
 	for off := uint64(0); off < length; off += PageSize {
-		as.pages[(va+off)>>PageShift] = PTE{PA: pa + off, Perm: perm, Huge: true}
+		vpn := (va + off) >> PageShift
+		as.pages[vpn] = PTE{PA: pa + off, Perm: perm, Huge: true}
+		as.forget(vpn)
 	}
 	as.epoch++
 	return nil
@@ -453,7 +502,9 @@ func (as *AddrSpace) MapHuge(va, pa, length uint64, perm Perm) error {
 // Unmap removes mappings covering [va, va+length).
 func (as *AddrSpace) Unmap(va, length uint64) {
 	for off := uint64(0); off < length; off += PageSize {
-		delete(as.pages, (va+off)>>PageShift)
+		vpn := (va + off) >> PageShift
+		delete(as.pages, vpn)
+		as.forget(vpn)
 	}
 	as.epoch++
 }
@@ -469,6 +520,7 @@ func (as *AddrSpace) SetPerm(va uint64, perm Perm) bool {
 	}
 	pte.Perm = perm
 	as.pages[key] = pte
+	as.forget(key)
 	as.epoch++
 	return true
 }
@@ -497,27 +549,33 @@ func (as *AddrSpace) Translate(va uint64, kind AccessKind, user bool) (uint64, *
 // callers on paths where faults are routine — KASLR probing branches into
 // unmapped kernel slots millions of times, and a heap-allocated Fault per
 // probe dominated the experiment's allocation profile.
+//
+// It looks the page up in the memo first and fills the memo on a miss,
+// so a page touched again, mapped or not, skips the page-map probe.
 func (as *AddrSpace) TranslateV(va uint64, kind AccessKind, user bool) (pa uint64, fault Fault, ok bool) {
-	pte, found := as.pages[va>>PageShift]
-	if !found {
-		if pte, found = as.rangeLookup(va); !found {
-			return 0, Fault{VA: va, Kind: kind, NotPresent: true}, false
-		}
+	vpn := va >> PageShift
+	e := &as.memo[memoSlot(vpn)]
+	if e.vpn1 != vpn+1 || e.gen != as.memoGen {
+		pte, found := as.Lookup(va)
+		*e = memoEntry{vpn1: vpn + 1, gen: as.memoGen, pa: pte.PA, perm: pte.Perm, present: found}
 	}
-	if user && pte.Perm&PermUser == 0 {
+	if !e.present {
+		return 0, Fault{VA: va, Kind: kind, NotPresent: true}, false
+	}
+	if user && e.perm&PermUser == 0 {
 		return 0, Fault{VA: va, Kind: kind}, false
 	}
 	switch kind {
 	case AccessWrite:
-		if pte.Perm&PermWrite == 0 {
+		if e.perm&PermWrite == 0 {
 			return 0, Fault{VA: va, Kind: kind}, false
 		}
 	case AccessFetch:
-		if pte.Perm&PermExec == 0 {
+		if e.perm&PermExec == 0 {
 			return 0, Fault{VA: va, Kind: kind}, false
 		}
 	}
-	return pte.PA + va&(PageSize-1), Fault{}, true
+	return e.pa + va&(PageSize-1), Fault{}, true
 }
 
 // Read8 performs a privileged (kernel-level, permission-unchecked beyond

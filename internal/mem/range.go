@@ -31,6 +31,7 @@ func (as *AddrSpace) AddLinearRange(va, pa, length uint64, perm Perm, huge bool)
 	as.ranges = append(as.ranges, linearRange{va: va, pa: pa, length: length, perm: perm, huge: huge})
 	sort.Slice(as.ranges, func(i, j int) bool { return as.ranges[i].va < as.ranges[j].va })
 	as.epoch++
+	as.memoGen++
 	return nil
 }
 

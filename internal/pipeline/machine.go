@@ -129,6 +129,9 @@ type Machine struct {
 	// harnesses consume results before resuming the machine.
 	stopScratch  RunResult
 	faultScratch mem.Fault
+	// instScratch holds the instruction decodeAt's slow path decoded,
+	// overwritten by its next call.
+	instScratch isa.Inst
 
 	// syscallRet holds the user RIP+2 saved by syscall; kernel-mode
 	// syscall acts as sysret back to it.
@@ -378,8 +381,8 @@ func (m *Machine) fetchBytes(va uint64, n int) ([]byte, *mem.Fault) {
 // I-cache). Unmapped or non-executable targets return ok=false.
 func (m *Machine) TimedFetch(va uint64) (int, bool) {
 	m.countTimedProbe()
-	pa, f := m.AS().Translate(va, mem.AccessFetch, !m.Kernel)
-	if f != nil {
+	pa, _, ok := m.AS().TranslateV(va, mem.AccessFetch, !m.Kernel)
+	if !ok {
 		return 0, false
 	}
 	lat := 0
@@ -395,8 +398,8 @@ func (m *Machine) TimedFetch(va uint64) (int, bool) {
 // in cycles (Prime+Probe / Flush+Reload on the data side).
 func (m *Machine) TimedLoad(va uint64) (int, bool) {
 	m.countTimedProbe()
-	pa, f := m.AS().Translate(va, mem.AccessRead, !m.Kernel)
-	if f != nil {
+	pa, _, ok := m.AS().TranslateV(va, mem.AccessRead, !m.Kernel)
+	if !ok {
 		return 0, false
 	}
 	lat := 0
@@ -412,8 +415,8 @@ func (m *Machine) TimedLoad(va uint64) (int, bool) {
 // from the harness). It requires a user-accessible mapping, like the real
 // instruction.
 func (m *Machine) FlushVA(va uint64) bool {
-	pa, f := m.AS().Translate(va, mem.AccessRead, !m.Kernel)
-	if f != nil {
+	pa, _, ok := m.AS().TranslateV(va, mem.AccessRead, !m.Kernel)
+	if !ok {
 		return false
 	}
 	m.Hier.FlushLine(pa)

@@ -5,8 +5,8 @@ package pipeline
 // times while training predictors, and before this cache every simulated
 // instruction — architectural and wrong-path — paid 16 per-byte address
 // translations, a fresh 16-byte buffer and a full isa.Decode. Steady-state
-// execution now does one page-translation memo probe, plus one map lookup
-// when the fetch moves to another line (a one-line memo serves the rest).
+// execution now does one page-translation memo probe and one probe of a
+// hashed line memo; the line map is probed only when that memo misses.
 //
 // Correctness rests on two invalidation mechanisms, neither of which can
 // perturb modeled timings (no cycles are charged anywhere in this file):
@@ -65,14 +65,15 @@ type predecodeLine struct {
 // not a microarchitectural structure, so sharing is free and safe.
 type predecodeCache struct {
 	lines map[uint64]*predecodeLine
-	// last is the line lookup or insert used most recently, lastKey its
-	// key. It was current (its gen equal to its frame's CodeGen) when
-	// the PhysMem code-write count read lastWrites, and stays current
-	// until that count moves, so a probe of the same line skips both
-	// map lookups.
-	last       *predecodeLine
-	lastKey    uint64
-	lastWrites uint64
+	// memo maps a line key's hash slot (lineSlot) to the line lookup or
+	// insert last found for that key. An entry was current (its line's
+	// gen equal to its frame's CodeGen) when the PhysMem code-write count
+	// read writes, and stays current until that count moves, so a probe
+	// of a memoized line skips both map lookups. The table sits behind a
+	// pointer, so Machine.Reset does not copy it, and is never cleared:
+	// PhysMem.Reset moves the code-write count, which makes every entry
+	// stale at once.
+	memo *[lineMemoSize]lineMemo
 	// arena carves predecodeLine values from chunk allocations: KASLR
 	// sweeps decode training code at a fresh physical line per probe
 	// slot, and a per-line allocation showed up in experiment profiles.
@@ -84,17 +85,37 @@ type predecodeCache struct {
 	arenaUsed    int
 }
 
+// lineMemoSize is how many lines the predecode memo holds (a power of
+// two).
+const lineMemoSize = 1 << lineMemoBits
+
+const lineMemoBits = 8
+
+// lineMemo is one predecode memo entry: line is the line of key key1-1
+// (key1 0 marks an empty slot), current while PhysMem.CodeWrites reads
+// writes.
+type lineMemo struct {
+	key1   uint64
+	line   *predecodeLine
+	writes uint64
+}
+
+// lineSlot hashes a line key to its memo slot with the top bits of a
+// Fibonacci multiply, as mem's translation memo does.
+func lineSlot(key uint64) uint64 {
+	return key * 0x9e3779b97f4a7c15 >> (64 - lineMemoBits)
+}
+
 // predecodeArenaLines is how many lines one arena chunk backs.
 const predecodeArenaLines = 4
 
 func newPredecodeCache() predecodeCache {
-	return predecodeCache{lines: make(map[uint64]*predecodeLine)}
+	return predecodeCache{lines: make(map[uint64]*predecodeLine), memo: new([lineMemoSize]lineMemo)}
 }
 
-// reset empties the cache, keeping its map and its chunks.
+// reset empties the cache, keeping its map, its memo and its chunks.
 func (c *predecodeCache) reset() {
 	clear(c.lines)
-	c.last = nil
 	c.arena, c.arenaUsed = c.first, 0
 }
 
@@ -118,13 +139,18 @@ func (c *predecodeCache) newLine() *predecodeLine {
 	return pl
 }
 
-// lookup returns the cached decode starting at pa, if still valid.
-func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) (isa.Inst, bool) {
+// lookup returns the cached decode starting at pa, if still valid, or
+// nil. It returns a pointer into the line rather than a copy: the caller
+// copies the whole Inst out in one move, where a returned value travels
+// as eight registers that the caller stored back byte by byte and then
+// reloaded wide, stalling on every hit.
+func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) *isa.Inst {
 	key := pa >> lineShift
-	pl := c.last
-	if pl == nil || key != c.lastKey || pm.CodeWrites() != c.lastWrites {
-		if pl = c.lines[key]; pl == nil {
-			return isa.Inst{}, false
+	e := &c.memo[lineSlot(key)]
+	if e.key1 != key+1 || e.writes != pm.CodeWrites() {
+		pl := c.lines[key]
+		if pl == nil {
+			return nil
 		}
 		if g := pm.CodeGen(pa); pl.gen != g {
 			// A write changed bytes in this frame since the line was
@@ -132,24 +158,25 @@ func (c *predecodeCache) lookup(pm *mem.PhysMem, pa uint64) (isa.Inst, bool) {
 			pl.decoded = 0
 			pl.gen = g
 		}
-		c.last, c.lastKey, c.lastWrites = pl, key, pm.CodeWrites()
+		*e = lineMemo{key1: key + 1, line: pl, writes: pm.CodeWrites()}
 	}
+	pl := e.line
 	off := pa & (cache.LineSize - 1)
 	if pl.decoded&(1<<off) == 0 {
-		return isa.Inst{}, false
+		return nil
 	}
-	return pl.insts[off], true
+	return &pl.insts[off]
 }
 
-// insert caches the decode starting at pa and registers its frame for
-// write tracking. A current memo of pa's line needs neither: its frame
-// was registered when the line was made.
-func (c *predecodeCache) insert(pm *mem.PhysMem, pa uint64, in isa.Inst) {
+// insert caches the decode starting at pa, registers its frame for
+// write tracking and returns the cached copy. A current memo of pa's
+// line needs neither: its frame was registered when the line was made.
+func (c *predecodeCache) insert(pm *mem.PhysMem, pa uint64, in isa.Inst) *isa.Inst {
 	key := pa >> lineShift
-	pl := c.last
-	if pl == nil || key != c.lastKey || pm.CodeWrites() != c.lastWrites {
+	e := &c.memo[lineSlot(key)]
+	if e.key1 != key+1 || e.writes != pm.CodeWrites() {
 		gen := pm.MarkCodeFrame(pa)
-		pl = c.lines[key]
+		pl := c.lines[key]
 		if pl == nil {
 			pl = c.newLine()
 			pl.gen = gen
@@ -158,11 +185,13 @@ func (c *predecodeCache) insert(pm *mem.PhysMem, pa uint64, in isa.Inst) {
 			pl.decoded = 0
 			pl.gen = gen
 		}
-		c.last, c.lastKey, c.lastWrites = pl, key, pm.CodeWrites()
+		*e = lineMemo{key1: key + 1, line: pl, writes: pm.CodeWrites()}
 	}
+	pl := e.line
 	off := pa & (cache.LineSize - 1)
 	pl.insts[off] = in
 	pl.decoded |= 1 << off
+	return &pl.insts[off]
 }
 
 // fetchMemo is a one-entry memo of the last successful instruction-page
@@ -210,21 +239,26 @@ func (m *Machine) translateFetch(va uint64) (uint64, *mem.Fault) {
 // or non-executable neighbor page — always take the byte-at-a-time slow
 // path, as does everything when DisablePredecode is set.
 //
+// The instruction comes back as a pointer into its predecode line, or
+// into m.instScratch on the slow path, for the same reason lookup returns
+// one; callers copy it out before their next decodeAt.
+//
 // decodeAt charges no cycles and touches no modeled structure; callers
 // charge line-granular I-cache/µop timing exactly as they always did.
-func (m *Machine) decodeAt(va uint64) (isa.Inst, *mem.Fault) {
+func (m *Machine) decodeAt(va uint64) (*isa.Inst, *mem.Fault) {
 	if m.DisablePredecode || va&(mem.PageSize-1) > mem.PageSize-decodeWindow {
 		bytes, f := m.fetchBytes(va, decodeWindow)
 		if f != nil {
-			return isa.Inst{}, f
+			return nil, f
 		}
-		return isa.Decode(bytes), nil
+		m.instScratch = isa.Decode(bytes)
+		return &m.instScratch, nil
 	}
 	pa, f := m.translateFetch(va)
 	if f != nil {
-		return isa.Inst{}, f
+		return nil, f
 	}
-	if in, ok := m.pre.lookup(m.Phys, pa); ok {
+	if in := m.pre.lookup(m.Phys, pa); in != nil {
 		m.Debug.PredecodeHits++
 		return in, nil
 	}
@@ -233,8 +267,6 @@ func (m *Machine) decodeAt(va uint64) (isa.Inst, *mem.Fault) {
 	// shares the one translation — exactly what the slow path would have
 	// produced byte by byte.
 	win, _ := m.Phys.Window(pa, decodeWindow)
-	in := isa.Decode(win)
-	m.pre.insert(m.Phys, pa, in)
 	m.Debug.PredecodeMisses++
-	return in, nil
+	return m.pre.insert(m.Phys, pa, isa.Decode(win)), nil
 }

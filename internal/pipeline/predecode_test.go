@@ -228,3 +228,83 @@ func TestPredecodeCrossPageInstruction(t *testing.T) {
 		t.Fatalf("rax = %#x", m.Regs[isa.RAX])
 	}
 }
+
+// TestPredecodeMemoSharedSlot: two lines in different frames whose keys
+// share a predecode memo slot take turns through lookup and insert,
+// across a code write to the line the slot holds and a Machine.Reset
+// that leaves the other one in the slot. After the reset, two lines in
+// other slots take the chunk lines the first two had, before the line
+// the slot still names is decoded again. Every decode must equal
+// isa.Decode of the bytes then in memory.
+func TestPredecodeMemoSharedSlot(t *testing.T) {
+	m := New(uarch.Zen2(), 1<<30, 1)
+	keyA := uint64(0x1000000) >> lineShift
+	next := func(from uint64, same bool) uint64 {
+		k := from + mem.PageSize>>lineShift
+		for (lineSlot(k) == lineSlot(keyA)) != same {
+			k++
+		}
+		return k
+	}
+	keyB := next(keyA, true)
+	keyC := next(keyB, false)
+	keyD := next(keyC, false)
+	for lineSlot(keyD) == lineSlot(keyC) {
+		keyD = next(keyD, false)
+	}
+	paA, paB, paC, paD := keyA<<lineShift, keyB<<lineShift, keyC<<lineShift, keyD<<lineShift
+	check := func(step string, pa uint64) {
+		t.Helper()
+		win, _ := m.Phys.Window(pa, decodeWindow)
+		want := isa.Decode(win)
+		got := m.pre.lookup(m.Phys, pa)
+		if got == nil {
+			got = m.pre.insert(m.Phys, pa, want)
+		}
+		if *got != want {
+			t.Fatalf("%s: decode at %#x = %v, memory holds %v", step, pa, *got, want)
+		}
+	}
+	m.Phys.WriteBytes(paA, isa.EncMovImm(isa.RAX, 1))
+	m.Phys.WriteBytes(paB, isa.EncMovImm(isa.RBX, 2))
+	for i := 0; i < 3; i++ {
+		check("alternating", paA)
+		check("alternating", paB)
+	}
+	check("before the write", paA)
+	m.Phys.WriteBytes(paA, isa.EncJmpInd(isa.RCX))
+	check("after a write to the memoized line", paA)
+	check("after a write to the other line", paB)
+
+	m.Reset(2)
+	m.Phys.WriteBytes(paA, isa.EncCallInd(isa.RDX))
+	m.Phys.WriteBytes(paB, isa.EncPush(isa.R9))
+	m.Phys.WriteBytes(paC, isa.EncPop(isa.R10))
+	m.Phys.WriteBytes(paD, isa.EncXorReg(isa.RSI, isa.RDI))
+	check("after Reset, another slot", paC)
+	check("after Reset, another slot", paD)
+	check("after Reset, the line the slot held", paB)
+	check("after Reset, again", paD)
+	check("after Reset", paA)
+}
+
+// TestFaultingProbesDoNotAllocate: the harness probes of an unmapped
+// address discard the fault, so they translate without building one on
+// the heap.
+func TestFaultingProbesDoNotAllocate(t *testing.T) {
+	m := newTestMachine(t, uarch.Zen2())
+	const va = 0x7f3000000540
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := m.TimedFetch(va); ok {
+			t.Fatal("TimedFetch of an unmapped page succeeded")
+		}
+		if _, ok := m.TimedLoad(va); ok {
+			t.Fatal("TimedLoad of an unmapped page succeeded")
+		}
+		if m.FlushVA(va) {
+			t.Fatal("FlushVA of an unmapped page succeeded")
+		}
+	}); allocs != 0 {
+		t.Fatalf("three faulting probes allocate %v times", allocs)
+	}
+}

@@ -56,6 +56,7 @@ var resetCovered = map[string]string{
 	"tlast":              "hub on; the probe's pipeline_* counter deltas",
 	"stopScratch":        "every stop; written before each read",
 	"faultScratch":       "the SMC run's fault; written before each read",
+	"instScratch":        "cross-page and reference-fetch decodes; written before each read",
 	"syscallRet":         "syscall runs; the probe's sysret",
 	"lastFetchLine":      "every run; first-line fetch charges",
 	"lastUopLine":        "every run; first-line µop charges",

@@ -135,10 +135,11 @@ func (m *Machine) step() *RunResult {
 		m.lastFetchLine = line
 		m.emit(EvFetchLine, line, 0)
 	}
-	in, f := m.decodeAt(va)
+	inp, f := m.decodeAt(va)
 	if f != nil {
 		return m.fault(f)
 	}
+	in := *inp
 	if in.Op == isa.OpInvalid {
 		m.Debug.Faults++
 		return m.stop(RunResult{Reason: StopTrap})

@@ -65,10 +65,11 @@ func (m *Machine) speculate(target uint64, win uarch.Window, kind specKind) {
 		if decodes >= win.DecodeInsts {
 			return
 		}
-		in, f := m.decodeAt(pc)
+		inp, f := m.decodeAt(pc)
 		if f != nil {
 			return
 		}
+		in := *inp
 		if in.Op == isa.OpInvalid || in.Op == isa.OpInt3 || in.Op == isa.OpHlt {
 			return
 		}
